@@ -14,7 +14,7 @@ Four machine-checked invariants that code review kept re-litigating:
                   push_back/emplace_back/resize/reserve, no std::to_string.
                   A line may opt out with
                   `// ditto-lint: allow(alloc): <non-empty reason>` on the
-                  same or the immediately preceding line. The four regions
+                  same or the immediately preceding line. The regions
                   named in REQUIRED_HOT_PATHS must exist — deleting a marker
                   does not silence the check.
 
@@ -54,6 +54,8 @@ REQUIRED_HOT_PATHS = {
     "resp-parse": "src/net/resp.cc",
     "arena-copy": "src/rdma/arena.cc",
     "migrate-copy": "src/core/cluster.cc",
+    "pipeline-window": "src/sim/pipeline_window.h",
+    "conn-issue": "src/net/connection.cc",
 }
 
 # relative file -> exact number of reinterpret_cast tokens allowed.

@@ -29,33 +29,78 @@ bool ParseU64(std::string_view s, uint64_t* value) {
   return ec == std::errc() && ptr == end;
 }
 
-// Cache ops a command of `argc` arguments wants to execute — the unit the
-// global in-flight watermark is charged in. Commands that execute no cache
-// op (PING/INFO/QUIT/unknown) are never shed.
-size_t OpsForCommand(std::string_view verb, size_t argc) {
-  if (VerbIs(verb, "GET") || VerbIs(verb, "SET") || VerbIs(verb, "EXPIRE") ||
-      VerbIs(verb, "TTL")) {
-    return argc >= 2 ? 1 : 0;
-  }
-  if (VerbIs(verb, "DEL") || VerbIs(verb, "MGET")) {
-    return argc >= 2 ? argc - 1 : 0;
-  }
-  return 0;
-}
-
 }  // namespace
+
+void Connection::Classify(const std::string_view* args, size_t argc, PendingCmd* cmd) {
+  constexpr std::string_view kNotInteger = "ERR value is not an integer or out of range";
+  const std::string_view verb = args[0];
+  // Cache ops the command executes when valid: the unit the global in-flight
+  // watermark and ServerStats::ops are charged in. Commands that execute no
+  // cache op (rejected, PING/INFO/QUIT/unknown) are never shed.
+  size_t ops = 1;
+  if (VerbIs(verb, "GET")) {
+    cmd->verb = Verb::kGet;
+    if (argc != 2) {
+      cmd->error = "ERR wrong number of arguments for 'get' command";
+    }
+  } else if (VerbIs(verb, "SET")) {
+    cmd->verb = Verb::kSet;
+    if (argc == 5 && (VerbIs(args[3], "EX") || VerbIs(args[3], "PX") || VerbIs(args[3], "TTL"))) {
+      if (!ParseU64(args[4], &cmd->ttl_ticks)) {
+        cmd->error = kNotInteger;
+      }
+    } else if (argc != 3) {
+      cmd->error = argc < 3 ? "ERR wrong number of arguments for 'set' command"
+                            : "ERR syntax error";
+    }
+  } else if (VerbIs(verb, "DEL")) {
+    cmd->verb = Verb::kDel;
+    ops = argc - 1;
+    if (argc < 2) {
+      cmd->error = "ERR wrong number of arguments for 'del' command";
+    }
+  } else if (VerbIs(verb, "EXPIRE")) {
+    cmd->verb = Verb::kExpire;
+    if (argc != 3) {
+      cmd->error = "ERR wrong number of arguments for 'expire' command";
+    } else if (!ParseU64(args[2], &cmd->ttl_ticks)) {
+      cmd->error = kNotInteger;
+    }
+  } else if (VerbIs(verb, "MGET")) {
+    cmd->verb = Verb::kMget;
+    ops = argc - 1;
+    if (argc < 2) {
+      cmd->error = "ERR wrong number of arguments for 'mget' command";
+    }
+  } else if (VerbIs(verb, "TTL")) {
+    cmd->verb = Verb::kTtl;
+    if (argc != 2) {
+      cmd->error = "ERR wrong number of arguments for 'ttl' command";
+    }
+  } else {
+    ops = 0;
+    if (VerbIs(verb, "PING")) {
+      cmd->verb = Verb::kPing;
+    } else if (VerbIs(verb, "QUIT")) {
+      cmd->verb = Verb::kQuit;
+    } else if (VerbIs(verb, "INFO")) {
+      cmd->verb = Verb::kInfo;
+    }
+  }
+  cmd->ops = cmd->error.empty() ? ops : 0;
+}
 
 bool Connection::ProcessInput() {
   if (closing_) {
     return false;
   }
-  // Pass 1: parse every complete pipelined command out of the input ring,
-  // charging the global in-flight budget at parse time. The burst size of
-  // one read batch is the connection's instantaneous demand: commands past
-  // the watermark are marked shed here and never execute.
+  // Pass 1: parse and validate every complete pipelined command out of the
+  // input ring, charging the global in-flight budget at parse time. The
+  // burst size of one read batch is the connection's instantaneous demand:
+  // commands past the watermark are marked shed here and never execute.
   batch_.clear();
   batch_args_.clear();
-  batch_ops_acquired_ = 0;
+  uint64_t acquired_ops = 0;
   uint64_t shed_ops = 0;
   bool protocol_error = false;
   while (true) {
@@ -71,12 +116,12 @@ bool Connection::ProcessInput() {
     pending.args_begin = batch_args_.size();
     batch_args_.insert(batch_args_.end(), cmd_.args.begin(), cmd_.args.end());
     pending.args_end = batch_args_.size();
-    const size_t ops = OpsForCommand(cmd_.args[0], cmd_.args.size());
-    if (ops > 0 && !host_->AcquireOps(ops)) {
+    Classify(cmd_.args.data(), cmd_.args.size(), &pending);
+    if (pending.ops > 0 && !host_->AcquireOps(pending.ops)) {
       pending.shed = true;
-      shed_ops += ops;
+      shed_ops += pending.ops;
     } else {
-      batch_ops_acquired_ += ops;
+      acquired_ops += pending.ops;
     }
     batch_.push_back(pending);
   }
@@ -89,15 +134,16 @@ bool Connection::ProcessInput() {
       AppendError(&out_, "LOADSHED server over in-flight op watermark, retry");
       continue;
     }
-    const std::string_view* args = batch_args_.data() + pending.args_begin;
-    const size_t argc = pending.args_end - pending.args_begin;
-    executed_ops += OpsForCommand(args[0], argc);
-    if (!ExecuteCommand(args, argc)) {
+    executed_ops += pending.ops;
+    if (!ExecuteCommand(pending)) {
       closing_ = true;
       break;
     }
   }
-  host_->ReleaseOps(batch_ops_acquired_);
+  // Retire before flush: the batch's replies leave only once every op it
+  // issued has completed on the client's clock.
+  window_.RetireAll(host_->client()->ctx().clock());
+  host_->ReleaseOps(acquired_ops);
   host_->OnCommands(batch_.size(), executed_ops, shed_ops);
 
   if (protocol_error) {
@@ -107,179 +153,158 @@ bool Connection::ProcessInput() {
   return !closing_;
 }
 
-bool Connection::ExecuteCommand(const std::string_view* args, size_t argc) {
-  const std::string_view verb = args[0];
-
-  if (VerbIs(verb, "PING")) {
-    if (argc == 1) {
-      AppendSimple(&out_, "PONG");
-    } else {
-      AppendBulk(&out_, args[1]);
-    }
-    return true;
-  }
-  if (VerbIs(verb, "QUIT")) {
-    AppendSimple(&out_, "OK");
-    return false;
-  }
-  if (VerbIs(verb, "INFO")) {
-    info_.clear();
-    host_->FormatInfo(&info_);
-    AppendBulk(&out_, info_);
+bool Connection::ExecuteCommand(const PendingCmd& cmd) {
+  const std::string_view* args = batch_args_.data() + cmd.args_begin;
+  const size_t argc = cmd.args_end - cmd.args_begin;
+  if (!cmd.error.empty()) {
+    AppendError(&out_, cmd.error);
     return true;
   }
 
-  if (VerbIs(verb, "GET")) {
-    if (argc != 2) {
-      WrongArity("get");
-      return true;
-    }
-    ops_.assign(1, sim::CacheOp::Get(args[1], /*want_value=*/true));
-    ExecuteOps();
-    if (AnyUnavailable()) {
-      Unavailable("get");
-    } else if (results_[0].hit()) {
-      AppendBulk(&out_, results_[0].value);
-    } else {
-      AppendNil(&out_);
-    }
-    return true;
-  }
-
-  if (VerbIs(verb, "SET")) {
-    uint64_t ttl_ticks = 0;
-    if (argc == 5 && (VerbIs(args[3], "EX") || VerbIs(args[3], "PX") || VerbIs(args[3], "TTL"))) {
-      if (!ParseU64(args[4], &ttl_ticks)) {
-        AppendError(&out_, "ERR value is not an integer or out of range");
-        return true;
+  switch (cmd.verb) {
+    case Verb::kPing:
+      if (argc == 1) {
+        AppendSimple(&out_, "PONG");
+      } else {
+        AppendBulk(&out_, args[1]);
       }
-    } else if (argc != 3) {
-      argc < 3 ? WrongArity("set") : AppendError(&out_, "ERR syntax error");
       return true;
-    }
-    ops_.assign(1, sim::CacheOp::Set(args[1], args[2], ttl_ticks));
-    ExecuteOps();
-    if (AnyUnavailable()) {
-      Unavailable("set");
-    } else if (results_[0].status == sim::OpStatus::kStored) {
+    case Verb::kQuit:
       AppendSimple(&out_, "OK");
-    } else {
-      AppendError(&out_, "OOM store dropped (memory exhausted, nothing evictable)");
-    }
-    return true;
-  }
+      return false;
+    case Verb::kInfo:
+      info_.clear();
+      host_->FormatInfo(&info_);
+      AppendBulk(&out_, info_);
+      return true;
+    case Verb::kUnknown:
+      AppendError(&out_, "ERR unknown command '" + std::string(args[0]) + "'");
+      return true;
 
-  if (VerbIs(verb, "DEL")) {
-    if (argc < 2) {
-      WrongArity("del");
-      return true;
-    }
-    ops_.clear();
-    for (size_t i = 1; i < argc; ++i) {
-      ops_.push_back(sim::CacheOp::Delete(args[i]));
-    }
-    ExecuteOps();
-    if (AnyUnavailable()) {
-      Unavailable("del");
-      return true;
-    }
-    int64_t deleted = 0;
-    for (const sim::CacheResult& r : results_) {
-      deleted += r.status == sim::OpStatus::kDeleted ? 1 : 0;
-    }
-    AppendInteger(&out_, deleted);
-    return true;
-  }
-
-  if (VerbIs(verb, "EXPIRE")) {
-    uint64_t ttl_ticks = 0;
-    if (argc != 3) {
-      WrongArity("expire");
-      return true;
-    }
-    if (!ParseU64(args[2], &ttl_ticks)) {
-      AppendError(&out_, "ERR value is not an integer or out of range");
-      return true;
-    }
-    ops_.assign(1, sim::CacheOp::Expire(args[1], ttl_ticks));
-    ExecuteOps();
-    if (AnyUnavailable()) {
-      Unavailable("expire");
-      return true;
-    }
-    AppendInteger(&out_, results_[0].status == sim::OpStatus::kStored ? 1 : 0);
-    return true;
-  }
-
-  if (VerbIs(verb, "MGET")) {
-    if (argc < 2) {
-      WrongArity("mget");
-      return true;
-    }
-    // A run of kMultiGet ops in one batch is the client protocol's fused
-    // multi-get: batching-capable clients chain the whole run's metadata
-    // verbs behind one NIC doorbell.
-    ops_.clear();
-    for (size_t i = 1; i < argc; ++i) {
-      ops_.push_back(sim::CacheOp::MultiGet(args[i], /*want_value=*/true));
-    }
-    ExecuteOps();
-    if (AnyUnavailable()) {
-      // RESP2 has no per-element error inside an array: one unrouteable key
-      // fails the whole MGET rather than masquerading as a nil.
-      Unavailable("mget");
-      return true;
-    }
-    AppendArrayHeader(&out_, results_.size());
-    for (const sim::CacheResult& r : results_) {
-      if (r.hit()) {
+    case Verb::kGet: {
+      const sim::CacheResult& r = Issue(sim::CacheOp::Get(args[1], /*want_value=*/true));
+      if (r.status == sim::OpStatus::kUnavailable) {
+        Unavailable("get");
+      } else if (r.hit()) {
         AppendBulk(&out_, r.value);
       } else {
         AppendNil(&out_);
       }
-    }
-    return true;
-  }
-
-  if (VerbIs(verb, "TTL")) {
-    if (argc != 2) {
-      WrongArity("ttl");
       return true;
     }
-    // The CacheOp protocol has no TTL read-back; probe existence with a
-    // valueless Get. -1 = cached (remaining ticks not exposed), -2 = absent,
-    // matching redis's "no TTL" / "no key" distinction.
-    ops_.assign(1, sim::CacheOp::Get(args[1], /*want_value=*/false));
-    ExecuteOps();
-    if (AnyUnavailable()) {
-      Unavailable("ttl");
+
+    case Verb::kSet: {
+      const sim::CacheResult& r = Issue(sim::CacheOp::Set(args[1], args[2], cmd.ttl_ticks));
+      if (r.status == sim::OpStatus::kUnavailable) {
+        Unavailable("set");
+      } else if (r.status == sim::OpStatus::kStored) {
+        AppendSimple(&out_, "OK");
+      } else {
+        AppendError(&out_, "OOM store dropped (memory exhausted, nothing evictable)");
+      }
       return true;
     }
-    AppendInteger(&out_, results_[0].hit() ? -1 : -2);
-    return true;
-  }
 
-  AppendError(&out_, "ERR unknown command '" + std::string(verb) + "'");
+    case Verb::kExpire: {
+      const sim::CacheResult& r = Issue(sim::CacheOp::Expire(args[1], cmd.ttl_ticks));
+      if (r.status == sim::OpStatus::kUnavailable) {
+        Unavailable("expire");
+      } else {
+        AppendInteger(&out_, r.status == sim::OpStatus::kStored ? 1 : 0);
+      }
+      return true;
+    }
+
+    case Verb::kTtl: {
+      // The CacheOp protocol has no TTL read-back; probe existence with a
+      // valueless Get. -1 = cached (remaining ticks not exposed), -2 = absent,
+      // matching redis's "no TTL" / "no key" distinction.
+      const sim::CacheResult& r = Issue(sim::CacheOp::Get(args[1], /*want_value=*/false));
+      if (r.status == sim::OpStatus::kUnavailable) {
+        Unavailable("ttl");
+      } else {
+        AppendInteger(&out_, r.hit() ? -1 : -2);
+      }
+      return true;
+    }
+
+    case Verb::kDel: {
+      if (argc == 2) {
+        const sim::CacheResult& r = Issue(sim::CacheOp::Delete(args[1]));
+        if (r.status == sim::OpStatus::kUnavailable) {
+          Unavailable("del");
+        } else {
+          AppendInteger(&out_, r.status == sim::OpStatus::kDeleted ? 1 : 0);
+        }
+        return true;
+      }
+      ops_.clear();
+      for (size_t i = 1; i < argc; ++i) {
+        ops_.push_back(sim::CacheOp::Delete(args[i]));
+      }
+      ExecuteSerialized();
+      int64_t deleted = 0;
+      for (const sim::CacheResult& r : results_) {
+        if (r.status == sim::OpStatus::kUnavailable) {
+          Unavailable("del");
+          return true;
+        }
+        deleted += r.status == sim::OpStatus::kDeleted ? 1 : 0;
+      }
+      AppendInteger(&out_, deleted);
+      return true;
+    }
+
+    case Verb::kMget: {
+      // A run of kMultiGet ops in one batch is the client protocol's fused
+      // multi-get: batching-capable clients chain the whole run's metadata
+      // verbs behind one NIC doorbell.
+      ops_.clear();
+      for (size_t i = 1; i < argc; ++i) {
+        ops_.push_back(sim::CacheOp::MultiGet(args[i], /*want_value=*/true));
+      }
+      ExecuteSerialized();
+      for (const sim::CacheResult& r : results_) {
+        if (r.status == sim::OpStatus::kUnavailable) {
+          // RESP2 has no per-element error inside an array: one unrouteable
+          // key fails the whole MGET rather than masquerading as a nil.
+          Unavailable("mget");
+          return true;
+        }
+      }
+      AppendArrayHeader(&out_, results_.size());
+      for (const sim::CacheResult& r : results_) {
+        if (r.hit()) {
+          AppendBulk(&out_, r.value);
+        } else {
+          AppendNil(&out_);
+        }
+      }
+      return true;
+    }
+  }
   return true;
 }
 
-void Connection::ExecuteOps() {
+// ditto-lint: hot-path-begin(conn-issue)
+const sim::CacheResult& Connection::Issue(const sim::CacheOp& op) {
+  sim::CacheClient* client = host_->client();
+  const uint64_t start_ns = window_.Admit(client->ctx().clock());
+  // Reset in place: clear() keeps the value's capacity, so a hit's value
+  // lands in reused storage.
+  result_.status = sim::OpStatus::kMiss;
+  result_.value.clear();
+  result_.latency_us = 0.0;
+  window_.Push(client->ExecutePipelined(op, &result_, start_ns));
+  return result_;
+}
+// ditto-lint: hot-path-end(conn-issue)
+
+void Connection::ExecuteSerialized() {
+  sim::CacheClient* client = host_->client();
+  window_.RetireAll(client->ctx().clock());
   results_.assign(ops_.size(), sim::CacheResult{});
-  host_->client()->ExecuteBatch({ops_.data(), ops_.size()}, results_.data());
-}
-
-void Connection::WrongArity(std::string_view verb) {
-  AppendError(&out_,
-              "ERR wrong number of arguments for '" + std::string(verb) + "' command");
-}
-
-bool Connection::AnyUnavailable() const {
-  for (const sim::CacheResult& r : results_) {
-    if (r.status == sim::OpStatus::kUnavailable) {
-      return true;
-    }
-  }
-  return false;
+  client->ExecuteBatch({ops_.data(), ops_.size()}, results_.data());
 }
 
 void Connection::Unavailable(std::string_view verb) {

@@ -3,14 +3,27 @@
 // A connection owns its fd, an input ring the reactor reads socket bytes
 // into, an output ring replies are staged in, and a RespParser. Each
 // readable event runs one *batch*: every complete pipelined command is
-// parsed out of the input ring first (acquiring a slot per cache op from
-// the server's global in-flight budget — commands past the watermark are
-// marked shed and answered `-LOADSHED` instead of executing), then the
+// parsed and validated out of the input ring first (acquiring a slot per
+// cache op from the server's global in-flight budget — commands past the
+// watermark are marked shed and answered `-LOADSHED` instead of executing;
+// commands rejected by validation take no slot and count no op), then the
 // admitted commands execute in order against the reactor's CacheClient
 // through the typed CacheOp protocol, and the replies are formatted into
 // the output ring in command order. Argument views alias the input ring for
 // the whole batch (see ring_buffer.h), so the hot path allocates nothing at
 // steady state.
+//
+// Batch pipelining: a single-op command (GET, SET, EXPIRE, TTL, one-key DEL)
+// is issued through CacheClient::ExecutePipelined into an in-flight window of
+// kWindowOps completions (sim::PipelineWindow), the QP's limit on
+// outstanding signalled work requests. Ops still execute one at a time in
+// command order, so replies, hit rates and verb counts are those of blocking
+// execution; only their verb waits overlap in virtual time. Multi-key
+// commands (MGET, multi-key DEL) serialize: the window drains, then the
+// command runs as one fused ExecuteBatch. Every op of a batch retires before
+// ProcessInput returns, so the client clock has reached the batch's latest
+// completion before its replies are flushed. A one-command batch is exactly
+// blocking execution.
 //
 // Command -> CacheOp mapping (RESP2 subset):
 //   GET k            -> kGet        -> $value | $-1
@@ -38,12 +51,14 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/resp.h"
 #include "net/ring_buffer.h"
 #include "sim/cache_op.h"
 #include "sim/client_iface.h"
+#include "sim/pipeline_window.h"
 
 namespace ditto::net {
 
@@ -68,7 +83,11 @@ class ConnectionHost {
 
 class Connection {
  public:
-  Connection(int fd, ConnectionHost* host) : fd_(fd), host_(host), parser_(host->limits()) {}
+  // In-flight window of single-op commands within one batch.
+  static constexpr size_t kWindowOps = 32;
+
+  Connection(int fd, ConnectionHost* host)
+      : fd_(fd), host_(host), parser_(host->limits()), window_(kWindowOps) {}
 
   int fd() const { return fd_; }
   RingBuffer& in() { return in_; }
@@ -84,21 +103,30 @@ class Connection {
   bool closing() const { return closing_; }
 
  private:
-  // One parsed-but-not-yet-executed command of the current batch. Argument
-  // views alias the input ring and stay valid for the whole batch.
+  enum class Verb : uint8_t {
+    kGet, kSet, kDel, kExpire, kMget, kTtl, kPing, kQuit, kInfo, kUnknown
+  };
+
+  // One parsed-and-validated but not yet executed command of the current
+  // batch. Argument views alias the input ring and stay valid for the batch.
   struct PendingCmd {
     size_t args_begin = 0;  // range into batch_args_
     size_t args_end = 0;
+    Verb verb = Verb::kUnknown;
+    std::string_view error;  // non-empty: validation failed, answered without executing
+    uint64_t ttl_ticks = 0;  // SET ... EX t / EXPIRE k t
+    size_t ops = 0;          // cache ops it executes: 0 when rejected or op-less
     bool shed = false;
   };
 
-  bool ExecuteCommand(const std::string_view* args, size_t argc);
-  void ExecuteOps();
-  // Appends `-ERR wrong number of arguments for '<verb>' command`.
-  void WrongArity(std::string_view verb);
-  // True when any result of the last ExecuteOps came back kUnavailable; the
-  // caller answers `-UNAVAILABLE` for the whole command.
-  bool AnyUnavailable() const;
+  // Fills the verb, validation outcome, TTL and op count of `cmd`.
+  static void Classify(const std::string_view* args, size_t argc, PendingCmd* cmd);
+  bool ExecuteCommand(const PendingCmd& cmd);
+  // Issues one op into the in-flight window; the result is valid until the
+  // next Issue.
+  const sim::CacheResult& Issue(const sim::CacheOp& op);
+  // Drains the window, then executes ops_ as one fused batch into results_.
+  void ExecuteSerialized();
   // Appends `-UNAVAILABLE '<verb>' aborted: ...`.
   void Unavailable(std::string_view verb);
 
@@ -108,15 +136,16 @@ class Connection {
   RingBuffer in_;
   RingBuffer out_;
   bool closing_ = false;
+  sim::PipelineWindow window_;
 
   // Batch scratch, reused across readable events (no steady-state allocs).
   RespCommand cmd_;
   std::vector<std::string_view> batch_args_;
   std::vector<PendingCmd> batch_;
+  sim::CacheResult result_;  // the last Issue's result
   std::vector<sim::CacheOp> ops_;
   std::vector<sim::CacheResult> results_;
   std::string info_;
-  uint64_t batch_ops_acquired_ = 0;
 };
 
 }  // namespace ditto::net

@@ -11,6 +11,7 @@
 #define DITTO_SIM_ADAPTERS_H_
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/cluster.h"
@@ -86,8 +87,14 @@ class DittoAdapterBase : public CacheClient {
   rdma::ClientContext* ctx_;
   ClientT client_;
 
-  // Protected (not private) so cluster-aware subclasses can re-drive the
-  // same dispatch while stamping fault outcomes onto the results.
+ private:
+  // Cluster clients report an op that exhausted its retries (or found no
+  // live node) as a miss/drop plus an unavailability flag; the adapter turns
+  // that into OpStatus::kUnavailable so a front end can tell "the cluster
+  // says miss" from "the cluster cannot answer". Stamped here, in the one
+  // dispatch every entry point (ExecuteBatch, ExecutePipelined) shares.
+  static constexpr bool kReportsUnavailable = std::is_same_v<ClientT, core::ClusterClient>;
+
   void ExecuteSingle(const CacheOp& op, CacheResult* result) {
     DispatchSingleOp(
         *ctx_, op, result,
@@ -97,6 +104,11 @@ class DittoAdapterBase : public CacheClient {
         },
         [this](std::string_view key) { return client_.Delete(key); },
         [this](std::string_view key, uint64_t ttl) { return client_.Expire(key, ttl); });
+    if constexpr (kReportsUnavailable) {
+      if (client_.last_op_unavailable()) {
+        result->status = OpStatus::kUnavailable;
+      }
+    }
   }
 
   void ExecuteMultiGetRun(std::span<const CacheOp> ops, size_t begin, size_t end,
@@ -120,11 +132,15 @@ class DittoAdapterBase : public CacheClient {
         static_cast<double>(n);
     for (size_t j = 0; j < n; ++j) {
       results[begin + j].status = mg_hits_[j] ? OpStatus::kHit : OpStatus::kMiss;
+      if constexpr (kReportsUnavailable) {
+        if (client_.mg_unavailable(j)) {
+          results[begin + j].status = OpStatus::kUnavailable;
+        }
+      }
       results[begin + j].latency_us = per_op_us;
     }
   }
 
- private:
   // Multi-get gather scratch, reused across runs (adapters are
   // single-threaded like the clients they wrap).
   std::vector<std::string_view> mg_keys_;
@@ -152,42 +168,16 @@ class ShardedDittoCacheClient : public DittoAdapterBase<core::ShardedDittoClient
   core::ShardedDittoClient& sharded() { return client_; }
 };
 
-// Adapter for fault-tolerant cluster deployments. Re-uses the base dispatch
-// (so fault-free behaviour is bit-identical to ShardedDittoCacheClient), then
-// stamps OpStatus::kUnavailable onto ops whose retries were exhausted — a
-// front end must distinguish "the cluster says miss" from "the cluster cannot
-// answer". Lifecycle steps from the replay schedule are forwarded to the
-// cluster client, which applies them globally-once and migrates keys.
+// Adapter for fault-tolerant cluster deployments. The base dispatch (so
+// fault-free behaviour is bit-identical to ShardedDittoCacheClient) stamps
+// OpStatus::kUnavailable onto ops whose retries were exhausted. Lifecycle
+// steps from the replay schedule are forwarded to the cluster client, which
+// applies them globally-once and migrates keys.
 class ClusterCacheClient : public DittoAdapterBase<core::ClusterClient> {
  public:
   ClusterCacheClient(core::ClusterPool* pool, rdma::ClientContext* ctx,
                      const core::DittoConfig& config)
       : DittoAdapterBase(pool, ctx, config) {}
-
-  void ExecuteBatch(std::span<const CacheOp> ops, CacheResult* results) override {
-    size_t i = 0;
-    while (i < ops.size()) {
-      if (ops[i].kind == OpKind::kMultiGet) {
-        size_t run_end = i;
-        while (run_end < ops.size() && ops[run_end].kind == OpKind::kMultiGet) {
-          ++run_end;
-        }
-        ExecuteMultiGetRun(ops, i, run_end, results);
-        for (size_t j = i; j < run_end; ++j) {
-          if (client_.mg_unavailable(j - i)) {
-            results[j].status = OpStatus::kUnavailable;
-          }
-        }
-        i = run_end;
-        continue;
-      }
-      ExecuteSingle(ops[i], &results[i]);
-      if (client_.last_op_unavailable()) {
-        results[i].status = OpStatus::kUnavailable;
-      }
-      ++i;
-    }
-  }
 
   void ApplyLifecycle(const LifecycleStep& step) override {
     switch (step.kind) {

@@ -139,13 +139,13 @@ class CacheClient {
     return hits;
   }
 
-  // Completion-queue pipelined issue (RunOptions::pipeline_depth > 1): the
-  // op executes immediately (memory effects in issue order — cache behaviour
-  // is identical to the blocking path), but its virtual-time cost accrues on
-  // a detached timeline starting at start_ns instead of blocking the client
-  // clock. Returns the op's completion timestamp; the caller keeps up to K
-  // completions in flight and retires them in issue order with
-  // VirtualClock::AdvanceToNs. Clients without a completion-queue model fall
+  // Completion-queue pipelined issue (RunOptions::pipeline_depth > 1, and
+  // the RESP front end's single-op commands): the op executes immediately
+  // (memory effects in issue order — cache behaviour is identical to the
+  // blocking path), but its virtual-time cost accrues on a detached timeline
+  // starting at start_ns instead of blocking the client clock. Returns the
+  // op's completion timestamp; the caller keeps up to K completions in
+  // flight and retires them in issue order (sim::PipelineWindow). Clients without a completion-queue model fall
   // back to blocking execution and return the clock, so a pipelined replay
   // degrades to depth-1 behaviour for them.
   virtual uint64_t ExecutePipelined(const CacheOp& op, CacheResult* result,

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <thread>
 
 #include "common/hash.h"
@@ -12,6 +11,7 @@
 #include "common/small_vec.h"
 #include "dm/pool.h"
 #include "rdma/verbs.h"
+#include "sim/pipeline_window.h"
 #include "sim/spsc_queue.h"
 
 namespace ditto::sim {
@@ -193,9 +193,9 @@ class OpDispatcher {
         owner_(owner),
         num_owners_(num_owners),
         split_capacity_(split_capacity),
-        pipeline_depth_(std::max<size_t>(options.pipeline_depth, 1)),
         pipelined_(options.pipeline_depth > 1 || options.pipeline_force),
-        phases_(schedule != nullptr ? schedule->num_phases() : 1) {}
+        phases_(schedule != nullptr ? schedule->num_phases() : 1),
+        window_(options.pipeline_depth) {}
 
   // ditto-lint: hot-path-begin(op-dispatch)
   // Dispatch and its helpers run once per trace request in every engine's
@@ -225,14 +225,14 @@ class OpDispatcher {
   // ops retire before the run issues, so execution order stays issue order.
   void Flush(bool retire_pipeline = true) {
     if (!pending_.empty()) {
-      RetireAll();
+      window_.RetireAll(client_->ctx().clock());
       // Every pending index was enqueued in the current phase (AdvancePhase
       // flushes before the capacity changes), so the run is attributed whole.
       ExecuteMultiGetRun(&phases_[phase_]);
       pending_.clear();
     }
     if (retire_pipeline) {
-      RetireAll();
+      window_.RetireAll(client_->ctx().clock());
     }
   }
 
@@ -248,13 +248,10 @@ class OpDispatcher {
   // miss chains the miss penalty and the set_on_miss re-insert onto the same
   // timeline, exactly as the blocking path charges them inline.
   void ExecuteRequestPipelined(const workload::Request& req, workload::Op op) {
-    while (inflight_.size() >= pipeline_depth_) {
-      RetireOldest();
-    }
     rdma::ClientContext& ctx = client_->ctx();
+    const uint64_t start_ns = window_.Admit(ctx.clock());
     workload::KeyBuf key_buf;
     const std::string_view key = workload::FormatKey(req.key, &key_buf);
-    const uint64_t start_ns = ctx.clock().busy_ns();
     const CacheOp cache_op = BuildCacheOp(req, op, options_, key, value_);
     CacheResult result;
     uint64_t complete_ns = client_->ExecutePipelined(cache_op, &result, start_ns);
@@ -274,21 +271,7 @@ class OpDispatcher {
       }
     }
     ctx.op_hist().RecordNs(complete_ns - start_ns);
-    // ditto-lint: allow(alloc): deque depth is bounded by pipeline_depth_
-    inflight_.push_back(complete_ns);
-  }
-
-  // Retires the oldest in-flight op: the client blocks until its completion
-  // (no-op when later work already moved the clock past it).
-  void RetireOldest() {
-    client_->ctx().clock().AdvanceToNs(inflight_.front());
-    inflight_.pop_front();
-  }
-
-  void RetireAll() {
-    while (!inflight_.empty()) {
-      RetireOldest();
-    }
+    window_.Push(complete_ns);
   }
 
   // Executes the pending fused run of kMultiGet requests as one pipelined
@@ -366,14 +349,13 @@ class OpDispatcher {
   size_t owner_;
   size_t num_owners_;
   bool split_capacity_;
-  size_t pipeline_depth_;
   bool pipelined_;
   size_t phase_ = 0;
   size_t lifecycle_applied_ = 0;
   std::vector<PhaseResult> phases_;
   std::vector<uint32_t> pending_;
   // Completion timestamps of in-flight pipelined ops, in issue order.
-  std::deque<uint64_t> inflight_;
+  PipelineWindow window_;
   // Fused-run scratch, reused across runs (dispatchers are single-threaded).
   std::vector<workload::KeyBuf> mg_keys_;
   std::vector<CacheOp> mg_ops_;

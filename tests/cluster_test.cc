@@ -279,6 +279,35 @@ TEST(ClusterCrashTest, RejoinRecoversHitRate) {
   EXPECT_TRUE(d.pool->IsLive(kNodes - 1));
 }
 
+// With every node crashed, each op kind reports kUnavailable — never a plain
+// miss/not-found/drop — whichever entry point issues it: the blocking batch
+// path and the completion-queue pipelined path share one dispatch.
+TEST(ClusterCrashTest, AllNodesCrashedReportsUnavailableOnEveryPath) {
+  core::ClusterConfig config = TestClusterConfig(512);
+  config.nodes = 2;
+  ClusterDeployment d(config, 1);
+  sim::CacheClient* client = d.raw[0];
+  ASSERT_TRUE(client->Set("k", "v"));
+  d.pool->Crash(0);
+  d.pool->Crash(1);
+
+  const sim::CacheOp ops[] = {sim::CacheOp::Get("k"), sim::CacheOp::Set("k", "v"),
+                              sim::CacheOp::Delete("k"), sim::CacheOp::Expire("k", 5)};
+  for (const sim::CacheOp& op : ops) {
+    sim::CacheResult batched;
+    client->ExecuteBatch({&op, 1}, &batched);
+    EXPECT_EQ(batched.status, sim::OpStatus::kUnavailable)
+        << "ExecuteBatch, op kind " << static_cast<int>(op.kind);
+    sim::CacheResult pipelined;
+    const uint64_t start_ns = client->ctx().clock().busy_ns();
+    const uint64_t complete_ns = client->ExecutePipelined(op, &pipelined, start_ns);
+    EXPECT_GE(complete_ns, start_ns);
+    EXPECT_EQ(pipelined.status, sim::OpStatus::kUnavailable)
+        << "ExecutePipelined, op kind " << static_cast<int>(op.kind);
+    client->ctx().clock().AdvanceToNs(complete_ns);
+  }
+}
+
 // Live migration racing 8 genuinely concurrent clients (TSan-checked in CI):
 // a planned leave drains a node while the other clients keep hammering the
 // shared pools, the node joins back, and late in the run another node

@@ -2,7 +2,7 @@
 //
 // 1. CQ unit tests: Post*/WaitWr/PollCq semantics — completion ordering, the
 //    sync-verb == post+wait cost identity, and NIC-occupancy charging for
-//    overlapping posts.
+//    overlapping posts. The shared in-flight window retires in issue order.
 // 2. Replay equivalence: depth-1 pipelined replay is bit-identical (hit
 //    rate, verb counts, virtual time) to the sequential engine; hit rate is
 //    invariant across depths 1/4/16; throughput at depth 8 is at least 2x
@@ -14,6 +14,7 @@
 
 #include "baselines/shard_lru.h"
 #include "sim/adapters.h"
+#include "sim/pipeline_window.h"
 #include "sim/runner.h"
 #include "workloads/ycsb.h"
 
@@ -173,6 +174,35 @@ TEST(PipelinedOpTest, DetachedTimelineChargesCursorNotClock) {
   // here) after the op's start cursor.
   EXPECT_EQ(complete_ns, 5000u + static_cast<uint64_t>(cost.read_rtt_us * 1000.0));
   EXPECT_EQ(ctx.clock().busy_ns(), 0u) << "EndOp never touches the real clock";
+}
+
+// The in-flight window retires in issue order: a full window blocks the
+// next issue until its oldest op completes, and an op that completes before
+// the clock has already passed it costs nothing more.
+TEST(PipelineWindowTest, RetiresOldestFirstAndEndsAtLatestCompletion) {
+  VirtualClock clock;
+  sim::PipelineWindow window(2);
+  EXPECT_EQ(window.Admit(clock), 0u);
+  window.Push(500);
+  EXPECT_EQ(window.Admit(clock), 0u) << "room left: the clock does not move";
+  window.Push(300);
+  EXPECT_EQ(window.size(), 2u);
+  EXPECT_EQ(window.Admit(clock), 500u) << "full: the oldest (issue order) retires";
+  EXPECT_EQ(window.size(), 1u);
+  window.Push(900);
+  EXPECT_EQ(window.Admit(clock), 500u) << "the next oldest completed at 300, already past";
+  window.Push(700);
+  window.RetireAll(clock);
+  EXPECT_TRUE(window.empty());
+  EXPECT_EQ(clock.busy_ns(), 900u) << "drained: the clock is at the latest completion";
+
+  // The ring wraps without losing order.
+  for (uint64_t t = 1000; t < 1100; t += 10) {
+    window.Admit(clock);
+    window.Push(t);
+  }
+  window.RetireAll(clock);
+  EXPECT_EQ(clock.busy_ns(), 1090u);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,12 @@
 // commands past the shed watermark are answered `-LOADSHED` (never stalled
 // or crashed), malformed frames get a RESP error and a close, QUIT closes
 // after the flush, and a cluster-backed front end answers `-UNAVAILABLE`
-// (never a silent nil) when the backing nodes are crashed. Runs in the
-// ASan/TSan CI matrix.
+// (never a silent nil) when the backing nodes are crashed. Commands rejected
+// by validation count no executed op. Socket-free tests drive a
+// net::Connection directly and pin batch pipelining: a pipelined batch
+// answers and mutates exactly like one-command batches, costs what
+// sim::RunTrace charges at the same depth, and a one-command batch is
+// blocking execution. Runs in the ASan/TSan CI matrix.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -24,6 +28,7 @@
 
 #include "core/ditto_client.h"
 #include "dm/pool.h"
+#include "net/connection.h"
 #include "net/loadgen.h"
 #include "net/resp.h"
 #include "net/ring_buffer.h"
@@ -451,6 +456,238 @@ TEST(ServerProtocolTest, UnknownCommandAndArityErrorsKeepConnectionOpen) {
   EXPECT_EQ(replies[1].rfind("-ERR wrong number of arguments", 0), 0u) << replies[1];
   EXPECT_EQ(replies[2], "+PONG");
   server.Stop();
+}
+
+// Commands that validation rejects never reach the client: they take no
+// in-flight budget and count no executed op.
+TEST(ServerProtocolTest, RejectedCommandsCountNoOps) {
+  core::DittoConfig config;
+  Deployment d(TestPool(256), config, 1);
+  net::ServerOptions options;
+  options.shed_watermark = 1;  // one op in flight: a charged reject would shed the GET
+  net::Server server(d.raw, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  RawConn conn(server.port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.Send("SET k\r\nSET k v EX notanint\r\nEXPIRE k notanint\r\n"
+                        "SET k v extra\r\nGET\r\nGET k\r\n"));
+  const std::vector<std::string> replies = conn.ReadReplies(6);
+  ASSERT_EQ(replies.size(), 6u);
+  EXPECT_EQ(replies[0].rfind("-ERR wrong number of arguments for 'set'", 0), 0u) << replies[0];
+  EXPECT_EQ(replies[1], "-ERR value is not an integer or out of range");
+  EXPECT_EQ(replies[2], "-ERR value is not an integer or out of range");
+  EXPECT_EQ(replies[3], "-ERR syntax error");
+  EXPECT_EQ(replies[4].rfind("-ERR wrong number of arguments for 'get'", 0), 0u) << replies[4];
+  EXPECT_EQ(replies[5], "(nil)");  // admitted: the rejects held no budget
+  const net::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.commands, 6u);
+  EXPECT_EQ(stats.ops, 1u);
+  EXPECT_EQ(stats.shed_ops, 0u);
+  server.Stop();
+}
+
+// --- Socket-free Connection pipelining --------------------------------------
+
+// Serves a Connection without sockets or a reactor: one client, an unlimited
+// in-flight budget, and the server's command/op accounting.
+class TestHost : public net::ConnectionHost {
+ public:
+  explicit TestHost(sim::CacheClient* client) : client_(client) {}
+  bool AcquireOps(size_t) override { return true; }
+  void ReleaseOps(size_t) override {}
+  sim::CacheClient* client() override { return client_; }
+  void FormatInfo(std::string* out) override { out->clear(); }
+  void OnCommands(uint64_t commands, uint64_t ops, uint64_t) override {
+    this->commands += commands;
+    this->ops += ops;
+  }
+  const net::RespLimits& limits() override { return limits_; }
+
+  uint64_t commands = 0;
+  uint64_t ops = 0;
+
+ private:
+  sim::CacheClient* client_;
+  net::RespLimits limits_;
+};
+
+constexpr size_t kPipeValueBytes = 64;
+
+// Cost model enabled (virtual time is what pipelining changes), no eviction.
+dm::PoolConfig PipelinePool() {
+  dm::PoolConfig config;
+  config.memory_bytes = 32 << 20;
+  config.num_buckets = 1024;
+  config.capacity_objects = 4096;
+  return config;
+}
+
+// YCSB-A GETs and SETs over 512 keys.
+workload::Trace PipelineTrace(uint64_t requests) {
+  workload::YcsbConfig ycsb;
+  ycsb.workload = 'A';
+  ycsb.num_keys = 512;
+  return workload::MakeYcsbTrace(ycsb, requests, /*seed=*/7);
+}
+
+// A fresh single-client deployment with every even key cached, so a trace
+// mixes hits and misses. The preload is identical on every deployment.
+struct PipeDeployment : Deployment {
+  PipeDeployment() : Deployment(PipelinePool(), core::DittoConfig{}, 1) {
+    const std::string value(kPipeValueBytes, 'v');
+    for (uint64_t key = 0; key < 512; key += 2) {
+      workload::KeyBuf buf;
+      raw[0]->Set(workload::FormatKey(key, &buf), value);
+    }
+  }
+};
+
+// What one execution did to the cache and the simulated network.
+struct Effects {
+  sim::ClientCounters counters;
+  uint64_t reads = 0, writes = 0, atomics = 0, rpcs = 0;
+  uint64_t nic_messages = 0;
+  uint64_t busy_ns = 0;
+};
+
+Effects Snapshot(Deployment& d) {
+  Effects e;
+  e.counters = d.raw[0]->counters();
+  const rdma::ClientContext& ctx = *d.ctxs[0];
+  e.reads = ctx.reads;
+  e.writes = ctx.writes;
+  e.atomics = ctx.atomics;
+  e.rpcs = ctx.rpcs;
+  e.nic_messages = d.pool.node().nic().messages();
+  e.busy_ns = d.ctxs[0]->clock().busy_ns();
+  return e;
+}
+
+void ExpectSameCacheEffects(const Effects& a, const Effects& b) {
+  EXPECT_EQ(a.counters.gets, b.counters.gets);
+  EXPECT_EQ(a.counters.hits, b.counters.hits);
+  EXPECT_EQ(a.counters.misses, b.counters.misses);
+  EXPECT_EQ(a.counters.sets, b.counters.sets);
+  EXPECT_EQ(a.counters.evictions, b.counters.evictions);
+  EXPECT_EQ(a.counters.cas_failures, b.counters.cas_failures);
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.atomics, b.atomics);
+  EXPECT_EQ(a.rpcs, b.rpcs);
+  EXPECT_EQ(a.nic_messages, b.nic_messages);
+}
+
+// The wire form of the trace's requests: GET k / SET k v.
+std::vector<std::string> TraceCommands(const workload::Trace& trace) {
+  const std::string value(kPipeValueBytes, 'v');
+  std::vector<std::string> commands;
+  for (const workload::Request& req : trace) {
+    workload::KeyBuf buf;
+    const std::string_view key = workload::FormatKey(req.key, &buf);
+    net::RingBuffer rb;
+    if (req.op == workload::Op::kGet) {
+      net::AppendCommand(&rb, {"GET", key});
+    } else {
+      net::AppendCommand(&rb, {"SET", key, value});
+    }
+    commands.emplace_back(rb.view());
+  }
+  return commands;
+}
+
+// Feeds `batch` commands per readable event, then finishes the client like
+// sim::RunTrace does; returns every reply byte.
+std::string ServeInBatches(Deployment& d, const std::vector<std::string>& commands,
+                           size_t batch, TestHost* host) {
+  net::Connection conn(/*fd=*/-1, host);
+  std::string replies;
+  for (size_t i = 0; i < commands.size(); i += batch) {
+    for (size_t j = i; j < std::min(commands.size(), i + batch); ++j) {
+      conn.in().Append(commands[j]);
+    }
+    EXPECT_TRUE(conn.ProcessInput());
+    replies.append(conn.out().view());
+    conn.out().Clear();
+  }
+  d.raw[0]->Finish();  // flush buffered client work, as Server::Stop does
+  return replies;
+}
+
+// A batch of N commands replies and mutates exactly like N one-command
+// batches, and costs the client what sim::RunTrace charges at depth
+// min(N, kWindowOps) over the same ops.
+TEST(ConnectionPipelineTest, BatchMatchesDepthOneAndRunTraceAtSameDepth) {
+  for (const size_t n : {size_t{8}, net::Connection::kWindowOps, size_t{80}}) {
+    SCOPED_TRACE("batch of " + std::to_string(n));
+    const workload::Trace trace = PipelineTrace(n);
+    const std::vector<std::string> commands = TraceCommands(trace);
+
+    PipeDeployment depth1;
+    const Effects depth1_before = Snapshot(depth1);
+    TestHost depth1_host(depth1.raw[0]);
+    const std::string depth1_replies = ServeInBatches(depth1, commands, 1, &depth1_host);
+    const Effects depth1_after = Snapshot(depth1);
+
+    PipeDeployment batched;
+    const Effects batched_before = Snapshot(batched);
+    TestHost batched_host(batched.raw[0]);
+    const std::string batched_replies = ServeInBatches(batched, commands, n, &batched_host);
+    const Effects batched_after = Snapshot(batched);
+
+    EXPECT_EQ(batched_replies, depth1_replies);
+    EXPECT_EQ(batched_host.commands, n);
+    EXPECT_EQ(batched_host.ops, n);
+    EXPECT_EQ(depth1_host.ops, n);
+    ExpectSameCacheEffects(depth1_after, batched_after);
+    ExpectSameCacheEffects(depth1_before, batched_before);
+    const uint64_t depth1_ns = depth1_after.busy_ns - depth1_before.busy_ns;
+    const uint64_t batched_ns = batched_after.busy_ns - batched_before.busy_ns;
+    EXPECT_LT(batched_ns, depth1_ns) << "verb waits of a batch overlap";
+
+    // The runner's pipelined replay of the same ops at the same depth.
+    PipeDeployment replay;
+    sim::RunOptions options;
+    options.value_bytes = kPipeValueBytes;
+    options.set_on_miss = false;
+    options.pipeline_depth = std::min(n, net::Connection::kWindowOps);
+    const Effects replay_before = Snapshot(replay);
+    sim::RunTrace(replay.raw, trace, &replay.pool.node(), options);
+    const Effects replay_after = Snapshot(replay);
+    EXPECT_EQ(replay_after.busy_ns - replay_before.busy_ns, batched_ns);
+    EXPECT_EQ(replay_after.nic_messages - replay_before.nic_messages,
+              batched_after.nic_messages - batched_before.nic_messages);
+  }
+}
+
+// A one-command batch is blocking execution: the same cache and network
+// effects and the same virtual time as issuing each op through ExecuteBatch.
+TEST(ConnectionPipelineTest, OneCommandBatchIsBlockingExecution) {
+  const workload::Trace trace = PipelineTrace(200);
+  const std::vector<std::string> commands = TraceCommands(trace);
+
+  PipeDeployment served;
+  TestHost host(served.raw[0]);
+  ServeInBatches(served, commands, 1, &host);
+
+  PipeDeployment blocking;
+  const std::string value(kPipeValueBytes, 'v');
+  for (const workload::Request& req : trace) {
+    workload::KeyBuf buf;
+    const std::string_view key = workload::FormatKey(req.key, &buf);
+    const sim::CacheOp op = req.op == workload::Op::kGet
+                                ? sim::CacheOp::Get(key, /*want_value=*/true)
+                                : sim::CacheOp::Set(key, value);
+    sim::CacheResult result;
+    blocking.raw[0]->ExecuteBatch({&op, 1}, &result);
+  }
+  blocking.raw[0]->Finish();
+
+  const Effects a = Snapshot(served);
+  const Effects b = Snapshot(blocking);
+  ExpectSameCacheEffects(a, b);
+  EXPECT_EQ(a.busy_ns, b.busy_ns);
 }
 
 }  // namespace
