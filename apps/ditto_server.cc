@@ -2,18 +2,18 @@
 //
 //   ./ditto_server --port=6399 --reactors=2 --shards=1 --capacity=65536
 //
-// Builds a Ditto deployment (one shared memory pool, or a ShardedPool when
-// --shards > 1) with one cache client per reactor, starts the multi-reactor
-// net::Server, and runs until SIGTERM/SIGINT. Shutdown is graceful: the
-// signal stops the acceptors, closes every connection, joins the reactors,
-// flushes the clients, prints the final stats line, and exits 0.
+// Builds a Ditto deployment (one shared memory pool, or a ClusterPool of
+// --shards memory nodes when --shards > 1) with one cache client per
+// reactor, starts the multi-reactor net::Server, and runs until
+// SIGTERM/SIGINT. Shutdown is graceful: the signal stops the acceptors,
+// closes every connection, joins the reactors, flushes the clients, prints
+// the final stats line, and exits 0.
 //
 // With --reactors > 1 the reactors' clients contend on the shared pool, so
 // DittoConfig::validate_inserts is forced on (same rule as any multi-client
 // deployment).
 #include <csignal>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,10 +28,11 @@ void PrintUsage() {
       "  --host=ADDR        bind address (default 127.0.0.1)\n"
       "  --port=N           TCP port, 0 = kernel-assigned (default 6399)\n"
       "  --reactors=N       event-loop threads, one cache client each (default 1)\n"
-      "  --shards=N         memory nodes in the pool (default 1)\n"
+      "  --shards=N         memory nodes in the pool, 1-%u (default 1)\n"
       "  --capacity=N       cache capacity in objects, per node (default 65536)\n"
       "  --max_conns=N      live-connection cap (default 1024)\n"
-      "  --shed_watermark=N in-flight op cap before -LOADSHED, 0 = off (default 65536)\n");
+      "  --shed_watermark=N in-flight op cap before -LOADSHED, 0 = off (default 65536)\n",
+      ditto::core::kMaxRingNodes);
 }
 
 }  // namespace
@@ -51,6 +52,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ditto_server: --reactors, --shards, --capacity must be >= 1\n");
     return 2;
   }
+  if (shards > static_cast<int>(core::kMaxRingNodes)) {
+    std::fprintf(stderr, "ditto_server: --shards must be <= %u\n", core::kMaxRingNodes);
+    return 2;
+  }
 
   net::ServerOptions options;
   options.host = flags.GetString("host", "127.0.0.1");
@@ -66,23 +71,18 @@ int main(int argc, char** argv) {
   // fans out across the pool's memory nodes by key hash.
   const dm::PoolConfig pool_config = bench::MakePoolConfig(capacity);
   bench::DittoDeployment single;
-  std::unique_ptr<core::ShardedPool> sharded_pool;
-  std::unique_ptr<core::ShardedDittoServer> sharded_server;
-  std::vector<std::unique_ptr<rdma::ClientContext>> sharded_ctxs;
-  std::vector<std::unique_ptr<sim::ShardedDittoCacheClient>> sharded_clients;
+  bench::ClusterDeployment cluster;
   std::vector<sim::CacheClient*> clients;
   if (shards == 1) {
     single = bench::MakeDitto(pool_config, config, reactors);
     clients = single.raw;
   } else {
-    sharded_pool = std::make_unique<core::ShardedPool>(pool_config, shards);
-    sharded_server = std::make_unique<core::ShardedDittoServer>(sharded_pool.get(), config);
-    for (int i = 0; i < reactors; ++i) {
-      sharded_ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-      sharded_clients.push_back(std::make_unique<sim::ShardedDittoCacheClient>(
-          sharded_pool.get(), sharded_ctxs.back().get(), config));
-      clients.push_back(sharded_clients.back().get());
-    }
+    core::ClusterConfig cluster_config;
+    cluster_config.nodes = shards;
+    cluster_config.pool = pool_config;
+    cluster_config.ditto = config;
+    cluster = bench::MakeCluster(cluster_config, reactors);
+    clients = cluster.raw;
   }
 
   // Block the shutdown signals before Start so the reactor threads inherit

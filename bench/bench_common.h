@@ -20,7 +20,6 @@
 #include "common/flags.h"
 #include "core/cluster.h"
 #include "core/ditto_client.h"
-#include "core/sharded_client.h"
 #include "dm/pool.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
@@ -156,12 +155,12 @@ inline DittoDeployment MakeDitto(const dm::PoolConfig& pool_config,
   return d;
 }
 
-// A sharded-engine deployment for sim::RunTraceSharded: one memory node,
-// server, context, and Ditto client per shard, so every shard's cache state
+// A sharded-engine deployment for sim::RunTraceSharded: the memory nodes
+// and their servers come from a ClusterPool, with one context and Ditto
+// client per shard bound directly to its node, so every shard's cache state
 // (and virtual-time accounting) is private to the worker thread driving it.
 struct ShardedEngineDeployment {
-  std::unique_ptr<core::ShardedPool> pool;
-  std::vector<std::unique_ptr<core::DittoServer>> servers;
+  std::unique_ptr<core::ClusterPool> pool;
   std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
   std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
   std::vector<sim::CacheClient*> raw;
@@ -172,12 +171,15 @@ inline ShardedEngineDeployment MakeShardedEngine(const dm::PoolConfig& per_node_
                                                  const core::DittoConfig& config,
                                                  int num_shards) {
   ShardedEngineDeployment d;
-  // The pool's own key routing (NodeFor) is unused here: every client is
-  // bound directly to its node, and RunTraceSharded's dispatcher routes
-  // requests with sim::ShardForKey(options.partition_seed).
-  d.pool = std::make_unique<core::ShardedPool>(per_node_config, num_shards);
+  // The pool's ring is unused here: RunTraceSharded's dispatcher routes
+  // requests with sim::ShardForKey(options.partition_seed). The pool's
+  // always-armed fault state draws no randomness under the empty plan.
+  core::ClusterConfig cluster_config;
+  cluster_config.nodes = num_shards;
+  cluster_config.pool = per_node_config;
+  cluster_config.ditto = config;
+  d.pool = std::make_unique<core::ClusterPool>(cluster_config);
   for (int i = 0; i < num_shards; ++i) {
-    d.servers.push_back(std::make_unique<core::DittoServer>(&d.pool->node(i), config));
     d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
     d.shards.push_back(
         std::make_unique<sim::DittoCacheClient>(&d.pool->node(i), d.ctxs.back().get(), config));

@@ -87,6 +87,11 @@ int main(int argc, char** argv) {
   const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
   const uint64_t capacity = flags.GetInt("capacity", 5000);
   const int nodes = static_cast<int>(flags.GetInt("nodes", 4));
+  if (nodes < 2 || nodes > static_cast<int>(core::kMaxRingNodes)) {
+    std::fprintf(stderr, "cluster_lifecycle: --nodes must be in [2, %u] (one node crashes)\n",
+                 core::kMaxRingNodes);
+    return 2;
+  }
   const int clients = static_cast<int>(flags.GetInt("clients", 4));
   const size_t window = static_cast<size_t>(flags.GetInt("window", 2000));
   const uint32_t victim = static_cast<uint32_t>(nodes - 1);

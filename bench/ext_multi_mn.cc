@@ -1,12 +1,12 @@
 // Extension experiment (paper §5.1 notes Ditto "is compatible with memory
-// pools with multiple MNs"): throughput of a sharded Ditto deployment as the
-// memory pool grows from 1 to 8 memory nodes under read-only YCSB-C with 128
-// clients. The single-MN system is bounded by one RNIC's message rate;
-// sharding keys across nodes multiplies the pool's aggregate message rate.
+// pools with multiple MNs"): throughput of a multi-node (ClusterPool) Ditto
+// deployment as the memory pool grows from 1 to 8 memory nodes under
+// read-only YCSB-C with 128 clients. The single-MN system is bounded by one
+// RNIC's message rate; spreading keys across nodes multiplies the pool's
+// aggregate message rate.
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/sharded_client.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
@@ -25,35 +25,21 @@ int main(int argc, char** argv) {
   std::printf("%-8s %12s %10s %14s\n", "nodes", "tput_mops", "p99_us", "msgs/op(total)");
 
   for (const int nodes : {1, 2, 4, 8}) {
-    dm::PoolConfig per_node;
-    per_node.memory_bytes = 64 << 20;
-    per_node.num_buckets = 16384;
-    per_node.capacity_objects = keys * 2;
-    core::ShardedPool pool(per_node, nodes);
-    core::DittoConfig config;
-    config.experts = {"lru", "lfu"};
-    core::ShardedDittoServer server(&pool, config);
+    core::ClusterConfig config;
+    config.nodes = nodes;
+    config.pool.memory_bytes = 64 << 20;
+    config.pool.num_buckets = 16384;
+    config.pool.capacity_objects = keys * 2;
+    config.ditto.experts = {"lru", "lfu"};
+    bench::ClusterDeployment d = bench::MakeCluster(config, clients);
 
-    std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-    std::vector<std::unique_ptr<sim::ShardedDittoCacheClient>> cache_clients;
-    std::vector<sim::CacheClient*> raw;
-    std::vector<rdma::RemoteNode*> remote_nodes;
-    for (int n = 0; n < nodes; ++n) {
-      remote_nodes.push_back(&pool.node(n).node());
-    }
-    for (int i = 0; i < clients; ++i) {
-      ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
-      cache_clients.push_back(
-          std::make_unique<sim::ShardedDittoCacheClient>(&pool, ctxs.back().get(), config));
-      raw.push_back(cache_clients.back().get());
-    }
     const std::string value(232, 'v');
     for (uint64_t k = 0; k < keys; ++k) {
-      cache_clients[k % clients]->Set(workload::KeyString(k), value);
+      d.clients[k % clients]->Set(workload::KeyString(k), value);
     }
     sim::RunOptions options;
     options.set_on_miss = false;
-    const sim::RunResult r = sim::RunTrace(raw, trace, remote_nodes, options);
+    const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
     std::printf("%-8d %12.3f %10.1f %14.2f\n", nodes, r.throughput_mops, r.p99_us,
                 static_cast<double>(r.nic_messages) / static_cast<double>(r.ops));
   }

@@ -23,6 +23,10 @@ int main(int argc, char** argv) {
   const uint64_t keys = flags.GetInt("keys", 50000);
   const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
   const int shards = static_cast<int>(flags.GetInt("shards", 8));
+  if (shards < 1 || shards > static_cast<int>(core::kMaxRingNodes)) {
+    std::fprintf(stderr, "sharded_engine: --shards must be in [1, %u]\n", core::kMaxRingNodes);
+    return 2;
+  }
   const uint64_t seed = flags.GetInt("seed", 42);
   const size_t batch_ops = flags.GetInt("batch_ops", 0);
   const std::string workload = flags.GetString("workload", "A");

@@ -3,6 +3,8 @@
 # ephemeral-ish port, replays 50k ops over loopback with server_loadgen
 # --connect, then SIGTERMs the server and asserts a clean exit (exit code 0 —
 # under ASan that also means no leaked fds/allocations survived shutdown).
+# Runs twice: on one shared memory pool, then on a two-node ClusterPool
+# (--shards=2), the served multi-node path.
 #
 # Usage: scripts/server_smoke.sh <build_dir> [port]
 set -euo pipefail
@@ -15,31 +17,39 @@ loadgen="${build_dir}/server_loadgen"
 [ -x "${server}" ] || { echo "server_smoke: ${server} not built" >&2; exit 1; }
 [ -x "${loadgen}" ] || { echo "server_smoke: ${loadgen} not built" >&2; exit 1; }
 
-log="$(mktemp)"
-"${server}" --port="${port}" --reactors=2 > "${log}" 2>&1 &
-server_pid=$!
-trap 'kill -9 "${server_pid}" 2>/dev/null || true; cat "${log}"; rm -f "${log}"' EXIT
+# smoke <ditto_server flags...>: one start / replay / SIGTERM cycle.
+smoke() {
+  log="$(mktemp)"
+  "${server}" --port="${port}" "$@" > "${log}" 2>&1 &
+  server_pid=$!
+  trap 'kill -9 "${server_pid}" 2>/dev/null || true; cat "${log}"; rm -f "${log}"' EXIT
 
-# Wait for the listening line (the server prints it once the acceptors are up).
-for _ in $(seq 1 100); do
-  grep -q "listening on" "${log}" && break
-  kill -0 "${server_pid}" 2>/dev/null || { echo "server_smoke: server died at startup" >&2; exit 1; }
-  sleep 0.1
-done
-grep -q "listening on" "${log}" || { echo "server_smoke: server never came up" >&2; exit 1; }
+  # Wait for the listening line (the server prints it once the acceptors are up).
+  for _ in $(seq 1 100); do
+    grep -q "listening on" "${log}" && break
+    kill -0 "${server_pid}" 2>/dev/null || { echo "server_smoke: server died at startup" >&2; exit 1; }
+    sleep 0.1
+  done
+  grep -q "listening on" "${log}" || { echo "server_smoke: server never came up" >&2; exit 1; }
 
-echo ">> replaying 50k ops over loopback"
-"${loadgen}" --connect="${port}" --requests=50000 --conns=8 --depth=8
+  echo ">> [$*] replaying 50k ops over loopback"
+  "${loadgen}" --connect="${port}" --requests=50000 --conns=8 --depth=8
 
-echo ">> SIGTERM: expecting a graceful exit 0"
-kill -TERM "${server_pid}"
-status=0
-wait "${server_pid}" || status=$?
-trap 'rm -f "${log}"' EXIT
-cat "${log}"
-if [ "${status}" -ne 0 ]; then
-  echo "server_smoke: server exited ${status} after SIGTERM" >&2
-  exit 1
-fi
-grep -q "shutting down" "${log}" || { echo "server_smoke: no graceful-shutdown line" >&2; exit 1; }
+  echo ">> [$*] SIGTERM: expecting a graceful exit 0"
+  kill -TERM "${server_pid}"
+  status=0
+  wait "${server_pid}" || status=$?
+  trap 'rm -f "${log}"' EXIT
+  cat "${log}"
+  if [ "${status}" -ne 0 ]; then
+    echo "server_smoke: server [$*] exited ${status} after SIGTERM" >&2
+    exit 1
+  fi
+  grep -q "shutting down" "${log}" || { echo "server_smoke: no graceful-shutdown line" >&2; exit 1; }
+  rm -f "${log}"
+  trap - EXIT
+}
+
+smoke --reactors=2
+smoke --reactors=2 --shards=2
 echo "server_smoke: OK"

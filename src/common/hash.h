@@ -61,11 +61,12 @@ inline uint64_t ChecksumBytes(const void* data, size_t len) {
   return Mix64(h ^ tail);
 }
 
-// Seeded partition of a 64-bit key or hash into n buckets. The single mixing
-// formula shared by ShardedPool::NodeFor (over string-key hashes) and the
-// concurrent runner's sim::ShardForKey (over raw integer trace keys); note
-// the two call sites hash different domains, so their partitions are not
-// interchangeable even at the same seed.
+// Seeded partition of a 64-bit key or hash into n buckets. Every seed,
+// including 0, is an ordinary seed. The single mixing formula shared by the
+// cluster ring's primary placement (core::RingEpoch::PrimaryFor, over
+// string-key hashes) and the concurrent runner's sim::ShardForKey (over raw
+// integer trace keys); note the two call sites hash different domains, so
+// their partitions are not interchangeable even at the same seed.
 constexpr uint32_t SeededPartition(uint64_t h, size_t n, uint64_t seed) {
   return static_cast<uint32_t>(Mix64(h ^ (seed * 0x9e3779b97f4a7c15ULL)) % n);
 }

@@ -102,16 +102,9 @@ DittoClient* ClusterClient::ClientFor(int node) {
 void ClusterClient::RefreshNode(int node) {
   const size_t i = static_cast<size_t>(node);
   if (clients_[i] != nullptr) {
-    // Keep the retired client's non-logical counters: the wipe destroys the
-    // client, not the history of what it did.
-    const DittoStats& s = clients_[i]->stats();
-    retired_.evictions += s.evictions;
-    retired_.expired += s.expired;
-    retired_.regrets += s.regrets;
-    retired_.set_retries += s.set_retries;
-    retired_.cas_failures += s.cas_failures;
-    retired_.insert_retries += s.insert_retries;
-    retired_.dup_resolved += s.dup_resolved;
+    // Keep the retired client's counters: the wipe destroys the client, not
+    // the history of what it did.
+    retired_ += clients_[i]->stats();
   }
   clients_[i] = std::make_unique<DittoClient>(&pool_->node(node), ctx_, ditto_config_);
   if (batch_ops_ > 0) {
@@ -440,14 +433,7 @@ uint64_t ClusterClient::EndPipelinedOp() {
 DittoStats ClusterClient::stats() const {
   DittoStats total = retired_;
   for (const auto& client : clients_) {
-    const DittoStats& s = client->stats();
-    total.evictions += s.evictions;
-    total.expired += s.expired;
-    total.regrets += s.regrets;
-    total.set_retries += s.set_retries;
-    total.cas_failures += s.cas_failures;
-    total.insert_retries += s.insert_retries;
-    total.dup_resolved += s.dup_resolved;
+    total += client->stats();
   }
   // Logical once-per-op counters: retried attempts and migration traffic do
   // not inflate the op mix the client actually served.

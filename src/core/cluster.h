@@ -1,13 +1,17 @@
-// Fault-tolerant multi-node deployment: the cluster lifecycle layer on top of
-// the sharded pool design.
+// Multi-memory-node deployments (paper §5.1: "Ditto is compatible with
+// memory pools with multiple MNs as long as the memory pool offers the
+// required interfaces"), fault-tolerant and with dynamic membership.
 //
-// ClusterPool owns N memory nodes (like ShardedPool), but routes keys through
-// an epoch-swapped HashRing instead of an immutable directory, arms every
-// node's FaultState so verbs can fail, and provides the lifecycle verbs —
-// Crash / Restart / Leave / Join — that the simulated schedule applies.
+// ClusterPool owns N memory nodes and their Ditto servers, routes keys
+// through an epoch-swapped HashRing, arms every node's FaultState so verbs
+// can fail, and provides the lifecycle verbs — Crash / Restart / Leave /
+// Join — that the simulated schedule applies.
 //
-// ClusterClient mirrors ShardedDittoClient's surface (so the same replay
-// adapter drives both), adding:
+// ClusterClient fans one client thread out across per-node DittoClients that
+// share one ClientContext (one virtual clock per client thread, one NIC/CPU
+// model per memory node), so adding memory nodes scales the pool's aggregate
+// NIC message rate — the resource that bounds Ditto's throughput on a single
+// MN. On top of key routing it adds:
 //   * per-op retry with exponential backoff charged to virtual time: each
 //     attempt clears the QP's sticky fault status, re-routes through the
 //     current ring epoch, and backs off before re-issuing; Set republish is
@@ -22,9 +26,9 @@
 //     torn object reads are rejected by the object checksum and Set/Delete go
 //     through the normal CAS-published paths.
 //
-// With an empty FaultPlan and an unchanged ring, every op routes and executes
-// exactly like ShardedDittoClient: verb counts, NIC messages, and hit rates
-// are bit-identical (pinned by tests/cluster_test.cc).
+// With an empty FaultPlan and an unchanged ring, the fault layer costs
+// nothing: verb counts, NIC messages, hit rates, and virtual time are pinned
+// to recorded fault-free constants by tests/cluster_test.cc.
 #ifndef DITTO_CORE_CLUSTER_H_
 #define DITTO_CORE_CLUSTER_H_
 
@@ -44,8 +48,7 @@ namespace ditto::core {
 
 struct ClusterConfig {
   int nodes = 4;
-  // Seed of the ring's directory partition (see ShardedPool): non-zero mixes
-  // the full hash, 0 keeps legacy high-bit routing.
+  // Seed of the ring's primary key partition (SeededPartition).
   uint64_t partition_seed = 1;
   dm::PoolConfig pool;  // per-node configuration
   DittoConfig ditto;
@@ -65,6 +68,7 @@ struct ClusterConfig {
 // routing and generation reads are lock-free.
 class ClusterPool {
  public:
+  // Throws std::invalid_argument unless 1 <= config.nodes <= kMaxRingNodes.
   explicit ClusterPool(const ClusterConfig& config);
 
   int num_nodes() const { return static_cast<int>(pools_.size()); }
@@ -124,8 +128,8 @@ class ClusterPool {
   std::atomic<uint64_t> migrated_objects_{0};
 };
 
-// One client thread's view of the cluster. Mirrors ShardedDittoClient's
-// surface; single-threaded like it (one instance per ClientContext).
+// One client thread's view of the cluster. Single-threaded, like the
+// DittoClients it wraps (one instance per ClientContext).
 class ClusterClient {
  public:
   ClusterClient(ClusterPool* pool, rdma::ClientContext* ctx, const DittoConfig& config);
@@ -134,8 +138,10 @@ class ClusterClient {
   bool Set(std::string_view key, std::string_view value, uint64_t ttl_ticks = 0);
   bool Delete(std::string_view key);
   bool Expire(std::string_view key, uint64_t ttl_ticks);
-  // Pipelined lookup; same contract as ShardedDittoClient::MultiGet. Keys
-  // whose node run failed are retried individually through the Get path.
+  // Pipelined lookup of keys[0..n): keys are grouped by owning node and each
+  // node's run chains its metadata verbs behind one doorbell (same contract
+  // as DittoClient::MultiGet). Returns the number of hits. Keys whose node
+  // run failed are retried individually through the Get path.
   size_t MultiGet(size_t n, const std::string_view* keys, std::string* const* values,
                   bool* hits);
 
@@ -221,7 +227,7 @@ class ClusterClient {
   DittoStats ops_;
   DittoStats retired_;
 
-  // MultiGet scatter/gather scratch (mirrors ShardedDittoClient).
+  // MultiGet scatter/gather scratch, reused across runs.
   std::vector<std::vector<size_t>> mg_by_node_;
   std::vector<std::string_view> mg_keys_;
   std::vector<std::string*> mg_values_;

@@ -83,6 +83,22 @@ struct DittoStats {
   double HitRate() const {
     return gets == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(gets);
   }
+
+  DittoStats& operator+=(const DittoStats& o) {
+    gets += o.gets;
+    sets += o.sets;
+    hits += o.hits;
+    misses += o.misses;
+    deletes += o.deletes;
+    evictions += o.evictions;
+    expired += o.expired;
+    regrets += o.regrets;
+    set_retries += o.set_retries;
+    cas_failures += o.cas_failures;
+    insert_retries += o.insert_retries;
+    dup_resolved += o.dup_resolved;
+    return *this;
+  }
 };
 
 // Host-side server state shared by all clients of one pool: installs the

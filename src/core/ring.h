@@ -1,10 +1,10 @@
-// Epoch-swapped consistent-hash ring: the mutable replacement for
-// ShardedPool's immutable node directory.
+// Epoch-swapped consistent-hash ring: the mutable node directory of a
+// ClusterPool.
 //
 // Placement is directory-primary with rendezvous fallback:
-//   1. Every key has a PRIMARY node given by the legacy directory function
-//      (bit-identical to ShardedPool::NodeFor over the initial node count),
-//      so a ring that never changes routes exactly like the sharded pool.
+//   1. Every key has a PRIMARY node, a seeded partition of its hash over the
+//      initial node count (SeededPartition), so a ring that never changes
+//      routes like a static hash-partitioned pool.
 //   2. If the primary is not live (crashed or departed), the key falls back
 //      to highest-random-weight (rendezvous) hashing over the live set, so
 //      only the dead node's keys move — the consistent-hashing property —
@@ -27,6 +27,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -34,6 +36,10 @@
 #include "common/thread_annotations.h"
 
 namespace ditto::core {
+
+// Most nodes a ring can hold: liveness is one bit per node in a 64-bit mask
+// (RingEpochHeader::live_mask), so node ids run from 0 to kMaxRingNodes - 1.
+inline constexpr uint32_t kMaxRingNodes = 64;
 
 // Wire form of one membership event, as a gossip/announce message would carry
 // it: which node changed state, and the epoch the change produced. Pinned
@@ -53,7 +59,7 @@ static_assert(sizeof(RingEntry) == 16, "RingEntry must match the 16-byte wire re
 struct RingEpochHeader {
   uint64_t epoch;
   uint64_t live_mask;       // bit i set = node i live
-  uint32_t directory_size;  // legacy routing domain (initial node count)
+  uint32_t directory_size;  // primary routing domain (initial node count)
   uint32_t num_live;
 };
 static_assert(std::is_trivially_copyable_v<RingEpochHeader>,
@@ -70,7 +76,7 @@ class RingEpoch {
         directory_size_(directory_size),
         partition_seed_(partition_seed),
         live_mask_(live_mask) {
-    for (uint32_t id = 0; id < 64; ++id) {
+    for (uint32_t id = 0; id < kMaxRingNodes; ++id) {
       if ((live_mask_ >> id) & 1) {
         live_.push_back(id);
       }
@@ -81,7 +87,7 @@ class RingEpoch {
   uint64_t live_mask() const { return live_mask_; }
   const std::vector<uint32_t>& live() const { return live_; }
   bool IsLive(uint32_t node_id) const {
-    return node_id < 64 && ((live_mask_ >> node_id) & 1) != 0;
+    return node_id < kMaxRingNodes && ((live_mask_ >> node_id) & 1) != 0;
   }
 
   RingEpochHeader header() const {
@@ -89,14 +95,9 @@ class RingEpoch {
                            static_cast<uint32_t>(live_.size())};
   }
 
-  // The key's primary under the legacy directory function — bit-identical to
-  // ShardedPool::NodeFor so an unchanged ring routes exactly like the
-  // immutable sharded directory.
+  // The key's primary: a seeded partition of the hash over the directory.
   uint32_t PrimaryFor(uint64_t hash) const {
-    if (partition_seed_ != 0) {
-      return static_cast<uint32_t>(SeededPartition(hash, directory_size_, partition_seed_));
-    }
-    return static_cast<uint32_t>((hash >> 48) % directory_size_);
+    return SeededPartition(hash, directory_size_, partition_seed_);
   }
 
   // Routes a key: primary if live, rendezvous over the live set otherwise.
@@ -131,12 +132,18 @@ class RingEpoch {
 
 class HashRing {
  public:
-  // Epoch 0: all `directory_size` directory nodes live.
+  // Epoch 0: all `directory_size` directory nodes live. Throws
+  // std::invalid_argument unless 1 <= directory_size <= kMaxRingNodes.
   HashRing(uint32_t directory_size, uint64_t partition_seed)
       : directory_size_(directory_size), partition_seed_(partition_seed) {
+    if (directory_size == 0 || directory_size > kMaxRingNodes) {
+      throw std::invalid_argument("HashRing: node count must be in [1, " +
+                                  std::to_string(kMaxRingNodes) + "]");
+    }
     auto epoch0 = std::make_unique<RingEpoch>(
         0, directory_size, partition_seed,
-        directory_size >= 64 ? ~uint64_t{0} : (uint64_t{1} << directory_size) - 1);
+        directory_size == kMaxRingNodes ? ~uint64_t{0}
+                                        : (uint64_t{1} << directory_size) - 1);
     current_.store(epoch0.get(), std::memory_order_release);
     MutexLock lock(&mu_);
     epochs_.push_back(std::move(epoch0));
@@ -149,7 +156,8 @@ class HashRing {
   uint32_t directory_size() const { return directory_size_; }
 
   // Publishes a new epoch with node_id removed/added. Returns the new epoch
-  // number. Safe against concurrent readers; writers are serialized.
+  // number. Safe against concurrent readers; writers are serialized. Throws
+  // std::out_of_range for node_id >= kMaxRingNodes.
   uint64_t SwapRemove(uint32_t node_id) {
     return Swap(/*node_id=*/node_id, /*live=*/false);
   }
@@ -157,6 +165,10 @@ class HashRing {
 
  private:
   uint64_t Swap(uint32_t node_id, bool live) {
+    if (node_id >= kMaxRingNodes) {
+      throw std::out_of_range("HashRing: node id must be below " +
+                              std::to_string(kMaxRingNodes));
+    }
     MutexLock lock(&mu_);
     const RingEpoch* cur = current_.load(std::memory_order_acquire);
     const uint64_t bit = uint64_t{1} << node_id;

@@ -13,8 +13,8 @@
 // per-run-length lock-free freelists that live in remote memory.
 //
 // Thread safety: a MemoryPool may be shared by concurrent client threads
-// (one ClientContext per thread), as the concurrent sharded engine and
-// multi-threaded ShardedDittoClient deployments require. The arena is an
+// (one ClientContext per thread), as the contended engine and multi-threaded
+// ClusterClient deployments require. The arena is an
 // array of atomic cells, segment allocation is serialized by alloc_mu_, RPC
 // dispatch by the node's handler mutex, and all counters are atomics; this
 // contract is exercised under ThreadSanitizer by
@@ -59,7 +59,7 @@ inline constexpr uint32_t kRpcResize = 3;
 // the split is a pure function of the total. Every owner keeps at least one
 // object (a zero capacity is invalid and would be rejected by kRpcResize),
 // so an aggregate smaller than the owner count is effectively rounded up to
-// one object per owner. Shared by ShardedDittoClient and the sharded replay
+// one object per owner. Shared by ClusterClient and the sharded replay
 // engine so the two splits can never diverge.
 inline uint64_t CapacityShare(uint64_t total, size_t owner, size_t num_owners) {
   const uint64_t base = total / num_owners;

@@ -1,12 +1,11 @@
-// Adapters making core::DittoClient / core::ShardedDittoClient drivable by
-// the experiment runner through the typed CacheOp protocol.
+// Adapters making core::DittoClient / core::ClusterClient drivable by the
+// experiment runner through the typed CacheOp protocol.
 //
 // Both adapters share DittoAdapterBase, which implements the whole
 // CacheClient surface once: typed batch dispatch (including fusing
 // consecutive kMultiGet ops into one chained multi-get), the
 // DittoStats -> ClientCounters mapping, and the measurement-boundary reset.
-// The two concrete adapters only differ in how the wrapped client is
-// constructed.
+// The cluster adapter adds unavailability reporting and lifecycle steps.
 #ifndef DITTO_SIM_ADAPTERS_H_
 #define DITTO_SIM_ADAPTERS_H_
 
@@ -16,7 +15,6 @@
 
 #include "core/cluster.h"
 #include "core/ditto_client.h"
-#include "core/sharded_client.h"
 #include "sim/client_iface.h"
 
 namespace ditto::sim {
@@ -158,21 +156,10 @@ class DittoCacheClient : public DittoAdapterBase<core::DittoClient> {
   core::DittoClient& ditto() { return client_; }
 };
 
-// Adapter for multi-memory-node deployments.
-class ShardedDittoCacheClient : public DittoAdapterBase<core::ShardedDittoClient> {
- public:
-  ShardedDittoCacheClient(core::ShardedPool* pool, rdma::ClientContext* ctx,
-                          const core::DittoConfig& config)
-      : DittoAdapterBase(pool, ctx, config) {}
-
-  core::ShardedDittoClient& sharded() { return client_; }
-};
-
-// Adapter for fault-tolerant cluster deployments. The base dispatch (so
-// fault-free behaviour is bit-identical to ShardedDittoCacheClient) stamps
-// OpStatus::kUnavailable onto ops whose retries were exhausted. Lifecycle
-// steps from the replay schedule are forwarded to the cluster client, which
-// applies them globally-once and migrates keys.
+// Adapter for multi-memory-node (cluster) deployments. The base dispatch
+// stamps OpStatus::kUnavailable onto ops whose retries were exhausted.
+// Lifecycle steps from the replay schedule are forwarded to the cluster
+// client, which applies them globally-once and migrates keys.
 class ClusterCacheClient : public DittoAdapterBase<core::ClusterClient> {
  public:
   ClusterCacheClient(core::ClusterPool* pool, rdma::ClientContext* ctx,

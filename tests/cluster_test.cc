@@ -1,9 +1,15 @@
-// Cluster lifecycle and fault-injection pins.
+// Multi-memory-node deployment, hash ring, lifecycle, and fault-injection
+// pins.
 //
 // The load-bearing guarantees:
-//   * With an empty FaultPlan and stable membership, the cluster client is
-//     BIT-IDENTICAL to ShardedDittoClient — same hits, verb counts, NIC
-//     messages, and virtual-time accounting — so the fault layer is free
+//   * Keys spread over every node of the ring (up to kMaxRingNodes), and a
+//     membership swap moves only the affected node's keys.
+//   * The cluster client routes single-key ops and multi-gets to the owning
+//     node, enforces per-node capacity, aggregates per-node statistics, and
+//     scales throughput with the pool's aggregate NIC message rate.
+//   * With an empty FaultPlan and stable membership, a cluster run is
+//     BIT-IDENTICAL to a recorded fault-free run — same hits, verb counts,
+//     NIC messages, and virtual-time accounting — so the fault layer is free
 //     until something actually fails.
 //   * A fixed fault seed makes whole runs reproducible: identical seeds give
 //     identical recovery trajectories, counter for counter.
@@ -17,10 +23,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "bench_common.h"
+#include "common/hash.h"
 #include "core/cluster.h"
-#include "core/sharded_client.h"
+#include "core/ring.h"
 #include "sim/adapters.h"
 #include "sim/elastic_oracle.h"
 #include "sim/runner.h"
@@ -40,28 +50,6 @@ dm::PoolConfig PerNodePool(uint64_t capacity_objects) {
   config.capacity_objects = capacity_objects;
   return config;  // cost model enabled: time accounting is part of the pins
 }
-
-struct ClusterDeployment {
-  explicit ClusterDeployment(const core::ClusterConfig& config, int num_clients) {
-    pool = std::make_unique<core::ClusterPool>(config);
-    for (int i = 0; i < num_clients; ++i) {
-      ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-      clients.push_back(std::make_unique<sim::ClusterCacheClient>(pool.get(),
-                                                                  ctxs.back().get(),
-                                                                  config.ditto));
-      raw.push_back(clients.back().get());
-    }
-    for (int i = 0; i < pool->num_nodes(); ++i) {
-      nodes.push_back(&pool->node(i).node());
-    }
-  }
-
-  std::unique_ptr<core::ClusterPool> pool;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::ClusterCacheClient>> clients;
-  std::vector<sim::CacheClient*> raw;
-  std::vector<rdma::RemoteNode*> nodes;
-};
 
 core::ClusterConfig TestClusterConfig(uint64_t per_node_capacity) {
   core::ClusterConfig config;
@@ -135,42 +123,278 @@ uint64_t RecoveryOps(const std::vector<sim::RecoverySample>& windows, size_t fau
   return ops;
 }
 
+// --- Hash ring ---------------------------------------------------------------
+
+std::vector<int> Owners(const core::HashRing& ring, int keys) {
+  std::vector<int> owners;
+  owners.reserve(static_cast<size_t>(keys));
+  for (int i = 0; i < keys; ++i) {
+    owners.push_back(ring.NodeFor(HashKey("key-" + std::to_string(i))));
+  }
+  return owners;
+}
+
+TEST(HashRingTest, RoutingIsDeterministicAndCovered) {
+  const core::HashRing ring(4, kPartitionSeed);
+  const std::vector<int> owners = Owners(ring, 10000);
+  EXPECT_EQ(owners, Owners(ring, 10000));
+  int seen[4] = {0, 0, 0, 0};
+  for (const int node : owners) {
+    ASSERT_GE(node, 0);
+    ASSERT_LT(node, 4);
+    seen[node]++;
+  }
+  for (int n = 0; n < 4; ++n) {
+    EXPECT_GT(seen[n], 1800) << "hash routing must spread keys roughly evenly";
+  }
+}
+
+TEST(HashRingTest, SwapRemoveMovesOnlyThatNodesKeys) {
+  core::HashRing ring(4, kPartitionSeed);
+  const std::vector<int> before = Owners(ring, 10000);
+  ring.SwapRemove(2);
+  const std::vector<int> after = Owners(ring, 10000);
+  int moved = 0;
+  for (size_t i = 0; i < before.size(); ++i) {
+    if (before[i] == 2) {
+      EXPECT_NE(after[i], 2) << "key " << i;
+      EXPECT_GE(after[i], 0) << "key " << i;
+      ++moved;
+    } else {
+      EXPECT_EQ(after[i], before[i]) << "key " << i;
+    }
+  }
+  EXPECT_GT(moved, 0);
+}
+
+TEST(HashRingTest, SwapAddRestoresOriginalPlacement) {
+  core::HashRing ring(4, kPartitionSeed);
+  const std::vector<int> original = Owners(ring, 10000);
+  ring.SwapRemove(1);
+  ring.SwapAdd(1);
+  EXPECT_EQ(Owners(ring, 10000), original);
+}
+
+TEST(HashRingTest, EpochIncreasesOnEverySwap) {
+  core::HashRing ring(4, kPartitionSeed);
+  EXPECT_EQ(ring.epoch(), 0u);
+  EXPECT_EQ(ring.SwapRemove(3), 1u);
+  EXPECT_EQ(ring.epoch(), 1u);
+  EXPECT_EQ(ring.SwapRemove(0), 2u);
+  EXPECT_EQ(ring.SwapAdd(3), 3u);
+  EXPECT_EQ(ring.epoch(), 3u);
+}
+
+// The largest ring: every one of kMaxRingNodes nodes owns keys, both in the
+// bare ring and through a ClusterClient, and the highest node id can leave
+// and rejoin.
+TEST(HashRingTest, MaxNodesAllReachable) {
+  constexpr int kMax = static_cast<int>(core::kMaxRingNodes);
+  core::HashRing ring(core::kMaxRingNodes, kPartitionSeed);
+  std::vector<int> keys_per_node(kMax, 0);
+  for (const int node : Owners(ring, 100000)) {
+    ASSERT_GE(node, 0);
+    ASSERT_LT(node, kMax);
+    keys_per_node[static_cast<size_t>(node)]++;
+  }
+  for (int n = 0; n < kMax; ++n) {
+    EXPECT_GT(keys_per_node[static_cast<size_t>(n)], 0) << "node " << n;
+  }
+  ring.SwapRemove(kMax - 1);
+  EXPECT_FALSE(ring.current()->IsLive(kMax - 1));
+  ring.SwapAdd(kMax - 1);
+  EXPECT_TRUE(ring.current()->IsLive(kMax - 1));
+
+  core::ClusterConfig config;
+  config.nodes = kMax;
+  config.pool.memory_bytes = 1 << 20;
+  config.pool.num_buckets = 64;
+  config.pool.capacity_objects = 200;
+  config.pool.cost = rdma::CostModel::Disabled();
+  core::ClusterPool pool(config);
+  rdma::ClientContext ctx(0);
+  core::ClusterClient client(&pool, &ctx, config.ditto);
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(client.Set("key-" + std::to_string(i), "v")) << i;
+  }
+  for (int n = 0; n < kMax; ++n) {
+    EXPECT_GT(pool.node(n).cached_objects(), 0u) << "node " << n;
+  }
+}
+
+TEST(HashRingTest, RejectsOutOfRangeNodeCounts) {
+  EXPECT_THROW(core::HashRing(0, kPartitionSeed), std::invalid_argument);
+  EXPECT_THROW(core::HashRing(core::kMaxRingNodes + 1, kPartitionSeed), std::invalid_argument);
+  core::HashRing ring(core::kMaxRingNodes, kPartitionSeed);
+  EXPECT_THROW(ring.SwapAdd(core::kMaxRingNodes), std::out_of_range);
+  EXPECT_EQ(ring.epoch(), 0u);
+  core::ClusterConfig config = TestClusterConfig(64);
+  for (const int nodes : {0, static_cast<int>(core::kMaxRingNodes) + 1}) {
+    config.nodes = nodes;
+    EXPECT_THROW(core::ClusterPool{config}, std::invalid_argument) << "nodes=" << nodes;
+  }
+}
+
+// --- Cluster client routing and aggregation ----------------------------------
+
+dm::PoolConfig UncostedNode(uint64_t capacity) {
+  dm::PoolConfig config;
+  config.memory_bytes = 16 << 20;
+  config.num_buckets = 1024;
+  config.capacity_objects = capacity;
+  config.cost = rdma::CostModel::Disabled();
+  return config;
+}
+
+core::ClusterConfig LruLfuCluster(int nodes, uint64_t per_node_capacity) {
+  core::ClusterConfig config;
+  config.nodes = nodes;
+  config.pool = UncostedNode(per_node_capacity);
+  config.ditto.experts = {"lru", "lfu"};
+  return config;
+}
+
+TEST(ClusterClientTest, SetGetAcrossNodes) {
+  const core::ClusterConfig config = LruLfuCluster(3, 1000);
+  core::ClusterPool pool(config);
+  rdma::ClientContext ctx(0);
+  core::ClusterClient client(&pool, &ctx, config.ditto);
+
+  for (int i = 0; i < 500; ++i) {
+    client.Set("key-" + std::to_string(i), "value-" + std::to_string(i));
+  }
+  std::string value;
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(client.Get("key-" + std::to_string(i), &value)) << i;
+    EXPECT_EQ(value, "value-" + std::to_string(i));
+  }
+  // Objects actually landed on multiple nodes.
+  int populated = 0;
+  for (int n = 0; n < 3; ++n) {
+    if (pool.node(n).cached_objects() > 50) {
+      populated++;
+    }
+  }
+  EXPECT_EQ(populated, 3);
+  EXPECT_EQ(pool.cached_objects(), 500u);
+}
+
+TEST(ClusterClientTest, DeleteRoutesToOwningNode) {
+  const core::ClusterConfig config = LruLfuCluster(2, 1000);
+  core::ClusterPool pool(config);
+  rdma::ClientContext ctx(0);
+  core::ClusterClient client(&pool, &ctx, config.ditto);
+
+  client.Set("a", "1");
+  client.Set("b", "2");
+  EXPECT_TRUE(client.Delete("a"));
+  EXPECT_FALSE(client.Get("a", nullptr));
+  EXPECT_TRUE(client.Get("b", nullptr));
+}
+
+TEST(ClusterClientTest, PerNodeCapacityEnforced) {
+  const core::ClusterConfig config = LruLfuCluster(4, 100);  // 400 objects aggregate
+  core::ClusterPool pool(config);
+  rdma::ClientContext ctx(0);
+  core::ClusterClient client(&pool, &ctx, config.ditto);
+
+  for (int i = 0; i < 2000; ++i) {
+    client.Set("key-" + std::to_string(i), "v");
+  }
+  EXPECT_LE(pool.cached_objects(), 440u);
+  EXPECT_GT(client.stats().evictions, 1000u);
+}
+
+TEST(ClusterClientTest, StatsAggregateAcrossNodes) {
+  const core::ClusterConfig config = LruLfuCluster(2, 1000);
+  core::ClusterPool pool(config);
+  rdma::ClientContext ctx(0);
+  core::ClusterClient client(&pool, &ctx, config.ditto);
+
+  for (int i = 0; i < 100; ++i) {
+    client.Set("k" + std::to_string(i), "v");
+  }
+  for (int i = 0; i < 200; ++i) {
+    client.Get("k" + std::to_string(i), nullptr);  // half hit, half miss
+  }
+  const core::DittoStats stats = client.stats();
+  EXPECT_EQ(stats.sets, 100u);
+  EXPECT_EQ(stats.gets, 200u);
+  EXPECT_EQ(stats.hits, 100u);
+  EXPECT_EQ(stats.misses, 100u);
+}
+
+TEST(ClusterClientTest, AggregateNicScalesThroughput) {
+  // The paper's single-MN Ditto is bounded by one RNIC's message rate;
+  // spreading the pool over more memory nodes must scale throughput.
+  workload::YcsbConfig ycsb;
+  ycsb.workload = 'C';
+  ycsb.num_keys = 10000;
+  const workload::Trace trace = workload::MakeYcsbTrace(ycsb, 60000, 1);
+
+  const auto run_with_nodes = [&](int nodes) {
+    core::ClusterConfig config;
+    config.nodes = nodes;
+    config.pool.memory_bytes = 32 << 20;
+    config.pool.num_buckets = 8192;
+    config.pool.capacity_objects = 40000;
+    config.ditto.experts = {"lru", "lfu"};
+    // Enough clients that aggregate demand (~ clients / 4.3us per Get)
+    // clearly exceeds one NIC's ~13 Mops ceiling.
+    constexpr int kClients = 128;
+    bench::ClusterDeployment d = bench::MakeCluster(config, kClients);
+    // Preload so the measured phase has no misses.
+    const std::string value(232, 'v');
+    for (uint64_t k = 0; k < ycsb.num_keys; ++k) {
+      d.clients[k % kClients]->Set(workload::KeyString(k), value);
+    }
+    sim::RunOptions options;
+    options.set_on_miss = false;
+    return sim::RunTrace(d.raw, trace, d.nodes, options).throughput_mops;
+  };
+
+  const double one = run_with_nodes(1);
+  const double four = run_with_nodes(4);
+  EXPECT_GT(four, one * 1.5) << "adding memory nodes must relieve the NIC bottleneck";
+}
+
+// --- Fault-free pin and lifecycle -------------------------------------------
+
 // With an empty FaultPlan and stable membership, a ClusterPool deployment
 // must be indistinguishable — op for op, verb for verb, nanosecond for
-// nanosecond — from the pre-existing ShardedPool deployment it generalizes.
-TEST(ClusterFaultFreeTest, BitIdenticalToShardedClient) {
+// nanosecond — from the fault-free two-client run below. The constants were
+// recorded from the static hash-partitioned multi-node client the cluster
+// layer replaced (same trace, nodes, seed 1 partition, and cost model).
+TEST(ClusterFaultFreeTest, BitIdenticalToRecordedFaultFreeRun) {
   const workload::Trace trace = MixedTrace(40000);
   sim::RunOptions options;
   options.warmup_fraction = 0.2;
   options.miss_penalty_us = 100.0;
 
-  core::ShardedPool sharded_pool(PerNodePool(512), kNodes, kPartitionSeed);
-  std::vector<std::unique_ptr<core::DittoServer>> sharded_servers;
-  std::vector<std::unique_ptr<rdma::ClientContext>> sharded_ctxs;
-  std::vector<std::unique_ptr<sim::ShardedDittoCacheClient>> sharded_clients;
-  std::vector<sim::CacheClient*> sharded_raw;
-  std::vector<rdma::RemoteNode*> sharded_nodes;
-  core::DittoConfig ditto_config;
-  for (int i = 0; i < kNodes; ++i) {
-    sharded_servers.push_back(
-        std::make_unique<core::DittoServer>(&sharded_pool.node(i), ditto_config));
-  }
-  for (int i = 0; i < 2; ++i) {
-    sharded_ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-    sharded_clients.push_back(std::make_unique<sim::ShardedDittoCacheClient>(
-        &sharded_pool, sharded_ctxs.back().get(), ditto_config));
-    sharded_raw.push_back(sharded_clients.back().get());
-  }
-  for (int i = 0; i < kNodes; ++i) {
-    sharded_nodes.push_back(&sharded_pool.node(i).node());
-  }
-  const sim::RunResult sharded = sim::RunTrace(sharded_raw, trace, sharded_nodes, options);
+  sim::RunResult recorded;
+  recorded.ops = 32000;
+  recorded.gets = 15066;
+  recorded.hits = 14195;
+  recorded.misses = 871;
+  recorded.sets = 16812;
+  recorded.deletes = 469;
+  recorded.evictions = 571;
+  recorded.expired = 115;
+  recorded.nic_messages = 148094;
+  recorded.nic_doorbells = 147666;
+  recorded.rpc_ops = 14;
+  recorded.cas_failures = 0;
+  recorded.insert_retries = 0;
+  recorded.hit_rate = 0.94218770742068236;
+  recorded.elapsed_s = 0.16258318299999999;
+  recorded.throughput_mops = 0.19682232448358453;
+  recorded.p50_us = 6.9783058485986631;
+  recorded.p99_us = 124.09377607517196;
 
-  ClusterDeployment cluster(TestClusterConfig(512), 2);
+  bench::ClusterDeployment cluster = bench::MakeCluster(TestClusterConfig(512), 2);
   const sim::RunResult clustered = sim::RunTrace(cluster.raw, trace, cluster.nodes, options);
 
-  ExpectIdenticalResults(sharded, clustered);
-  EXPECT_GT(clustered.hits, 0u);
+  ExpectIdenticalResults(recorded, clustered);
   EXPECT_EQ(cluster.pool->migrated_objects(), 0u);
 }
 
@@ -191,9 +415,9 @@ TEST(ClusterFaultSeedTest, IdenticalSeedsIdenticalRecoveryTrajectories) {
   config.fault.verb_timeout_prob = 0.001;
   config.fault.rpc_drop_prob = 0.0005;
 
-  ClusterDeployment first(config, 2);
+  bench::ClusterDeployment first = bench::MakeCluster(config, 2);
   const sim::RunResult a = sim::RunTrace(first.raw, trace, first.nodes, options);
-  ClusterDeployment second(config, 2);
+  bench::ClusterDeployment second = bench::MakeCluster(config, 2);
   const sim::RunResult b = sim::RunTrace(second.raw, trace, second.nodes, options);
 
   ExpectIdenticalResults(a, b);
@@ -219,7 +443,7 @@ TEST(ClusterCrashTest, RecoveryBeatsColdRestartOracle) {
   options.resize_schedule = {{0.0, capacity}};
   options.lifecycle_schedule = {{0.5, sim::LifecycleKind::kCrash, kNodes - 1}};
 
-  ClusterDeployment d(TestClusterConfig(capacity / kNodes), 2);
+  bench::ClusterDeployment d = bench::MakeCluster(TestClusterConfig(capacity / kNodes), 2);
   const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
 
   const size_t measure_begin = trace.size() / 5;
@@ -260,7 +484,7 @@ TEST(ClusterCrashTest, RejoinRecoversHitRate) {
   options.lifecycle_schedule = {{0.4, sim::LifecycleKind::kCrash, kNodes - 1},
                                 {0.7, sim::LifecycleKind::kRestart, kNodes - 1}};
 
-  ClusterDeployment d(TestClusterConfig(capacity / kNodes), 2);
+  bench::ClusterDeployment d = bench::MakeCluster(TestClusterConfig(capacity / kNodes), 2);
   const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
 
   const size_t measure_begin = trace.size() / 5;
@@ -285,7 +509,7 @@ TEST(ClusterCrashTest, RejoinRecoversHitRate) {
 TEST(ClusterCrashTest, AllNodesCrashedReportsUnavailableOnEveryPath) {
   core::ClusterConfig config = TestClusterConfig(512);
   config.nodes = 2;
-  ClusterDeployment d(config, 1);
+  bench::ClusterDeployment d = bench::MakeCluster(config, 1);
   sim::CacheClient* client = d.raw[0];
   ASSERT_TRUE(client->Set("k", "v"));
   d.pool->Crash(0);
@@ -324,7 +548,7 @@ TEST(ClusterContendedTest, MigrationRacesEightClientsSafely) {
 
   core::ClusterConfig config = TestClusterConfig(512);
   config.ditto.validate_inserts = true;
-  ClusterDeployment d(config, 8);
+  bench::ClusterDeployment d = bench::MakeCluster(config, 8);
   const sim::RunResult r = sim::RunTraceContended(d.raw, trace, d.nodes, options);
 
   const size_t measure_begin = trace.size() / 10;

@@ -1,6 +1,6 @@
 // Tests of the concurrent sharded simulation engine: the SPSC request
 // queue, thread-count-independent determinism of RunTraceSharded, and a
-// ThreadSanitizer-friendly stress of ShardedDittoClient on a shared pool.
+// ThreadSanitizer-friendly stress of ClusterClient on a shared pool.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,7 +8,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/sharded_client.h"
+#include "bench_common.h"
+#include "core/cluster.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
 #include "sim/spsc_queue.h"
@@ -56,40 +57,18 @@ TEST(SpscQueueTest, PushFailsWhenFullPopFailsWhenEmpty) {
 
 // A sharded Ditto deployment: one memory node, server, context, and client
 // per shard, so every shard's cache state is thread-private.
-struct ShardedDeployment {
-  std::unique_ptr<core::ShardedPool> pool;
-  std::vector<std::unique_ptr<core::DittoServer>> servers;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
-  std::vector<sim::CacheClient*> raw;
-  std::vector<rdma::RemoteNode*> nodes;
-};
-
-ShardedDeployment MakeDeployment(int num_shards) {
+bench::ShardedEngineDeployment MakeDeployment(int num_shards) {
   dm::PoolConfig pool_config;
   pool_config.memory_bytes = 16 << 20;
   pool_config.num_buckets = 1024;
   pool_config.capacity_objects = 300;  // small: evictions exercise the policies
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};
-
-  ShardedDeployment d;
-  // The pool's NodeFor routing is unused: shards are driven directly and
-  // RunTraceSharded's dispatcher partitions by options.partition_seed.
-  d.pool = std::make_unique<core::ShardedPool>(pool_config, num_shards);
-  for (int i = 0; i < num_shards; ++i) {
-    d.servers.push_back(std::make_unique<core::DittoServer>(&d.pool->node(i), config));
-    d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i, /*seed=*/17));
-    d.shards.push_back(
-        std::make_unique<sim::DittoCacheClient>(&d.pool->node(i), d.ctxs.back().get(), config));
-    d.raw.push_back(d.shards.back().get());
-    d.nodes.push_back(&d.pool->node(i).node());
-  }
-  return d;
+  return bench::MakeShardedEngine(pool_config, config, num_shards);
 }
 
 sim::RunResult RunSharded(const workload::Trace& trace, int threads, size_t batch_ops) {
-  ShardedDeployment d = MakeDeployment(/*num_shards=*/8);
+  bench::ShardedEngineDeployment d = MakeDeployment(/*num_shards=*/8);
   sim::RunOptions options;
   options.threads = threads;
   options.partition_seed = 42;
@@ -170,39 +149,39 @@ TEST(ConcurrentRunnerTest, ShardForKeyIsSeededAndBalanced) {
   }
 }
 
-// Stress ShardedDittoClient from real threads against one shared pool: each
+// Stress ClusterClient from real threads against one shared pool: each
 // thread has its own client + context (the supported concurrency model) but
 // all route into the same four memory nodes, hammering the CAS/atomic paths.
-// Run under -fsanitize=thread this is the data-race canary for the dm/rdma
-// layers.
-TEST(ShardedClientStressTest, ConcurrentClientsOnSharedPool) {
+// Run under -fsanitize=thread this is the data-race canary for the
+// dm/rdma/core layers.
+TEST(ClusterClientStressTest, ConcurrentClientsOnSharedPool) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
   constexpr int kKeySpace = 512;
 
-  dm::PoolConfig pool_config;
-  pool_config.memory_bytes = 16 << 20;
-  pool_config.num_buckets = 1024;
-  pool_config.capacity_objects = 200;
-  pool_config.cost = rdma::CostModel::Disabled();
-  core::DittoConfig config;
-  config.experts = {"lru", "lfu"};
+  core::ClusterConfig config;
+  config.nodes = 4;
+  config.partition_seed = 9;
+  config.pool.memory_bytes = 16 << 20;
+  config.pool.num_buckets = 1024;
+  config.pool.capacity_objects = 200;
+  config.pool.cost = rdma::CostModel::Disabled();
+  config.ditto.experts = {"lru", "lfu"};
 
-  core::ShardedPool pool(pool_config, /*nodes=*/4, /*partition_seed=*/9);
-  core::ShardedDittoServer server(&pool, config);
+  core::ClusterPool pool(config);
 
   std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<core::ShardedDittoClient>> clients;
+  std::vector<std::unique_ptr<core::ClusterClient>> clients;
   for (int t = 0; t < kThreads; ++t) {
     ctxs.push_back(std::make_unique<rdma::ClientContext>(t, /*seed=*/t + 1));
-    clients.push_back(std::make_unique<core::ShardedDittoClient>(&pool, ctxs.back().get(),
-                                                                 config));
+    clients.push_back(
+        std::make_unique<core::ClusterClient>(&pool, ctxs.back().get(), config.ditto));
   }
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t, &clients] {
-      core::ShardedDittoClient& client = *clients[t];
+      core::ClusterClient& client = *clients[t];
       Rng rng(1000 + t);
       std::string value(64, 'v');
       std::string got;
@@ -232,7 +211,7 @@ TEST(ShardedClientStressTest, ConcurrentClientsOnSharedPool) {
   }
   EXPECT_GT(total_ops, static_cast<uint64_t>(kThreads) * kOpsPerThread * 8 / 10);
   // Eviction must keep every node at or near its capacity bound.
-  EXPECT_LE(pool.cached_objects(), 4u * pool_config.capacity_objects + kThreads);
+  EXPECT_LE(pool.cached_objects(), 4u * config.pool.capacity_objects + kThreads);
 }
 
 }  // namespace

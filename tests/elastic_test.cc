@@ -12,8 +12,9 @@
 #include "baselines/cliquemap.h"
 #include "baselines/redis_model.h"
 #include "baselines/shard_lru.h"
+#include "bench_common.h"
+#include "core/cluster.h"
 #include "core/ditto_client.h"
-#include "core/sharded_client.h"
 #include "dm/pool.h"
 #include "rdma/verbs.h"
 #include "sim/adapters.h"
@@ -96,13 +97,14 @@ TEST(ElasticClientTest, DittoShrinkEvictsDownThenExpandGrowsAgain) {
   EXPECT_LE(pool.cached_objects(), 400u);
 }
 
-TEST(ElasticClientTest, ShardedDittoSplitsAggregateAcrossNodes) {
-  core::ShardedPool pool(PoolConfigFor(200), /*nodes=*/4);
-  core::DittoConfig config;
-  config.experts = {"lru"};
-  core::ShardedDittoServer server(&pool, config);
+TEST(ElasticClientTest, ClusterClientSplitsAggregateAcrossNodes) {
+  core::ClusterConfig config;
+  config.nodes = 4;
+  config.pool = PoolConfigFor(200);
+  config.ditto.experts = {"lru"};
+  core::ClusterPool pool(config);
   rdma::ClientContext ctx(0);
-  core::ShardedDittoClient client(&pool, &ctx, config);
+  core::ClusterClient client(&pool, &ctx, config.ditto);
 
   for (int i = 0; i < 600; ++i) {
     client.Set("key-" + std::to_string(i), "value");
@@ -291,26 +293,14 @@ TEST(ElasticScheduleTest, ShardedTrajectoryIsThreadCountInvariant) {
   const auto run_with_threads = [&](int threads) {
     core::DittoConfig config;
     config.experts = {"lru", "lfu"};
-    auto pool = std::make_unique<core::ShardedPool>(PoolConfigFor(300), kShards);
-    std::vector<std::unique_ptr<core::DittoServer>> servers;
-    std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-    std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
-    std::vector<sim::CacheClient*> raw;
-    std::vector<rdma::RemoteNode*> nodes;
-    for (int i = 0; i < kShards; ++i) {
-      servers.push_back(std::make_unique<core::DittoServer>(&pool->node(i), config));
-      ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
-      shards.push_back(
-          std::make_unique<sim::DittoCacheClient>(&pool->node(i), ctxs.back().get(), config));
-      raw.push_back(shards.back().get());
-      nodes.push_back(&pool->node(i).node());
-    }
+    bench::ShardedEngineDeployment d =
+        bench::MakeShardedEngine(PoolConfigFor(300), config, kShards);
     sim::RunOptions options;
     options.threads = threads;
     options.partition_seed = 7;
     options.warmup_fraction = 0.2;
     options.resize_schedule = {{0.3, 400}, {0.7, 1200}};
-    return sim::RunTraceSharded(raw, trace, nodes, options);
+    return sim::RunTraceSharded(d.raw, trace, d.nodes, options);
   };
 
   const sim::RunResult r1 = run_with_threads(1);

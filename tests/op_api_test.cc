@@ -1,6 +1,6 @@
 // Tests of the typed operation API (sim::CacheOp / sim::CacheResult /
 // ExecuteBatch): kDelete, kExpire with lazy expiry on lookup, and kMultiGet
-// across the Ditto client and the DM baselines; the doorbell win of chained
+// across the Ditto clients and the DM baselines; the doorbell win of chained
 // multi-gets; mixed-op determinism of the concurrent sharded engine; and the
 // seeded key -> shard partition contract of sim::ShardForKey.
 #include <gtest/gtest.h>
@@ -13,7 +13,8 @@
 #include "baselines/cliquemap.h"
 #include "baselines/redis_model.h"
 #include "baselines/shard_lru.h"
-#include "core/sharded_client.h"
+#include "bench_common.h"
+#include "core/cluster.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
 #include "workloads/ycsb.h"
@@ -119,11 +120,15 @@ TEST(OpApiTest, DittoClientSupportsTypedOps) {
   });
 }
 
-TEST(OpApiTest, ShardedDittoClientSupportsTypedOps) {
-  core::ShardedPool pool(SmallPool(), /*nodes=*/3, /*partition_seed=*/7);
-  core::ShardedDittoServer server(&pool, DittoCfg());
+TEST(OpApiTest, ClusterClientSupportsTypedOps) {
+  core::ClusterConfig config;
+  config.nodes = 3;
+  config.partition_seed = 7;
+  config.pool = SmallPool();
+  config.ditto = DittoCfg();
+  core::ClusterPool pool(config);
   rdma::ClientContext ctx(0);
-  sim::ShardedDittoCacheClient client(&pool, &ctx, DittoCfg());
+  sim::ClusterCacheClient client(&pool, &ctx, config.ditto);
   ExerciseOpContract(&client, [&](uint64_t n) {
     for (int node = 0; node < pool.num_nodes(); ++node) {
       for (uint64_t i = 0; i < n; ++i) {
@@ -286,33 +291,6 @@ TEST(OpApiTest, MultiGetIssuesFewerDoorbellsThanSingleGets) {
 // Mixed-op concurrent sharded replay: determinism across thread counts.
 // ---------------------------------------------------------------------------
 
-struct ShardedDeployment {
-  std::unique_ptr<core::ShardedPool> pool;
-  std::vector<std::unique_ptr<core::DittoServer>> servers;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
-  std::vector<sim::CacheClient*> raw;
-  std::vector<rdma::RemoteNode*> nodes;
-};
-
-ShardedDeployment MakeShardedDeployment(int num_shards) {
-  dm::PoolConfig pool_config;
-  pool_config.memory_bytes = 16 << 20;
-  pool_config.num_buckets = 1024;
-  pool_config.capacity_objects = 300;
-  ShardedDeployment d;
-  d.pool = std::make_unique<core::ShardedPool>(pool_config, num_shards);
-  for (int i = 0; i < num_shards; ++i) {
-    d.servers.push_back(std::make_unique<core::DittoServer>(&d.pool->node(i), DittoCfg()));
-    d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i, /*seed=*/23));
-    d.shards.push_back(std::make_unique<sim::DittoCacheClient>(&d.pool->node(i),
-                                                               d.ctxs.back().get(), DittoCfg()));
-    d.raw.push_back(d.shards.back().get());
-    d.nodes.push_back(&d.pool->node(i).node());
-  }
-  return d;
-}
-
 TEST(OpApiTest, MixedOpShardedReplayIsDeterministicAcrossThreadCounts) {
   workload::YcsbConfig ycsb;
   ycsb.workload = 'A';
@@ -325,7 +303,8 @@ TEST(OpApiTest, MixedOpShardedReplayIsDeterministicAcrossThreadCounts) {
   workload::ApplyOpMix(&trace, mix);
 
   const auto run_with = [&trace](int threads) {
-    ShardedDeployment d = MakeShardedDeployment(/*num_shards=*/8);
+    bench::ShardedEngineDeployment d =
+        bench::MakeShardedEngine(SmallPool(/*capacity=*/300), DittoCfg(), /*num_shards=*/8);
     sim::RunOptions options;
     options.threads = threads;
     options.partition_seed = 42;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "baselines/shard_lru.h"
+#include "bench_common.h"
 #include "sim/adapters.h"
 #include "sim/pipeline_window.h"
 #include "sim/runner.h"
@@ -383,24 +384,11 @@ TEST_F(PipelineReplayTest, ShardedEngineDepthInvariantAcrossThreadCounts) {
     pool_config.capacity_objects = 200;
     core::DittoConfig config;
     config.experts = {"lru"};
-    auto pool = std::make_unique<core::ShardedPool>(pool_config, kShards);
-    std::vector<std::unique_ptr<core::DittoServer>> servers;
-    std::vector<std::unique_ptr<ClientContext>> ctxs;
-    std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
-    std::vector<sim::CacheClient*> raw;
-    std::vector<rdma::RemoteNode*> nodes;
-    for (int i = 0; i < kShards; ++i) {
-      servers.push_back(std::make_unique<core::DittoServer>(&pool->node(i), config));
-      ctxs.push_back(std::make_unique<ClientContext>(i));
-      shards.push_back(
-          std::make_unique<sim::DittoCacheClient>(&pool->node(i), ctxs.back().get(), config));
-      raw.push_back(shards.back().get());
-      nodes.push_back(&pool->node(i).node());
-    }
+    bench::ShardedEngineDeployment d = bench::MakeShardedEngine(pool_config, config, kShards);
     sim::RunOptions options;
     options.threads = threads;
     options.pipeline_depth = 8;
-    return sim::RunTraceSharded(raw, trace, nodes, options);
+    return sim::RunTraceSharded(d.raw, trace, d.nodes, options);
   };
   const sim::RunResult t1 = run_sharded(1);
   const sim::RunResult t4 = run_sharded(4);

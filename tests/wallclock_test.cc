@@ -10,8 +10,8 @@
 #include <memory>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/ditto_client.h"
-#include "core/sharded_client.h"
 #include "dm/pool.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
@@ -86,52 +86,24 @@ TEST(WallClockTest, PipelinedRunTraceFillsWallFields) {
 
 TEST(WallClockTest, RunTraceShardedReportsWorkerThreadCount) {
   constexpr int kShards = 4;
-  const core::DittoConfig config = LruLfu();
-  core::ShardedPool pool(SmallPool(), kShards);
-  std::vector<std::unique_ptr<core::DittoServer>> servers;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
-  std::vector<sim::CacheClient*> raw;
-  std::vector<rdma::RemoteNode*> nodes;
-  for (int i = 0; i < kShards; ++i) {
-    servers.push_back(std::make_unique<core::DittoServer>(&pool.node(i), config));
-    ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-    shards.push_back(
-        std::make_unique<sim::DittoCacheClient>(&pool.node(i), ctxs.back().get(), config));
-    raw.push_back(shards.back().get());
-    nodes.push_back(&pool.node(i).node());
-  }
+  bench::ShardedEngineDeployment d = bench::MakeShardedEngine(SmallPool(), LruLfu(), kShards);
 
   sim::RunOptions options;
   options.threads = 2;
   options.partition_seed = 42;
-  const sim::RunResult r = sim::RunTraceSharded(raw, SmallTrace(), nodes, options);
+  const sim::RunResult r = sim::RunTraceSharded(d.raw, SmallTrace(), d.nodes, options);
   // Workers driving the shards: min(options.threads, num_shards).
   ExpectWallFilled(r, /*expected_threads=*/2);
 }
 
 TEST(WallClockTest, RunTraceShardedClampsThreadsToShardCount) {
   constexpr int kShards = 2;
-  const core::DittoConfig config = LruLfu();
-  core::ShardedPool pool(SmallPool(), kShards);
-  std::vector<std::unique_ptr<core::DittoServer>> servers;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
-  std::vector<sim::CacheClient*> raw;
-  std::vector<rdma::RemoteNode*> nodes;
-  for (int i = 0; i < kShards; ++i) {
-    servers.push_back(std::make_unique<core::DittoServer>(&pool.node(i), config));
-    ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-    shards.push_back(
-        std::make_unique<sim::DittoCacheClient>(&pool.node(i), ctxs.back().get(), config));
-    raw.push_back(shards.back().get());
-    nodes.push_back(&pool.node(i).node());
-  }
+  bench::ShardedEngineDeployment d = bench::MakeShardedEngine(SmallPool(), LruLfu(), kShards);
 
   sim::RunOptions options;
   options.threads = 8;  // more workers than shards: only kShards can run
   options.partition_seed = 42;
-  const sim::RunResult r = sim::RunTraceSharded(raw, SmallTrace(), nodes, options);
+  const sim::RunResult r = sim::RunTraceSharded(d.raw, SmallTrace(), d.nodes, options);
   ExpectWallFilled(r, /*expected_threads=*/kShards);
 }
 
