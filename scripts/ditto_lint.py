@@ -56,6 +56,7 @@ REQUIRED_HOT_PATHS = {
     "migrate-copy": "src/core/cluster.cc",
     "pipeline-window": "src/sim/pipeline_window.h",
     "conn-issue": "src/net/connection.cc",
+    "request-policy": "src/sim/request_policy.h",
 }
 
 # relative file -> exact number of reinterpret_cast tokens allowed.

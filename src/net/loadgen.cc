@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -19,7 +20,6 @@
 #include "net/net_util.h"
 #include "net/resp.h"
 #include "net/ring_buffer.h"
-#include "sim/runner.h"
 
 namespace ditto::net {
 
@@ -33,10 +33,9 @@ uint64_t NowNs() {
 
 // What a command awaiting its reply was, so the reply handler knows how to
 // account it and whether a nil triggers the miss re-insert.
-enum class CmdKind : uint8_t { kGet, kSet, kMissSet, kDelete, kExpire };
-
 struct PendingReply {
-  CmdKind kind;
+  sim::OpKind kind;
+  bool reinsert;  // a miss re-insert (policy traffic, not a trace request)
   uint64_t key;
   uint64_t send_ns;
 };
@@ -84,20 +83,13 @@ int ConnectTo(const std::string& host, uint16_t port, std::string* error) {
 class Loadgen {
  public:
   Loadgen(const workload::Trace& trace, const LoadgenOptions& options)
-      : trace_(trace), options_(options) {
-    // The replay engines' deterministic per-key value sizing, reused so a
-    // served replay stores byte-for-byte equally sized objects.
-    value_rule_.value_bytes = options.value_bytes;
-    value_rule_.value_bytes_max = options.value_bytes_max;
-    value_.assign(std::max(options.value_bytes, options.value_bytes_max), 'v');
-  }
+      : trace_(trace), options_(options), values_(options.MaxValueBytes(), 'v') {}
 
   LoadgenResult Run();
 
  private:
-  void EnqueueGet(Conn* conn, uint64_t key, CmdKind kind);
-  void EnqueueSet(Conn* conn, uint64_t key, CmdKind kind);
-  void EnqueueTraceOp(Conn* conn, const workload::Request& req);
+  // Encodes `op` on `key` and queues the reply it awaits.
+  void Enqueue(Conn* conn, const sim::CacheOp& op, uint64_t key, bool reinsert);
   // Tops the connection's pipeline up to `depth` in-flight commands.
   void Refill(Conn* conn);
   // Parses every complete reply, accounting it against the pending queue.
@@ -112,8 +104,7 @@ class Loadgen {
 
   const workload::Trace& trace_;
   const LoadgenOptions& options_;
-  sim::RunOptions value_rule_;
-  std::string value_;
+  std::string values_;  // the policy's value buffer
   std::vector<std::unique_ptr<Conn>> conns_;
   int epoll_fd_ = -1;
   size_t live_ = 0;
@@ -122,60 +113,30 @@ class Loadgen {
   std::vector<RespReply> elems_;
 };
 
-void Loadgen::EnqueueGet(Conn* conn, uint64_t key, CmdKind kind) {
-  workload::KeyBuf buf;
-  AppendCommand(&conn->out, {"GET", workload::FormatKey(key, &buf)});
-  conn->pending.push_back({kind, key, NowNs()});
-}
-
-void Loadgen::EnqueueSet(Conn* conn, uint64_t key, CmdKind kind) {
-  workload::KeyBuf buf;
-  const std::string_view val(value_.data(), value_rule_.ValueBytesFor(key));
-  AppendCommand(&conn->out, {"SET", workload::FormatKey(key, &buf), val});
-  conn->pending.push_back({kind, key, NowNs()});
-}
-
-void Loadgen::EnqueueTraceOp(Conn* conn, const workload::Request& req) {
-  workload::KeyBuf buf;
-  char ttl[24];
-  switch (req.op) {
-    case workload::Op::kGet:
-    case workload::Op::kMultiGet:
-      EnqueueGet(conn, req.key, CmdKind::kGet);
-      return;
-    case workload::Op::kUpdate:
-    case workload::Op::kInsert:
-      EnqueueSet(conn, req.key, CmdKind::kSet);
-      return;
-    case workload::Op::kDelete:
-      AppendCommand(&conn->out, {"DEL", workload::FormatKey(req.key, &buf)});
-      conn->pending.push_back({CmdKind::kDelete, req.key, NowNs()});
-      return;
-    case workload::Op::kExpire: {
-      const int n = std::snprintf(ttl, sizeof(ttl), "%llu",
-                                  static_cast<unsigned long long>(options_.expire_ttl_ticks));
-      AppendCommand(&conn->out, {"EXPIRE", workload::FormatKey(req.key, &buf),
-                                 std::string_view(ttl, static_cast<size_t>(n))});
-      conn->pending.push_back({CmdKind::kExpire, req.key, NowNs()});
-      return;
-    }
-  }
+void Loadgen::Enqueue(Conn* conn, const sim::CacheOp& op, uint64_t key, bool reinsert) {
+  AppendCacheOp(&conn->out, op);
+  conn->pending.push_back({op.kind, reinsert, key, NowNs()});
 }
 
 void Loadgen::Refill(Conn* conn) {
   const size_t depth = static_cast<size_t>(std::max(options_.depth, 1));
   const size_t stride = conns_.size();
   while (conn->pending.size() < depth) {
+    workload::KeyBuf buf;
     if (!conn->priority_set_keys.empty()) {
-      EnqueueSet(conn, conn->priority_set_keys.front(), CmdKind::kMissSet);
+      const uint64_t key = conn->priority_set_keys.front();
       conn->priority_set_keys.pop_front();
+      Enqueue(conn, options_.MissSetOp(key, workload::FormatKey(key, &buf), values_), key,
+              /*reinsert=*/true);
       continue;
     }
     if (conn->cursor >= trace_.size()) {
       break;
     }
-    EnqueueTraceOp(conn, trace_[conn->cursor]);
+    const workload::Request& req = trace_[conn->cursor];
     conn->cursor += stride;
+    Enqueue(conn, options_.OpFor(req.op, req.key, workload::FormatKey(req.key, &buf), values_),
+            req.key, /*reinsert=*/false);
   }
 }
 
@@ -208,40 +169,33 @@ bool Loadgen::DrainReplies(Conn* conn) {
     // Trace requests count toward ops and the latency histogram; the miss
     // re-insert is policy traffic, mirroring RunTrace (where a miss's Set is
     // not an extra trace op).
-    if (pending.kind != CmdKind::kMissSet) {
+    if (!pending.reinsert) {
       result_.ops++;
       hist_.RecordNs(NowNs() - pending.send_ns);
     }
+    if (is_shed || is_error) {
+      continue;
+    }
     switch (pending.kind) {
-      case CmdKind::kGet:
-        if (is_shed || is_error) {
-          break;
-        }
+      case sim::OpKind::kGet: {
+        const bool hit = reply.type == RespReply::Type::kBulk;
         result_.gets++;
-        if (reply.type == RespReply::Type::kBulk) {
-          result_.hits++;
-        } else {
-          result_.misses++;
-          if (options_.set_on_miss) {
-            conn->priority_set_keys.push_back(pending.key);
-          }
+        (hit ? result_.hits : result_.misses)++;
+        if (options_.ReinsertsMiss(pending.kind, hit)) {
+          conn->priority_set_keys.push_back(pending.key);
         }
         break;
-      case CmdKind::kSet:
-      case CmdKind::kMissSet:
-        if (!is_shed && !is_error) {
-          result_.sets++;
-        }
+      }
+      case sim::OpKind::kSet:
+        result_.sets++;
         break;
-      case CmdKind::kDelete:
-        if (!is_shed && !is_error) {
-          result_.deletes++;
-        }
+      case sim::OpKind::kDelete:
+        result_.deletes++;
         break;
-      case CmdKind::kExpire:
-        if (!is_shed && !is_error) {
-          result_.expires++;
-        }
+      case sim::OpKind::kExpire:
+        result_.expires++;
+        break;
+      case sim::OpKind::kMultiGet:  // never issued: the policy sends one-key lookups as GET
         break;
     }
   }

@@ -3,14 +3,13 @@
 //
 // Connection c replays the strided sub-stream c, c+C, c+2C, ... of the
 // trace (the contended engine's client split), keeping up to `depth`
-// commands in flight per connection. Trace ops map onto the protocol the
-// server speaks: kGet/kMultiGet -> GET (a nil reply re-inserts the key with
-// SET when set_on_miss, mirroring sim::RunTrace's miss policy),
-// kUpdate/kInsert -> SET, kDelete -> DEL, kExpire -> EXPIRE. Values are 'v'
-// bytes sized by the same deterministic per-key rule as the replay engines
-// (RunOptions::ValueBytesFor), so a served replay is comparable —
-// with one connection at depth 1, bit-identical — to the in-process run of
-// the same trace.
+// commands in flight per connection. Each request goes through the same
+// sim::RequestPolicy as the replay runner: the policy builds the CacheOp
+// (value sizes included) and net::AppendCacheOp encodes it as the command
+// the server maps back onto that op; a nil GET reply re-inserts the key
+// when the policy says so, before the connection's next trace request. A
+// served replay is therefore comparable — with one connection at depth 1,
+// bit-identical — to the in-process run of the same trace.
 //
 // The result carries wall-clock QPS and nearest-rank latency percentiles
 // measured from command enqueue to reply, plus the verb/hit counts observed
@@ -21,19 +20,18 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/request_policy.h"
 #include "workloads/trace.h"
 
 namespace ditto::net {
 
-struct LoadgenOptions {
+// Transport knobs; the request policy is inherited, shared with
+// sim::RunOptions.
+struct LoadgenOptions : sim::RequestPolicy {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
   int connections = 1;
   int depth = 1;  // pipelined commands in flight per connection
-  size_t value_bytes = 232;
-  size_t value_bytes_max = 0;  // > value_bytes: per-key deterministic sizes
-  bool set_on_miss = true;
-  uint64_t expire_ttl_ticks = 64;
   // Abort when the server makes no progress for this long (dead peer guard).
   int idle_timeout_ms = 10000;
 };

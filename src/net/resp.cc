@@ -1,5 +1,6 @@
 #include "net/resp.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -310,6 +311,33 @@ void AppendCommand(RingBuffer* out, std::initializer_list<std::string_view> args
   AppendArrayHeader(out, args.size());
   for (const std::string_view arg : args) {
     AppendBulk(out, arg);
+  }
+}
+
+void AppendCacheOp(RingBuffer* out, const sim::CacheOp& op) {
+  char ttl_buf[24];  // a uint64_t has at most 20 digits
+  const char* ttl_end = std::to_chars(ttl_buf, ttl_buf + sizeof(ttl_buf), op.ttl_ticks).ptr;
+  const std::string_view ttl(ttl_buf, static_cast<size_t>(ttl_end - ttl_buf));
+  switch (op.kind) {
+    case sim::OpKind::kGet:
+      AppendCommand(out, {"GET", op.key});
+      return;
+    case sim::OpKind::kSet:
+      if (op.ttl_ticks > 0) {
+        AppendCommand(out, {"SET", op.key, op.value, "EX", ttl});
+      } else {
+        AppendCommand(out, {"SET", op.key, op.value});
+      }
+      return;
+    case sim::OpKind::kDelete:
+      AppendCommand(out, {"DEL", op.key});
+      return;
+    case sim::OpKind::kMultiGet:
+      AppendCommand(out, {"MGET", op.key});
+      return;
+    case sim::OpKind::kExpire:
+      AppendCommand(out, {"EXPIRE", op.key, ttl});
+      return;
   }
 }
 

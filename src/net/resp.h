@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "net/ring_buffer.h"
+#include "sim/cache_op.h"
 
 namespace ditto::net {
 
@@ -94,6 +95,9 @@ void AppendNil(RingBuffer* out);                          // $-1\r\n
 void AppendArrayHeader(RingBuffer* out, size_t n);        // *n\r\n
 // Formats a full multi-bulk command (the canonical client encoding).
 void AppendCommand(RingBuffer* out, std::initializer_list<std::string_view> args);
+// Encodes `op` as the command net::Connection maps back onto it: GET k,
+// SET k v [EX ttl], DEL k, EXPIRE k ttl, MGET k.
+void AppendCacheOp(RingBuffer* out, const sim::CacheOp& op);
 
 }  // namespace ditto::net
 

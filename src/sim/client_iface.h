@@ -139,15 +139,15 @@ class CacheClient {
     return hits;
   }
 
-  // Completion-queue pipelined issue (RunOptions::pipeline_depth > 1, and
-  // the RESP front end's single-op commands): the op executes immediately
-  // (memory effects in issue order — cache behaviour is identical to the
-  // blocking path), but its virtual-time cost accrues on a detached timeline
-  // starting at start_ns instead of blocking the client clock. Returns the
-  // op's completion timestamp; the caller keeps up to K completions in
-  // flight and retires them in issue order (sim::PipelineWindow). Clients without a completion-queue model fall
-  // back to blocking execution and return the clock, so a pipelined replay
-  // degrades to depth-1 behaviour for them.
+  // Completion-queue pipelined issue, the path of every single op the replay
+  // runner and the RESP front end issue: the op executes immediately (memory
+  // effects in issue order — cache behaviour is identical to ExecuteBatch),
+  // but its virtual-time cost accrues on a detached timeline starting at
+  // start_ns instead of blocking the client clock. Returns the op's
+  // completion timestamp; the caller keeps up to K completions in flight and
+  // retires them in issue order (sim::PipelineWindow; K = 1 is blocking
+  // issue). Clients without a completion-queue model fall back to blocking
+  // execution and return the clock, so they behave as at depth 1 at any K.
   virtual uint64_t ExecutePipelined(const CacheOp& op, CacheResult* result,
                                     uint64_t start_ns) {
     // A chained op may start in the future (e.g. a miss penalty offsets the

@@ -1,17 +1,18 @@
-// PipelineWindow: the in-flight window of completion-queue pipelined issue.
+// PipelineWindow: the in-flight window every single op is issued through.
 //
 // Each op issued through CacheClient::ExecutePipelined executes at once (its
 // memory effects land in issue order) and returns the virtual timestamp its
-// verbs complete at. The issuer keeps up to depth() completions in flight and
+// verbs complete at. The issuer keeps up to depth completions in flight and
 // retires them in issue order: retiring advances the client's virtual clock
 // to the op's completion, a no-op when later work already moved the clock
 // past it. Only verb waits overlap; execution order, hit rates and verb
-// counts are those of blocking issue at every depth.
+// counts are those of blocking issue at every depth, and a window of one is
+// blocking issue.
 //
 // A fixed ring of completion timestamps sized once at construction, so Admit,
 // Push and the retire calls never allocate. The replay runner keeps one per
-// client (depth = RunOptions::pipeline_depth); the RESP front end keeps one
-// per connection (depth = net::Connection::kWindowOps).
+// client (depth = RunOptions::pipeline_depth, 1 by default); the RESP front
+// end keeps one per connection (depth = net::Connection::kWindowOps).
 #ifndef DITTO_SIM_PIPELINE_WINDOW_H_
 #define DITTO_SIM_PIPELINE_WINDOW_H_
 

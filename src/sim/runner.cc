@@ -16,13 +16,6 @@
 
 namespace ditto::sim {
 
-size_t RunOptions::ValueBytesFor(uint64_t key) const {
-  if (value_bytes_max <= value_bytes) {
-    return value_bytes;
-  }
-  return value_bytes + Mix64(key * 0x9e3779b97f4a7c15ULL) % (value_bytes_max - value_bytes + 1);
-}
-
 namespace {
 
 // Resize + lifecycle schedules resolved against the measured region
@@ -93,79 +86,12 @@ struct RecoveryAccumulator {
   }
 };
 
-// The miss policy, shared by the blocking and pipelined paths: the penalty
-// (the backing distributed-store fetch) and the set_on_miss re-insert op.
+// The backing-store fetch a re-inserted miss pays before its Set.
 uint64_t MissPenaltyNs(const RunOptions& options) {
   // Guard the float-to-unsigned cast: a non-positive penalty means none.
   return options.miss_penalty_us > 0.0
              ? static_cast<uint64_t>(options.miss_penalty_us * 1000.0)
              : 0;
-}
-
-CacheOp MissSetOp(std::string_view key, uint64_t raw_key, const RunOptions& options,
-                  const std::string& value) {
-  return CacheOp::Set(key, std::string_view(value.data(), options.ValueBytesFor(raw_key)));
-}
-
-// On a Get/MultiGet miss, applies the miss-penalty/set-on-miss policy.
-void HandleMiss(CacheClient* client, std::string_view key, uint64_t raw_key,
-                const RunOptions& options, const std::string& value) {
-  if (!options.set_on_miss) {
-    return;
-  }
-  client->ctx().clock().AdvanceNs(MissPenaltyNs(options));
-  const CacheOp set_op = MissSetOp(key, raw_key, options, value);
-  CacheResult result;
-  client->ExecuteBatch({&set_op, 1}, &result);
-}
-
-// Maps one trace request onto a typed CacheOp (the key view aliases the
-// caller's KeyBuf storage).
-CacheOp BuildCacheOp(const workload::Request& req, workload::Op op, const RunOptions& options,
-                     std::string_view key, const std::string& value) {
-  switch (op) {
-    case workload::Op::kGet:
-    case workload::Op::kMultiGet:  // an unfused multi-get of one key
-      return CacheOp::Get(key, /*want_value=*/false);
-    case workload::Op::kUpdate:
-    case workload::Op::kInsert:
-      return CacheOp::Set(key, std::string_view(value.data(), options.ValueBytesFor(req.key)));
-    case workload::Op::kDelete:
-      return CacheOp::Delete(key);
-    case workload::Op::kExpire:
-      return CacheOp::Expire(key, options.expire_ttl_ticks);
-  }
-  return CacheOp::Get(key, /*want_value=*/false);
-}
-
-// Executes one non-fused request on a client as a typed one-op batch,
-// applying the miss-penalty/set-on-miss policy, and records the op latency
-// (plus the phase trajectory slice when `phase` is non-null). Allocation-free:
-// the key is rendered into stack storage instead of a heap std::string.
-void ExecuteRequest(CacheClient* client, const workload::Request& req, workload::Op op,
-                    const RunOptions& options, const std::string& value,
-                    PhaseResult* phase, RecoveryAccumulator* recovery) {
-  rdma::ClientContext& ctx = client->ctx();
-  workload::KeyBuf key_buf;
-  const std::string_view key = workload::FormatKey(req.key, &key_buf);
-  const uint64_t begin_ns = ctx.clock().busy_ns();
-  const CacheOp cache_op = BuildCacheOp(req, op, options, key, value);
-  CacheResult result;
-  client->ExecuteBatch({&cache_op, 1}, &result);
-  if (cache_op.kind == OpKind::kGet && !result.hit()) {
-    HandleMiss(client, key, req.key, options, value);
-  }
-  if (phase != nullptr) {
-    phase->ops++;
-    if (cache_op.kind == OpKind::kGet) {
-      phase->gets++;
-      (result.hit() ? phase->hits : phase->misses)++;
-    }
-  }
-  if (recovery != nullptr && cache_op.kind == OpKind::kGet) {
-    recovery->Record(result.hit());
-  }
-  ctx.op_hist().RecordNs(ctx.clock().busy_ns() - begin_ns);
 }
 
 // Per-client/per-shard accumulator fusing consecutive kMultiGet requests
@@ -193,7 +119,7 @@ class OpDispatcher {
         owner_(owner),
         num_owners_(num_owners),
         split_capacity_(split_capacity),
-        pipelined_(options.pipeline_depth > 1 || options.pipeline_force),
+        penalty_ns_(MissPenaltyNs(options)),
         phases_(schedule != nullptr ? schedule->num_phases() : 1),
         window_(options.pipeline_depth) {}
 
@@ -213,11 +139,7 @@ class OpDispatcher {
       return;
     }
     Flush(/*retire_pipeline=*/false);  // a non-fusable op closes the current run
-    if (pipelined_) {
-      ExecuteRequestPipelined(req, op);
-      return;
-    }
-    ExecuteRequest(client_, req, op, options_, value_, &phases_[phase_], recovery_);
+    Issue(req, op);
   }
 
   // Closes the current fused multi-get run and (by default) drains the verb
@@ -228,7 +150,7 @@ class OpDispatcher {
       window_.RetireAll(client_->ctx().clock());
       // Every pending index was enqueued in the current phase (AdvancePhase
       // flushes before the capacity changes), so the run is attributed whole.
-      ExecuteMultiGetRun(&phases_[phase_]);
+      ExecuteMultiGetRun();
       pending_.clear();
     }
     if (retire_pipeline) {
@@ -240,47 +162,39 @@ class OpDispatcher {
   const std::vector<PhaseResult>& phases() const { return phases_; }
 
  private:
-  // Pipelined issue of one request: the op executes now (memory effects in
-  // issue order, so cache behaviour matches the blocking path bit-for-bit),
-  // but its verb waits accrue on a detached timeline starting at the current
-  // clock; the completion timestamp joins the in-flight window and the clock
-  // only advances when the window is full and the oldest op retires. A Get
-  // miss chains the miss penalty and the set_on_miss re-insert onto the same
-  // timeline, exactly as the blocking path charges them inline.
-  void ExecuteRequestPipelined(const workload::Request& req, workload::Op op) {
+  // Issues one request into the in-flight window: the op executes now
+  // (memory effects in issue order), but its verb waits accrue on a detached
+  // timeline starting at the clock; the completion timestamp joins the
+  // window and the clock only advances when the window is full and the
+  // oldest op retires — at depth 1, right before the next op, which is
+  // blocking execution. A re-inserted miss chains the miss penalty and the
+  // Set onto the same timeline. The key renders into stack storage, so the
+  // path allocates nothing.
+  void Issue(const workload::Request& req, workload::Op op) {
     rdma::ClientContext& ctx = client_->ctx();
     const uint64_t start_ns = window_.Admit(ctx.clock());
     workload::KeyBuf key_buf;
     const std::string_view key = workload::FormatKey(req.key, &key_buf);
-    const CacheOp cache_op = BuildCacheOp(req, op, options_, key, value_);
+    const CacheOp cache_op = options_.OpFor(op, req.key, key, value_);
     CacheResult result;
     uint64_t complete_ns = client_->ExecutePipelined(cache_op, &result, start_ns);
-    if (cache_op.kind == OpKind::kGet && !result.hit() && options_.set_on_miss) {
-      const CacheOp set_op = MissSetOp(key, req.key, options_, value_);
+    if (options_.ReinsertsMiss(cache_op.kind, result.hit())) {
+      const CacheOp set_op = options_.MissSetOp(req.key, key, value_);
       CacheResult set_result;
-      complete_ns = client_->ExecutePipelined(set_op, &set_result,
-                                              complete_ns + MissPenaltyNs(options_));
+      complete_ns = client_->ExecutePipelined(set_op, &set_result, complete_ns + penalty_ns_);
     }
-    PhaseResult& phase = phases_[phase_];
-    phase.ops++;
-    if (cache_op.kind == OpKind::kGet) {
-      phase.gets++;
-      (result.hit() ? phase.hits : phase.misses)++;
-      if (recovery_ != nullptr) {
-        recovery_->Record(result.hit());
-      }
-    }
+    Count(cache_op.kind == OpKind::kGet, result.hit());
     ctx.op_hist().RecordNs(complete_ns - start_ns);
     window_.Push(complete_ns);
   }
 
   // Executes the pending fused run of kMultiGet requests as one pipelined
-  // batch, then applies the miss policy per missed key. Latency is recorded
-  // per key (the run's mean, as reported by the client). Allocation-free at
+  // batch, then re-inserts each missed key blocking (the window is drained).
+  // Latency is recorded per key (the run's mean). Allocation-free at
   // steady state: keys render into a reused KeyBuf array, ops into a reused
   // vector, and results come from the small-vector buffer (inline storage for
   // runs up to its capacity — fused runs are bounded by multiget_batch).
-  void ExecuteMultiGetRun(PhaseResult* phase) {
+  void ExecuteMultiGetRun() {
     const std::vector<uint32_t>& idxs = pending_;
     rdma::ClientContext& ctx = client_->ctx();
     const uint64_t begin_ns = ctx.clock().busy_ns();
@@ -297,21 +211,32 @@ class OpDispatcher {
     CacheResult* results = mg_results_.Acquire(idxs.size());
     client_->ExecuteBatch({mg_ops_.data(), mg_ops_.size()}, results);
     for (size_t j = 0; j < idxs.size(); ++j) {
-      if (!results[j].hit()) {
-        HandleMiss(client_, mg_ops_[j].key, trace_[idxs[j]].key, options_, value_);
+      if (options_.ReinsertsMiss(OpKind::kMultiGet, results[j].hit())) {
+        ctx.clock().AdvanceNs(penalty_ns_);
+        const CacheOp set_op = options_.MissSetOp(trace_[idxs[j]].key, mg_ops_[j].key, value_);
+        CacheResult set_result;
+        client_->ExecuteBatch({&set_op, 1}, &set_result);
       }
-      if (phase != nullptr) {
-        phase->ops++;
-        phase->gets++;
-        (results[j].hit() ? phase->hits : phase->misses)++;
-      }
-      if (recovery_ != nullptr) {
-        recovery_->Record(results[j].hit());
-      }
+      Count(/*get=*/true, results[j].hit());
     }
     const uint64_t total_ns = ctx.clock().busy_ns() - begin_ns;
     for (size_t j = 0; j < idxs.size(); ++j) {
       ctx.op_hist().RecordNs(total_ns / idxs.size());
+    }
+  }
+
+  // Slices one request's outcome into the phase trajectory and, for a Get,
+  // the recovery windows.
+  void Count(bool get, bool hit) {
+    PhaseResult& phase = phases_[phase_];
+    phase.ops++;
+    if (!get) {
+      return;
+    }
+    phase.gets++;
+    (hit ? phase.hits : phase.misses)++;
+    if (recovery_ != nullptr) {
+      recovery_->Record(hit);
     }
   }
   // ditto-lint: hot-path-end(op-dispatch)
@@ -349,7 +274,7 @@ class OpDispatcher {
   size_t owner_;
   size_t num_owners_;
   bool split_capacity_;
-  bool pipelined_;
+  uint64_t penalty_ns_;
   size_t phase_ = 0;
   size_t lifecycle_applied_ = 0;
   std::vector<PhaseResult> phases_;
@@ -397,11 +322,10 @@ void FinalizePhases(const ResolvedSchedule& schedule, std::vector<PhaseResult>* 
 // scheduling.
 void ReplayInterleaved(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                        size_t begin, size_t end, const RunOptions& options,
-                       const ResolvedSchedule* schedule = nullptr,
-                       std::vector<PhaseResult>* phases_out = nullptr,
-                       RecoveryAccumulator* recovery = nullptr) {
+                       const ResolvedSchedule* schedule, std::vector<PhaseResult>* phases_out,
+                       RecoveryAccumulator* recovery) {
   const size_t n = clients.size();
-  const std::string value(std::max(options.value_bytes, options.value_bytes_max), 'v');
+  const std::string value(options.MaxValueBytes(), 'v');
   std::vector<size_t> cursor(n);
   std::vector<OpDispatcher> dispatch;
   dispatch.reserve(n);
@@ -442,8 +366,7 @@ void ReplayInterleaved(const std::vector<CacheClient*>& clients, const workload:
 }
 
 // Snapshot of per-client busy time and per-node horizons taken at the
-// warmup/measurement boundary; shared by the interleaved and the sharded
-// engine.
+// warmup/measurement boundary.
 struct MeasureBaseline {
   std::vector<uint64_t> busy_before;
   std::vector<uint64_t> nic_before;
@@ -473,25 +396,54 @@ MeasureBaseline BeginMeasurement(const std::vector<CacheClient*>& clients,
   return base;
 }
 
+// Adds one client's counters into `result`: the one ClientCounters ->
+// RunResult mapping (aggregate and per-client rows alike).
+void AddCounters(const ClientCounters& counters, RunResult* result) {
+  result->gets += counters.gets;
+  result->hits += counters.hits;
+  result->misses += counters.misses;
+  result->sets += counters.sets;
+  result->deletes += counters.deletes;
+  result->evictions += counters.evictions;
+  result->expired += counters.expired;
+  result->cas_failures += counters.cas_failures;
+  result->insert_retries += counters.insert_retries;
+}
+
+double HitRate(const RunResult& r) {
+  return r.gets == 0 ? 0.0 : static_cast<double>(r.hits) / static_cast<double>(r.gets);
+}
+
+// Aggregate result of the measured region. When `per_client` is non-null it
+// also receives one row per client: that client's counters, its share of
+// the strided request split, and its own busy time and latency percentiles.
 RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
                             const std::vector<rdma::RemoteNode*>& nodes,
-                            const MeasureBaseline& base, uint64_t measured_ops) {
+                            const MeasureBaseline& base, uint64_t measured_ops,
+                            std::vector<RunResult>* per_client) {
   RunResult result;
   Histogram merged;
   uint64_t sum_busy_delta = 0;
+  if (per_client != nullptr) {
+    per_client->assign(clients.size(), RunResult{});
+  }
   for (size_t c = 0; c < clients.size(); ++c) {
     const ClientCounters counters = clients[c]->counters();
-    result.gets += counters.gets;
-    result.hits += counters.hits;
-    result.misses += counters.misses;
-    result.sets += counters.sets;
-    result.deletes += counters.deletes;
-    result.evictions += counters.evictions;
-    result.expired += counters.expired;
-    result.cas_failures += counters.cas_failures;
-    result.insert_retries += counters.insert_retries;
-    merged.Merge(clients[c]->ctx().op_hist());
-    sum_busy_delta += clients[c]->ctx().clock().busy_ns() - base.busy_before[c];
+    AddCounters(counters, &result);
+    const Histogram& hist = clients[c]->ctx().op_hist();
+    merged.Merge(hist);
+    const uint64_t busy_delta = clients[c]->ctx().clock().busy_ns() - base.busy_before[c];
+    sum_busy_delta += busy_delta;
+    if (per_client != nullptr) {
+      RunResult& r = (*per_client)[c];
+      AddCounters(counters, &r);
+      r.ops = measured_ops / clients.size() + (c < measured_ops % clients.size() ? 1 : 0);
+      r.elapsed_s = static_cast<double>(std::max(busy_delta, uint64_t{1})) / 1e9;
+      r.throughput_mops = static_cast<double>(r.ops) / (r.elapsed_s * 1e6);
+      r.hit_rate = HitRate(r);
+      r.p50_us = hist.PercentileUs(50);
+      r.p99_us = hist.PercentileUs(99);
+    }
   }
   result.ops = measured_ops;
   // Mean per-client busy time models the paper's fixed-duration runs (all
@@ -513,9 +465,7 @@ RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
   }
   result.elapsed_s = static_cast<double>(elapsed_ns) / 1e9;
   result.throughput_mops = static_cast<double>(result.ops) / (result.elapsed_s * 1e6);
-  result.hit_rate = result.gets == 0
-                        ? 0.0
-                        : static_cast<double>(result.hits) / static_cast<double>(result.gets);
+  result.hit_rate = HitRate(result);
   result.p50_us = merged.PercentileUs(50);
   result.p99_us = merged.PercentileUs(99);
   result.nic_messages = nic_msgs_after - base.nic_msgs_before;
@@ -524,15 +474,11 @@ RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
   return result;
 }
 
-// Host wall-clock timing of the measured region. Every engine brackets its
-// measured replay (including the Finish() drain) with a WallBegin/FillWall
-// pair; the quotient is the real host replay rate, as opposed to the
-// virtual-time throughput FinishMeasurement derives from the network model.
-using WallPoint = std::chrono::steady_clock::time_point;
-
-WallPoint WallBegin() { return std::chrono::steady_clock::now(); }
-
-void FillWall(RunResult* result, WallPoint begin, int threads) {
+// Host wall-clock timing of the measured region, from `begin` (taken before
+// the measured replay) through the Finish() drain: the real host replay
+// rate, as opposed to the virtual-time throughput FinishMeasurement derives
+// from the network model.
+void FillWall(RunResult* result, std::chrono::steady_clock::time_point begin, int threads) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
   result->wall_s = wall_s;
@@ -549,12 +495,11 @@ void FillWall(RunResult* result, WallPoint begin, int threads) {
 // worker, so per-shard behaviour cannot depend on the thread count.
 void ReplaySharded(const std::vector<CacheClient*>& shards, const workload::Trace& trace,
                    size_t begin, size_t end, const RunOptions& options,
-                   const ResolvedSchedule* schedule = nullptr,
-                   std::vector<PhaseResult>* phases_out = nullptr) {
+                   const ResolvedSchedule* schedule, std::vector<PhaseResult>* phases_out) {
   const size_t num_shards = shards.size();
   const int num_workers =
       std::max(1, std::min<int>(options.threads, static_cast<int>(num_shards)));
-  const std::string value(std::max(options.value_bytes, options.value_bytes_max), 'v');
+  const std::string value(options.MaxValueBytes(), 'v');
 
   std::vector<std::unique_ptr<SpscQueue<uint32_t>>> queues;
   queues.reserve(num_shards);
@@ -636,10 +581,9 @@ void ReplaySharded(const std::vector<CacheClient*>& shards, const workload::Trac
 // the pool (arena, freelists, superblock) is shared.
 void ReplayContended(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                      size_t begin, size_t end, const RunOptions& options,
-                     const ResolvedSchedule* schedule = nullptr,
-                     std::vector<PhaseResult>* phases_out = nullptr) {
+                     const ResolvedSchedule* schedule, std::vector<PhaseResult>* phases_out) {
   const size_t n = clients.size();
-  const std::string value(std::max(options.value_bytes, options.value_bytes_max), 'v');
+  const std::string value(options.MaxValueBytes(), 'v');
   std::vector<std::unique_ptr<OpDispatcher>> dispatch(n);
   for (size_t c = 0; c < n; ++c) {
     // Contended clients share one deployment, so each applies the schedule's
@@ -663,6 +607,47 @@ void ReplayContended(const std::vector<CacheClient*>& clients, const workload::T
   for (const auto& d : dispatch) {
     MergePhases(d->phases(), phases_out);
   }
+}
+
+// The measurement skeleton every engine shares. replay(begin, end, schedule,
+// phases) replays trace[begin, end) on the engine's threads; the warmup call
+// passes a null schedule and phases. Around the two replays: doorbell
+// batching on, the post-warmup doorbell drain (pending chains charge their
+// deferred costs before the baseline snapshot), the measured replay under
+// the resolved schedule, the Finish() drain, then the virtual-time result,
+// the wall clock of `threads` host threads, and the phase trajectory.
+template <typename ReplayFn>
+RunResult Measure(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
+                  const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options,
+                  int threads, ReplayFn&& replay,
+                  std::vector<RunResult>* per_client = nullptr) {
+  for (CacheClient* client : clients) {
+    client->SetBatchOps(options.batch_ops);
+  }
+  size_t measure_begin = 0;
+  if (options.warmup_fraction > 0.0) {
+    measure_begin =
+        static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));
+    replay(0, measure_begin, nullptr, nullptr);
+    for (CacheClient* client : clients) {
+      client->SetBatchOps(options.batch_ops);
+    }
+  }
+
+  const ResolvedSchedule schedule = ResolveSchedule(options, measure_begin, trace.size());
+  const MeasureBaseline base = BeginMeasurement(clients, nodes);
+  const auto wall_begin = std::chrono::steady_clock::now();
+  std::vector<PhaseResult> phases;
+  replay(measure_begin, trace.size(), &schedule, &phases);
+  for (CacheClient* client : clients) {
+    client->Finish();
+  }
+  RunResult result =
+      FinishMeasurement(clients, nodes, base, trace.size() - measure_begin, per_client);
+  FillWall(&result, wall_begin, threads);
+  FinalizePhases(schedule, &phases);
+  result.phases = std::move(phases);
+  return result;
 }
 
 }  // namespace
@@ -704,78 +689,32 @@ RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Tra
 
 RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                    const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options) {
-  for (CacheClient* client : clients) {
-    client->SetBatchOps(options.batch_ops);
-  }
-
-  size_t measure_begin = 0;
-  if (options.warmup_fraction > 0.0) {
-    measure_begin =
-        static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));
-    ReplayInterleaved(clients, trace, 0, measure_begin, options);
-    for (CacheClient* client : clients) {
-      // Drain doorbell chains pending from warmup so their deferred costs
-      // are charged before the measurement baseline is snapshotted.
-      client->SetBatchOps(options.batch_ops);
-    }
-  }
-
-  const ResolvedSchedule schedule = ResolveSchedule(options, measure_begin, trace.size());
-  const MeasureBaseline base = BeginMeasurement(clients, nodes);
-  const WallPoint wall_begin = WallBegin();
-  std::vector<PhaseResult> phases;
-  std::vector<RecoverySample> recovery_samples;
-  RecoveryAccumulator recovery;
-  recovery.window_ops = options.recovery_window_ops;
-  recovery.out = &recovery_samples;
-  ReplayInterleaved(clients, trace, measure_begin, trace.size(), options, &schedule, &phases,
-                    options.recovery_window_ops > 0 ? &recovery : nullptr);
-  for (CacheClient* client : clients) {
-    client->Finish();
-  }
-  RunResult result = FinishMeasurement(clients, nodes, base, trace.size() - measure_begin);
+  std::vector<RecoverySample> samples;
+  RecoveryAccumulator recovery{options.recovery_window_ops, &samples, {}};
   // The interleaved engine (and thus pipelined replay) runs on one host
   // thread regardless of the client count.
-  FillWall(&result, wall_begin, /*threads=*/1);
-  FinalizePhases(schedule, &phases);
-  result.phases = std::move(phases);
-  result.recovery = std::move(recovery_samples);
+  RunResult result = Measure(
+      clients, trace, nodes, options, /*threads=*/1,
+      [&](size_t begin, size_t end, const ResolvedSchedule* schedule,
+          std::vector<PhaseResult>* phases) {
+        // Recovery windows sample the measured replay only.
+        const bool sample = phases != nullptr && options.recovery_window_ops > 0;
+        ReplayInterleaved(clients, trace, begin, end, options, schedule, phases,
+                          sample ? &recovery : nullptr);
+      });
+  result.recovery = std::move(samples);
   return result;
 }
 
 RunResult RunTraceSharded(const std::vector<CacheClient*>& shards, const workload::Trace& trace,
                           const std::vector<rdma::RemoteNode*>& nodes,
                           const RunOptions& options) {
-  for (CacheClient* shard : shards) {
-    shard->SetBatchOps(options.batch_ops);
-  }
-
-  size_t measure_begin = 0;
-  if (options.warmup_fraction > 0.0) {
-    measure_begin =
-        static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));
-    ReplaySharded(shards, trace, 0, measure_begin, options);
-    for (CacheClient* shard : shards) {
-      // Drain doorbell chains pending from warmup so their deferred costs
-      // are charged before the measurement baseline is snapshotted.
-      shard->SetBatchOps(options.batch_ops);
-    }
-  }
-
-  const ResolvedSchedule schedule = ResolveSchedule(options, measure_begin, trace.size());
-  const MeasureBaseline base = BeginMeasurement(shards, nodes);
-  const WallPoint wall_begin = WallBegin();
-  std::vector<PhaseResult> phases;
-  ReplaySharded(shards, trace, measure_begin, trace.size(), options, &schedule, &phases);
-  for (CacheClient* shard : shards) {
-    shard->Finish();
-  }
-  RunResult result = FinishMeasurement(shards, nodes, base, trace.size() - measure_begin);
-  FillWall(&result, wall_begin,
-           std::max(1, std::min<int>(options.threads, static_cast<int>(shards.size()))));
-  FinalizePhases(schedule, &phases);
-  result.phases = std::move(phases);
-  return result;
+  return Measure(shards, trace, nodes, options,
+                 std::max(1, std::min<int>(options.threads, static_cast<int>(shards.size()))),
+                 [&](size_t begin, size_t end, const ResolvedSchedule* schedule,
+                     std::vector<PhaseResult>* phases) {
+                   ReplaySharded(shards, trace, begin, end, options, schedule, phases);
+                 });
 }
 
 RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
@@ -783,64 +722,13 @@ RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
                             const std::vector<rdma::RemoteNode*>& nodes,
                             const RunOptions& options,
                             std::vector<RunResult>* per_client) {
-  for (CacheClient* client : clients) {
-    client->SetBatchOps(options.batch_ops);
-  }
-
-  size_t measure_begin = 0;
-  if (options.warmup_fraction > 0.0) {
-    measure_begin =
-        static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));
-    ReplayContended(clients, trace, 0, measure_begin, options);
-    for (CacheClient* client : clients) {
-      // Drain doorbell chains pending from warmup so their deferred costs
-      // are charged before the measurement baseline is snapshotted.
-      client->SetBatchOps(options.batch_ops);
-    }
-  }
-
-  const ResolvedSchedule schedule = ResolveSchedule(options, measure_begin, trace.size());
-  const MeasureBaseline base = BeginMeasurement(clients, nodes);
-  const WallPoint wall_begin = WallBegin();
-  std::vector<PhaseResult> phases;
-  ReplayContended(clients, trace, measure_begin, trace.size(), options, &schedule, &phases);
-  for (CacheClient* client : clients) {
-    client->Finish();
-  }
-  const size_t measured = trace.size() - measure_begin;
-  RunResult result = FinishMeasurement(clients, nodes, base, measured);
-  FillWall(&result, wall_begin, static_cast<int>(clients.size()));
-  FinalizePhases(schedule, &phases);
-  result.phases = std::move(phases);
-
-  if (per_client != nullptr) {
-    per_client->clear();
-    per_client->reserve(clients.size());
-    for (size_t c = 0; c < clients.size(); ++c) {
-      RunResult r;
-      const ClientCounters counters = clients[c]->counters();
-      r.gets = counters.gets;
-      r.hits = counters.hits;
-      r.misses = counters.misses;
-      r.sets = counters.sets;
-      r.deletes = counters.deletes;
-      r.evictions = counters.evictions;
-      r.expired = counters.expired;
-      r.cas_failures = counters.cas_failures;
-      r.insert_retries = counters.insert_retries;
-      r.ops = measured / clients.size() + (c < measured % clients.size() ? 1 : 0);
-      const uint64_t busy_delta = clients[c]->ctx().clock().busy_ns() - base.busy_before[c];
-      r.elapsed_s = static_cast<double>(std::max(busy_delta, uint64_t{1})) / 1e9;
-      r.throughput_mops = static_cast<double>(r.ops) / (r.elapsed_s * 1e6);
-      r.hit_rate = r.gets == 0
-                       ? 0.0
-                       : static_cast<double>(r.hits) / static_cast<double>(r.gets);
-      r.p50_us = clients[c]->ctx().op_hist().PercentileUs(50);
-      r.p99_us = clients[c]->ctx().op_hist().PercentileUs(99);
-      per_client->push_back(std::move(r));
-    }
-  }
-  return result;
+  return Measure(
+      clients, trace, nodes, options, static_cast<int>(clients.size()),
+      [&](size_t begin, size_t end, const ResolvedSchedule* schedule,
+          std::vector<PhaseResult>* phases) {
+        ReplayContended(clients, trace, begin, end, options, schedule, phases);
+      },
+      per_client);
 }
 
 std::string FormatResult(const std::string& label, const RunResult& r) {

@@ -19,6 +19,7 @@
 
 #include "rdma/node.h"
 #include "sim/client_iface.h"
+#include "sim/request_policy.h"
 #include "workloads/trace.h"
 
 namespace ditto::sim {
@@ -35,14 +36,12 @@ struct ResizeStep {
   uint64_t capacity_objects = 0; // aggregate capacity after the step
 };
 
-struct RunOptions {
-  size_t value_bytes = 232;
-  // When > value_bytes, each key gets a deterministic (hash-derived) value
-  // size in [value_bytes, value_bytes_max] — used by size-aware-policy
-  // experiments (SIZE, GDS, GDSF).
-  size_t value_bytes_max = 0;
-  double miss_penalty_us = 0.0;  // 0 = no penalty; misses still Set
-  bool set_on_miss = true;
+// Replay knobs. The request policy (op mapping, value sizing, miss
+// re-insert) is inherited from RequestPolicy, shared with net::RunLoadgen.
+struct RunOptions : RequestPolicy {
+  // Virtual-time cost of the backing-store fetch a re-inserted miss pays
+  // before its Set (0 = none; misses still Set when set_on_miss).
+  double miss_penalty_us = 0.0;
   // Fraction of each client's shard replayed as warmup (not measured).
   double warmup_fraction = 0.0;
 
@@ -53,20 +52,17 @@ struct RunOptions {
   // chain of this many posts (duplicate addresses coalesce on the wire).
   size_t batch_ops = 0;
 
-  // Completion-queue verb pipelining: each client keeps up to pipeline_depth
-  // independent ops in flight, retiring them in issue order. Ops still
-  // *execute* (and mutate cache state) strictly in issue order — pipelining
-  // overlaps only their virtual-time verb latencies via the clients' CQ model
-  // (CacheClient::ExecutePipelined) — so hit rates, verb counts, and eviction
-  // decisions are bit-identical for every depth; only throughput/latency
-  // change. Depth 1 (the default) replays through the classic blocking path;
-  // pipeline_force routes depth-1 replay through the pipelined issue loop
-  // instead, which the equivalence tests use to pin that both paths agree
-  // bit-for-bit. Clients without a CQ model degrade to depth-1 behaviour.
-  // Fused multi-get runs serialize with the pipeline (the pipeline drains
-  // before a fused run issues).
+  // Completion-queue verb pipelining: every single-op request is issued
+  // through CacheClient::ExecutePipelined into a per-client window of
+  // pipeline_depth in-flight ops (sim::PipelineWindow), retired in issue
+  // order; depth 1 (the default) is blocking replay. Ops still *execute*
+  // (and mutate cache state) strictly in issue order — pipelining overlaps
+  // only their virtual-time verb latencies via the clients' CQ model — so
+  // hit rates, verb counts, and eviction decisions are bit-identical for
+  // every depth; only throughput/latency change. Clients without a CQ model
+  // degrade to depth-1 behaviour. Fused multi-get runs serialize with the
+  // pipeline (the window drains before a fused run issues).
   size_t pipeline_depth = 1;
-  bool pipeline_force = false;
 
   // Typed-op replay knobs. op_mix deterministically rewrites a fraction of
   // the trace's Gets into kDelete / kExpire / kMultiGet (a pure function of
@@ -76,7 +72,6 @@ struct RunOptions {
   // expire_ttl_ticks of TTL.
   workload::OpMix op_mix;
   size_t multiget_batch = 8;
-  uint64_t expire_ttl_ticks = 64;
 
   // Elastic scaling schedule (empty = fixed capacity). Applied to the
   // measured region only; steps are sorted by at_op_fraction before use.
@@ -100,8 +95,6 @@ struct RunOptions {
   // all clients of the (single-host-thread) interleaved replay and are
   // bit-deterministic; the concurrent engines ignore the knob.
   size_t recovery_window_ops = 0;
-
-  size_t ValueBytesFor(uint64_t key) const;
 };
 
 // One recovery-trajectory sample: Get outcomes of one window of the measured

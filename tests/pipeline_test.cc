@@ -3,10 +3,10 @@
 // 1. CQ unit tests: Post*/WaitWr/PollCq semantics — completion ordering, the
 //    sync-verb == post+wait cost identity, and NIC-occupancy charging for
 //    overlapping posts. The shared in-flight window retires in issue order.
-// 2. Replay equivalence: depth-1 pipelined replay is bit-identical (hit
-//    rate, verb counts, virtual time) to the sequential engine; hit rate is
-//    invariant across depths 1/4/16; throughput at depth 8 is at least 2x
-//    depth 1 at identical hit rate.
+// 2. Replay equivalence: depth-1 replay is bit-identical (hit rate, verb
+//    counts, virtual time) to a recorded blocking run; hit rate is invariant
+//    across depths 1/4/16; throughput at depth 8 is at least 2x depth 1 at
+//    identical hit rate; a client without a CQ model pays every miss penalty.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -272,30 +272,34 @@ class PipelineReplayTest : public ::testing::Test {
   }
 };
 
-TEST_F(PipelineReplayTest, Depth1PipelinedBitIdenticalToSequentialEngine) {
+// Depth 1 is blocking replay: a window of one retires each op right before
+// the next issues. The constants were recorded from the blocking replay loop
+// the pipelined window replaced (same trace, deployment, and cost model), so
+// depth 1 must reproduce it op for op, verb for verb, nanosecond for
+// nanosecond.
+TEST_F(PipelineReplayTest, Depth1BitIdenticalToRecordedBlockingRun) {
   const workload::Trace trace = TestTrace('A', 40000);
   sim::RunOptions options;
   options.warmup_fraction = 0.1;
   options.miss_penalty_us = 50.0;
 
-  const Run sequential = Replay(trace, options);
-  options.pipeline_force = true;  // depth stays 1: the pipelined issue loop
-  const Run pipelined = Replay(trace, options);
+  const Run depth1 = Replay(trace, options);
 
-  EXPECT_EQ(pipelined.result.hits, sequential.result.hits);
-  EXPECT_EQ(pipelined.result.misses, sequential.result.misses);
-  EXPECT_EQ(pipelined.result.gets, sequential.result.gets);
-  EXPECT_EQ(pipelined.result.sets, sequential.result.sets);
-  EXPECT_EQ(pipelined.result.evictions, sequential.result.evictions);
-  EXPECT_EQ(pipelined.result.hit_rate, sequential.result.hit_rate);
-  EXPECT_EQ(pipelined.verbs, sequential.verbs) << "identical verb counts";
-  EXPECT_EQ(pipelined.result.nic_messages, sequential.result.nic_messages);
-  EXPECT_EQ(pipelined.result.nic_doorbells, sequential.result.nic_doorbells);
-  // Virtual time is bit-identical, not merely close.
-  EXPECT_EQ(pipelined.result.elapsed_s, sequential.result.elapsed_s);
-  EXPECT_EQ(pipelined.result.p50_us, sequential.result.p50_us);
-  EXPECT_EQ(pipelined.result.p99_us, sequential.result.p99_us);
-  EXPECT_EQ(pipelined.result.throughput_mops, sequential.result.throughput_mops);
+  EXPECT_EQ(depth1.result.ops, 36000u);
+  EXPECT_EQ(depth1.result.hits, 15483u);
+  EXPECT_EQ(depth1.result.misses, 2524u);
+  EXPECT_EQ(depth1.result.gets, 18007u);
+  EXPECT_EQ(depth1.result.sets, 20517u);
+  EXPECT_EQ(depth1.result.evictions, 5183u);
+  EXPECT_EQ(depth1.verbs, 412652u) << "identical verb counts";
+  EXPECT_EQ(depth1.result.nic_messages, 386378u);
+  EXPECT_EQ(depth1.result.nic_doorbells, 386372u);
+  EXPECT_DOUBLE_EQ(depth1.result.hit_rate, 0.85983228744377183);
+  // Virtual time is identical, not merely close.
+  EXPECT_DOUBLE_EQ(depth1.result.elapsed_s, 0.27853776899999999);
+  EXPECT_DOUBLE_EQ(depth1.result.p50_us, 6.9783058485986631);
+  EXPECT_DOUBLE_EQ(depth1.result.p99_us, 205.35250264571462);
+  EXPECT_DOUBLE_EQ(depth1.result.throughput_mops, 0.12924638597216595);
 }
 
 TEST_F(PipelineReplayTest, HitRateInvariantAcrossDepths) {
@@ -346,9 +350,11 @@ TEST_F(PipelineReplayTest, Depth8AtLeastTwiceDepth1Throughput) {
 TEST_F(PipelineReplayTest, BaselineClientsDegradeToDepth1IncludingMissPenalty) {
   // Baselines have no completion-queue model: at any depth the fallback
   // ExecutePipelined must reproduce depth-1 behaviour exactly — including
-  // the miss penalty, which the pipelined issue loop encodes as the chained
+  // the miss penalty, which the issue loop encodes as the chained
   // re-insert's start offset (regression: the fallback used to ignore
-  // start_ns, silently dropping every penalty from elapsed time).
+  // start_ns, silently dropping every penalty from elapsed time). Depth 1
+  // runs through the same fallback, so comparing depths alone cannot see a
+  // dropped penalty: the lone client's elapsed time must cover them all.
   const workload::Trace trace = TestTrace('C', 20000);
   auto run = [&](size_t depth) {
     dm::PoolConfig pool_config;
@@ -370,6 +376,9 @@ TEST_F(PipelineReplayTest, BaselineClientsDegradeToDepth1IncludingMissPenalty) {
   EXPECT_EQ(d8.hit_rate, d1.hit_rate);
   EXPECT_EQ(d8.elapsed_s, d1.elapsed_s) << "no CQ model: no overlap, penalties included";
   EXPECT_EQ(d8.p99_us, d1.p99_us);
+  ASSERT_GT(d1.misses, 0u);
+  EXPECT_GE(d1.elapsed_s, static_cast<double>(d1.misses) * 500e-6)
+      << "every miss pays its 500 us penalty";
 }
 
 TEST_F(PipelineReplayTest, ShardedEngineDepthInvariantAcrossThreadCounts) {

@@ -2,7 +2,8 @@
 // pipelined commands in one read, inline commands), malformed input answered
 // with kError and never a crash (bad prefixes, non-numeric and oversized
 // lengths, too many arguments, overlong inline lines), and the reply parser
-// the load generator uses. Runs in the ASan/TSan CI matrix.
+// the load generator uses, plus the CacheOp -> command encoder it issues
+// with. Runs in the ASan/TSan CI matrix.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -44,6 +45,34 @@ TEST(RespParserTest, ParsesMultiBulkCommand) {
   ASSERT_EQ(parser.Parse(&rb, &cmd), ParseStatus::kOk);
   EXPECT_EQ(Args(cmd), (std::vector<std::string>{"SET", "k", "value"}));
   EXPECT_TRUE(rb.empty());  // exactly the frame's bytes consumed
+}
+
+// Every CacheOp kind encodes as the command the server maps back onto it.
+TEST(RespParserTest, AppendCacheOpEncodesEveryKind) {
+  struct Case {
+    sim::CacheOp op;
+    std::vector<std::string> args;
+  };
+  const Case cases[] = {
+      {sim::CacheOp::Get("k1"), {"GET", "k1"}},
+      {sim::CacheOp::Set("k2", "vv"), {"SET", "k2", "vv"}},
+      {sim::CacheOp::Set("k3", "v", 18446744073709551615ULL),
+       {"SET", "k3", "v", "EX", "18446744073709551615"}},
+      {sim::CacheOp::Delete("k4"), {"DEL", "k4"}},
+      {sim::CacheOp::Expire("k5", 64), {"EXPIRE", "k5", "64"}},
+      {sim::CacheOp::MultiGet("k6"), {"MGET", "k6"}},
+  };
+  RingBuffer rb;
+  for (const Case& c : cases) {
+    AppendCacheOp(&rb, c.op);
+  }
+  RespParser parser;
+  RespCommand cmd;
+  for (const Case& c : cases) {
+    ASSERT_EQ(parser.Parse(&rb, &cmd), ParseStatus::kOk);
+    EXPECT_EQ(Args(cmd), c.args);
+  }
+  EXPECT_TRUE(rb.empty());
 }
 
 TEST(RespParserTest, OneByteFeedsNeverLoseAFrame) {

@@ -195,67 +195,88 @@ class RawConn {
 
 // A trace served over the socket path must be indistinguishable — hit for
 // hit, verb for verb, NIC message for NIC message — from the in-process
-// replay of the same trace on an identical deployment.
+// replay of the same trace on an identical deployment. Both sides take the
+// same sim::RequestPolicy; the cases vary its per-key value sizing and its
+// miss re-insert decision.
 TEST(ServerFidelityTest, ServedReplayMatchesInProcessRunTrace) {
   const workload::Trace trace = TestTrace(20000);
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};
-  constexpr size_t kValueBytes = 64;
-  constexpr uint64_t kTtlTicks = 64;
 
-  // In-process side.
-  Deployment in_process(TestPool(512), config, 1);
-  sim::RunOptions options;
-  options.value_bytes = kValueBytes;
-  options.expire_ttl_ticks = kTtlTicks;
-  const sim::RunResult expected =
-      sim::RunTrace(in_process.raw, trace, &in_process.pool.node(), options);
+  struct Case {
+    const char* name;
+    size_t value_bytes_max;
+    bool set_on_miss;
+  };
+  const Case cases[] = {
+      {"fixed value size", 0, true},
+      {"per-key value sizes", 200, true},
+      {"no miss re-insert", 0, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    sim::RequestPolicy policy;
+    policy.value_bytes = 64;
+    policy.value_bytes_max = c.value_bytes_max;
+    policy.set_on_miss = c.set_on_miss;
 
-  // Served side: fresh deployment, one reactor, one connection at depth 1
-  // (both sides then execute the trace in its original order).
-  Deployment served(TestPool(512), config, 1);
-  served.raw[0]->ResetForMeasurement();
-  const uint64_t nic_before = served.pool.node().nic().messages();
-  net::Server server(served.raw, net::ServerOptions{});
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
+    // In-process side.
+    Deployment in_process(TestPool(512), config, 1);
+    sim::RunOptions options;
+    static_cast<sim::RequestPolicy&>(options) = policy;
+    const uint64_t expected_bytes_before = in_process.pool.node().nic().bytes();
+    const sim::RunResult expected =
+        sim::RunTrace(in_process.raw, trace, &in_process.pool.node(), options);
+    const uint64_t expected_bytes = in_process.pool.node().nic().bytes() - expected_bytes_before;
 
-  net::LoadgenOptions lg;
-  lg.port = server.port();
-  lg.connections = 1;
-  lg.depth = 1;
-  lg.value_bytes = kValueBytes;
-  lg.expire_ttl_ticks = kTtlTicks;
-  const net::LoadgenResult r = net::RunLoadgen(trace, lg);
-  server.Stop();
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.errors, 0u);
-  EXPECT_EQ(r.shed, 0u);
-  EXPECT_EQ(r.ops, trace.size());
+    // Served side: fresh deployment, one reactor, one connection at depth 1
+    // (both sides then execute the trace in its original order).
+    Deployment served(TestPool(512), config, 1);
+    served.raw[0]->ResetForMeasurement();
+    const uint64_t nic_before = served.pool.node().nic().messages();
+    const uint64_t bytes_before = served.pool.node().nic().bytes();
+    net::Server server(served.raw, net::ServerOptions{});
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
 
-  // Wire-observed counts match the in-process result...
-  EXPECT_EQ(r.gets, expected.gets);
-  EXPECT_EQ(r.hits, expected.hits);
-  EXPECT_EQ(r.misses, expected.misses);
-  EXPECT_EQ(r.sets, expected.sets);
-  // The wire counts DEL round trips; the client counts successful deletions.
-  size_t trace_deletes = 0;
-  for (const workload::Request& req : trace) {
-    trace_deletes += req.op == workload::Op::kDelete ? 1 : 0;
+    net::LoadgenOptions lg;
+    static_cast<sim::RequestPolicy&>(lg) = policy;
+    lg.port = server.port();
+    lg.connections = 1;
+    lg.depth = 1;
+    const net::LoadgenResult r = net::RunLoadgen(trace, lg);
+    server.Stop();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.errors, 0u);
+    EXPECT_EQ(r.shed, 0u);
+    EXPECT_EQ(r.ops, trace.size());
+
+    // Wire-observed counts match the in-process result...
+    EXPECT_EQ(r.gets, expected.gets);
+    EXPECT_EQ(r.hits, expected.hits);
+    EXPECT_EQ(r.misses, expected.misses);
+    EXPECT_EQ(r.sets, expected.sets);
+    // The wire counts DEL round trips; the client counts successful deletions.
+    size_t trace_deletes = 0;
+    for (const workload::Request& req : trace) {
+      trace_deletes += req.op == workload::Op::kDelete ? 1 : 0;
+    }
+    EXPECT_EQ(r.deletes, trace_deletes);
+
+    // ...and so do the cache client's own counters and the NIC message count
+    // (the strongest equivalence: the server issued the identical verbs).
+    const sim::ClientCounters counters = served.raw[0]->counters();
+    EXPECT_EQ(counters.gets, expected.gets);
+    EXPECT_EQ(counters.hits, expected.hits);
+    EXPECT_EQ(counters.misses, expected.misses);
+    EXPECT_EQ(counters.sets, expected.sets);
+    EXPECT_EQ(counters.deletes, expected.deletes);
+    EXPECT_EQ(counters.evictions, expected.evictions);
+    EXPECT_EQ(counters.expired, expected.expired);
+    EXPECT_EQ(served.pool.node().nic().messages() - nic_before, expected.nic_messages);
+    // Equal wire bytes: every stored value had the size the policy gave it.
+    EXPECT_EQ(served.pool.node().nic().bytes() - bytes_before, expected_bytes);
   }
-  EXPECT_EQ(r.deletes, trace_deletes);
-
-  // ...and so do the cache client's own counters and the NIC message count
-  // (the strongest equivalence: the server issued the identical verbs).
-  const sim::ClientCounters counters = served.raw[0]->counters();
-  EXPECT_EQ(counters.gets, expected.gets);
-  EXPECT_EQ(counters.hits, expected.hits);
-  EXPECT_EQ(counters.misses, expected.misses);
-  EXPECT_EQ(counters.sets, expected.sets);
-  EXPECT_EQ(counters.deletes, expected.deletes);
-  EXPECT_EQ(counters.evictions, expected.evictions);
-  EXPECT_EQ(counters.expired, expected.expired);
-  EXPECT_EQ(served.pool.node().nic().messages() - nic_before, expected.nic_messages);
 }
 
 // More connections and reactors still serve every request exactly once
