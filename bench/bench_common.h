@@ -171,8 +171,8 @@ inline ShardedEngineDeployment MakeShardedEngine(const dm::PoolConfig& per_node_
                                                  const core::DittoConfig& config,
                                                  int num_shards) {
   ShardedEngineDeployment d;
-  // The pool's ring is unused here: RunTraceSharded's dispatcher routes
-  // requests with sim::ShardForKey(options.partition_seed). The pool's
+  // The pool's ring is unused here: RunTraceSharded assigns requests to
+  // shards with sim::ShardForKey(options.partition_seed). The pool's
   // always-armed fault state draws no randomness under the empty plan.
   core::ClusterConfig cluster_config;
   cluster_config.nodes = num_shards;

@@ -9,12 +9,8 @@ namespace ditto::sim {
 OracleTrajectory ReplayLruOracle(const workload::Trace& trace, size_t measure_begin,
                                  const std::vector<ResizeStep>& schedule,
                                  uint64_t initial_capacity, bool cold_restart) {
-  const std::vector<ResizeStep> steps = NormalizedResizeSchedule(schedule);
-  std::vector<size_t> thresholds;
-  thresholds.reserve(steps.size());
-  for (const ResizeStep& step : steps) {
-    thresholds.push_back(ResizeStepIndex(step.at_op_fraction, measure_begin, trace.size()));
-  }
+  const std::vector<ResizeStep> steps = NormalizedSchedule(schedule);
+  const std::vector<size_t> thresholds = StepIndices(steps, measure_begin, trace.size());
 
   OracleTrajectory out;
   out.gets.assign(steps.size() + 1, 0);
@@ -45,12 +41,8 @@ std::vector<RecoverySample> ReplayRecoveryOracle(const workload::Trace& trace,
                                                  size_t measure_begin,
                                                  const std::vector<LifecycleStep>& schedule,
                                                  uint64_t capacity, size_t window_ops) {
-  const std::vector<LifecycleStep> steps = NormalizedLifecycleSchedule(schedule);
-  std::vector<size_t> thresholds;
-  thresholds.reserve(steps.size());
-  for (const LifecycleStep& step : steps) {
-    thresholds.push_back(ResizeStepIndex(step.at_op_fraction, measure_begin, trace.size()));
-  }
+  const std::vector<size_t> thresholds =
+      StepIndices(NormalizedSchedule(schedule), measure_begin, trace.size());
 
   std::vector<RecoverySample> out;
   RecoverySample cur;

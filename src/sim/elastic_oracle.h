@@ -4,10 +4,9 @@
 // (PreciseCache::Resize — the best a warm cache can do) or COLD-RESTARTS at
 // every step (the monolithic-cluster behaviour, where a scale event rebuilds
 // the node set and the cache starts empty). Thresholds come from the
-// runner's own NormalizedResizeSchedule/ResizeStepIndex, so the oracle
-// crosses phases at the identical request indices as RunTrace /
-// RunTraceSharded — the bench columns and the tests' drop comparisons stay
-// aligned by construction.
+// runner's own NormalizedSchedule/StepIndices, so the oracle crosses phases
+// at the identical request indices as RunTrace / RunTraceSharded — the bench
+// columns and the tests' drop comparisons stay aligned by construction.
 #ifndef DITTO_SIM_ELASTIC_ORACLE_H_
 #define DITTO_SIM_ELASTIC_ORACLE_H_
 
@@ -46,7 +45,7 @@ OracleTrajectory ReplayLruOracle(const workload::Trace& trace, size_t measure_be
 // matching RunOptions::recovery_window_ops on a pure-Get trace, so the
 // bench's trajectory columns align window-for-window with
 // RunResult::recovery. Step indices come from the runner's own
-// NormalizedLifecycleSchedule/ResizeStepIndex.
+// NormalizedSchedule/StepIndices.
 std::vector<RecoverySample> ReplayRecoveryOracle(const workload::Trace& trace,
                                                  size_t measure_begin,
                                                  const std::vector<LifecycleStep>& schedule,

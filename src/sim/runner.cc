@@ -1,9 +1,10 @@
 #include "sim/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "common/hash.h"
@@ -12,51 +13,40 @@
 #include "dm/pool.h"
 #include "rdma/verbs.h"
 #include "sim/pipeline_window.h"
-#include "sim/spsc_queue.h"
 
 namespace ditto::sim {
 
 namespace {
 
 // Resize + lifecycle schedules resolved against the measured region
-// [begin, end): absolute trace-index thresholds (sorted ascending) plus the
-// aggregate capacity / lifecycle event each step applies.
+// [begin, end): the normalized steps plus their absolute trace-index
+// thresholds (sorted ascending).
 struct ResolvedSchedule {
+  std::vector<ResizeStep> resizes;
   std::vector<size_t> thresholds;
-  std::vector<uint64_t> capacities;
-  std::vector<size_t> lifecycle_thresholds;
   std::vector<LifecycleStep> lifecycle_steps;
+  std::vector<size_t> lifecycle_thresholds;
 
   size_t num_phases() const { return thresholds.size() + 1; }
-  // Phase of request index i: the number of thresholds at or below i.
-  size_t PhaseOf(size_t index) const {
-    size_t p = 0;
-    while (p < thresholds.size() && index >= thresholds[p]) {
-      ++p;
-    }
-    return p;
-  }
+  // Phase of request index i: the number of resize thresholds at or below i.
+  size_t PhaseOf(size_t index) const { return CountAtOrBelow(thresholds, index); }
   // Lifecycle steps due at or before request index i.
   size_t LifecycleCountAt(size_t index) const {
-    size_t p = 0;
-    while (p < lifecycle_thresholds.size() && index >= lifecycle_thresholds[p]) {
-      ++p;
-    }
-    return p;
+    return CountAtOrBelow(lifecycle_thresholds, index);
+  }
+
+  static size_t CountAtOrBelow(const std::vector<size_t>& sorted, size_t index) {
+    return static_cast<size_t>(std::upper_bound(sorted.begin(), sorted.end(), index) -
+                               sorted.begin());
   }
 };
 
 ResolvedSchedule ResolveSchedule(const RunOptions& options, size_t begin, size_t end) {
   ResolvedSchedule schedule;
-  for (const ResizeStep& step : NormalizedResizeSchedule(options.resize_schedule)) {
-    schedule.thresholds.push_back(ResizeStepIndex(step.at_op_fraction, begin, end));
-    schedule.capacities.push_back(step.capacity_objects);
-  }
-  for (const LifecycleStep& step :
-       NormalizedLifecycleSchedule(options.lifecycle_schedule)) {
-    schedule.lifecycle_thresholds.push_back(ResizeStepIndex(step.at_op_fraction, begin, end));
-    schedule.lifecycle_steps.push_back(step);
-  }
+  schedule.resizes = NormalizedSchedule(options.resize_schedule);
+  schedule.thresholds = StepIndices(schedule.resizes, begin, end);
+  schedule.lifecycle_steps = NormalizedSchedule(options.lifecycle_schedule);
+  schedule.lifecycle_thresholds = StepIndices(schedule.lifecycle_steps, begin, end);
   return schedule;
 }
 
@@ -248,7 +238,7 @@ class OpDispatcher {
     const size_t target = schedule_->PhaseOf(index);
     while (phase_ < target) {
       Flush();  // close the fused run before the capacity changes
-      const uint64_t total = schedule_->capacities[phase_];
+      const uint64_t total = schedule_->resizes[phase_].capacity_objects;
       client_->ResizeCapacity(split_capacity_ ? dm::CapacityShare(total, owner_, num_owners_)
                                               : total);
       phase_++;
@@ -306,7 +296,7 @@ void FinalizePhases(const ResolvedSchedule& schedule, std::vector<PhaseResult>* 
   phases->resize(schedule.num_phases());
   for (size_t p = 0; p < phases->size(); ++p) {
     PhaseResult& phase = (*phases)[p];
-    phase.capacity_objects = p == 0 ? 0 : schedule.capacities[p - 1];
+    phase.capacity_objects = p == 0 ? 0 : schedule.resizes[p - 1].capacity_objects;
     phase.hit_rate = phase.gets == 0
                          ? 0.0
                          : static_cast<double>(phase.hits) / static_cast<double>(phase.gets);
@@ -488,121 +478,45 @@ void FillWall(RunResult* result, std::chrono::steady_clock::time_point begin, in
   result->ops_per_core_mops = result->wall_mops / static_cast<double>(result->threads);
 }
 
-// One phase (warmup or measurement) of the concurrent sharded engine: a
-// dispatcher (the calling thread) routes trace[begin, end) to per-shard SPSC
-// queues by seeded key hash; worker t drains the queues of shards t, t+T,
-// t+2T, ... Each shard's requests execute in trace order on its dedicated
-// worker, so per-shard behaviour cannot depend on the thread count.
-void ReplaySharded(const std::vector<CacheClient*>& shards, const workload::Trace& trace,
-                   size_t begin, size_t end, const RunOptions& options,
-                   const ResolvedSchedule* schedule, std::vector<PhaseResult>* phases_out) {
-  const size_t num_shards = shards.size();
-  const int num_workers =
-      std::max(1, std::min<int>(options.threads, static_cast<int>(num_shards)));
-  const std::string value(options.MaxValueBytes(), 'v');
-
-  std::vector<std::unique_ptr<SpscQueue<uint32_t>>> queues;
-  queues.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    queues.push_back(std::make_unique<SpscQueue<uint32_t>>(1024));
-  }
-  std::atomic<bool> dispatch_done{false};
-
-  // One fusion/phase accumulator per shard: fusion, resize, and phase state
-  // follow the shard's private stream, never the worker's drain schedule, so
-  // the replay (and the phase trajectory merged below) is identical for any
-  // thread count. Shard s is touched only by worker s % num_workers, so the
-  // shared vector needs no locking; each shard applies its even share of the
-  // schedule's aggregate capacity (the shards are independent caches).
-  std::vector<std::unique_ptr<OpDispatcher>> dispatch(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    dispatch[s] = std::make_unique<OpDispatcher>(shards[s], trace, options, value, schedule,
-                                                 s, num_shards, /*split_capacity=*/true);
-  }
-
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
-  for (int t = 0; t < num_workers; ++t) {
-    workers.emplace_back([&, t] {
-      constexpr int kDrainBurst = 64;
-      while (true) {
-        bool made_progress = false;
-        for (size_t s = static_cast<size_t>(t); s < num_shards;
-             s += static_cast<size_t>(num_workers)) {
-          uint32_t idx;
-          for (int n = 0; n < kDrainBurst && queues[s]->TryPop(&idx); ++n) {
-            dispatch[s]->Dispatch(idx);
-            made_progress = true;
-          }
-        }
-        if (made_progress) {
-          continue;
-        }
-        if (dispatch_done.load(std::memory_order_acquire)) {
-          bool drained = true;
-          for (size_t s = static_cast<size_t>(t); s < num_shards;
-               s += static_cast<size_t>(num_workers)) {
-            drained = drained && queues[s]->Empty();
-          }
-          if (drained) {
-            for (size_t s = static_cast<size_t>(t); s < num_shards;
-                 s += static_cast<size_t>(num_workers)) {
-              dispatch[s]->Flush();
-            }
-            return;
-          }
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-
-  for (size_t i = begin; i < end; ++i) {
-    const uint32_t s = ShardForKey(trace[i].key, num_shards, options.partition_seed);
-    while (!queues[s]->TryPush(static_cast<uint32_t>(i))) {
-      std::this_thread::yield();
-    }
-  }
-  dispatch_done.store(true, std::memory_order_release);
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  for (const auto& d : dispatch) {
-    MergePhases(d->phases(), phases_out);
-  }
-}
-
-// One phase (warmup or measurement) of the contended engine: client c replays
-// the strided sub-stream begin+c, begin+c+n, ... on its own host thread. No
-// key partitioning — threads race on whatever slots their requests share, so
-// CAS conflicts, duplicate-insert resolution, and eviction/victim races all
-// run their real concurrent paths. Dispatcher state stays thread-private; only
-// the pool (arena, freelists, superblock) is shared.
-void ReplayContended(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
+// One phase (warmup or measurement) of the threaded engines. clients[o] is
+// owner o; request i of [begin, end) belongs to owner_of(i), and owner o is
+// driven by host thread o % threads. Every thread walks the whole range and
+// dispatches its owners' requests, so each owner sees its requests in trace
+// order on one thread whatever the thread count, and its fusion, resize and
+// phase state stays thread-private. With split_capacity each owner applies
+// its CapacityShare of a resize step (the sharded engine's private caches);
+// otherwise every owner applies the aggregate (idempotent on a shared pool).
+template <typename OwnerOf>
+void ReplayOnThreads(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                      size_t begin, size_t end, const RunOptions& options,
-                     const ResolvedSchedule* schedule, std::vector<PhaseResult>* phases_out) {
+                     const ResolvedSchedule* schedule, std::vector<PhaseResult>* phases_out,
+                     size_t threads, bool split_capacity, OwnerOf owner_of) {
   const size_t n = clients.size();
   const std::string value(options.MaxValueBytes(), 'v');
+  // One heap object per owner, so owners driven by different threads do not
+  // share cache lines.
   std::vector<std::unique_ptr<OpDispatcher>> dispatch(n);
-  for (size_t c = 0; c < n; ++c) {
-    // Contended clients share one deployment, so each applies the schedule's
-    // aggregate capacity (idempotent on the shared superblock).
-    dispatch[c] = std::make_unique<OpDispatcher>(clients[c], trace, options, value, schedule,
-                                                 c, n, /*split_capacity=*/false);
+  for (size_t o = 0; o < n; ++o) {
+    dispatch[o] = std::make_unique<OpDispatcher>(clients[o], trace, options, value, schedule, o,
+                                                 n, split_capacity);
   }
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t c = 0; c < n; ++c) {
-    threads.emplace_back([&, c] {
-      for (size_t i = begin + c; i < end; i += n) {
-        dispatch[c]->Dispatch(static_cast<uint32_t>(i));
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (size_t i = begin; i < end; ++i) {
+        const size_t o = owner_of(i);
+        if (o % threads == t) {
+          dispatch[o]->Dispatch(static_cast<uint32_t>(i));
+        }
       }
-      dispatch[c]->Flush();
+      for (size_t o = t; o < n; o += threads) {
+        dispatch[o]->Flush();
+      }
     });
   }
-  for (std::thread& thread : threads) {
-    thread.join();
+  for (std::thread& worker : workers) {
+    worker.join();
   }
   for (const auto& d : dispatch) {
     MergePhases(d->phases(), phases_out);
@@ -652,30 +566,8 @@ RunResult Measure(const std::vector<CacheClient*>& clients, const workload::Trac
 
 }  // namespace
 
-std::vector<ResizeStep> NormalizedResizeSchedule(std::vector<ResizeStep> schedule) {
-  std::stable_sort(schedule.begin(), schedule.end(),
-                   [](const ResizeStep& a, const ResizeStep& b) {
-                     return a.at_op_fraction < b.at_op_fraction;
-                   });
-  for (ResizeStep& step : schedule) {
-    step.at_op_fraction = std::min(std::max(step.at_op_fraction, 0.0), 1.0);
-  }
-  return schedule;
-}
-
 size_t ResizeStepIndex(double at_op_fraction, size_t begin, size_t end) {
   return begin + static_cast<size_t>(at_op_fraction * static_cast<double>(end - begin));
-}
-
-std::vector<LifecycleStep> NormalizedLifecycleSchedule(std::vector<LifecycleStep> schedule) {
-  std::stable_sort(schedule.begin(), schedule.end(),
-                   [](const LifecycleStep& a, const LifecycleStep& b) {
-                     return a.at_op_fraction < b.at_op_fraction;
-                   });
-  for (LifecycleStep& step : schedule) {
-    step.at_op_fraction = std::min(std::max(step.at_op_fraction, 0.0), 1.0);
-  }
-  return schedule;
 }
 
 uint32_t ShardForKey(uint64_t key, size_t num_shards, uint64_t seed) {
@@ -709,11 +601,18 @@ RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Tra
 RunResult RunTraceSharded(const std::vector<CacheClient*>& shards, const workload::Trace& trace,
                           const std::vector<rdma::RemoteNode*>& nodes,
                           const RunOptions& options) {
-  return Measure(shards, trace, nodes, options,
-                 std::max(1, std::min<int>(options.threads, static_cast<int>(shards.size()))),
+  if (shards.empty()) {
+    throw std::invalid_argument("RunTraceSharded: at least one shard is required");
+  }
+  const size_t threads = std::min<size_t>(std::max(options.threads, 1), shards.size());
+  return Measure(shards, trace, nodes, options, static_cast<int>(threads),
                  [&](size_t begin, size_t end, const ResolvedSchedule* schedule,
                      std::vector<PhaseResult>* phases) {
-                   ReplaySharded(shards, trace, begin, end, options, schedule, phases);
+                   ReplayOnThreads(shards, trace, begin, end, options, schedule, phases, threads,
+                                   /*split_capacity=*/true, [&](size_t i) -> size_t {
+                                     return ShardForKey(trace[i].key, shards.size(),
+                                                        options.partition_seed);
+                                   });
                  });
 }
 
@@ -722,11 +621,13 @@ RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
                             const std::vector<rdma::RemoteNode*>& nodes,
                             const RunOptions& options,
                             std::vector<RunResult>* per_client) {
+  const size_t n = clients.size();
   return Measure(
-      clients, trace, nodes, options, static_cast<int>(clients.size()),
+      clients, trace, nodes, options, static_cast<int>(n),
       [&](size_t begin, size_t end, const ResolvedSchedule* schedule,
           std::vector<PhaseResult>* phases) {
-        ReplayContended(clients, trace, begin, end, options, schedule, phases);
+        ReplayOnThreads(clients, trace, begin, end, options, schedule, phases, n,
+                        /*split_capacity=*/false, [&](size_t i) { return (i - begin) % n; });
       },
       per_client);
 }

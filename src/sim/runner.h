@@ -12,6 +12,7 @@
 #ifndef DITTO_SIM_RUNNER_H_
 #define DITTO_SIM_RUNNER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -172,28 +173,45 @@ RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Tra
 RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                    const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options);
 
-// Normal form of a resize schedule as both replay engines apply it: steps
-// stably sorted by at_op_fraction with fractions clamped to [0, 1]. Oracle
-// replays (sim/elastic_oracle.h) use the same normal form so every consumer
-// crosses phases at identical request indices.
-std::vector<ResizeStep> NormalizedResizeSchedule(std::vector<ResizeStep> schedule);
-
-// Normal form of a lifecycle schedule (same sort/clamp rules, so lifecycle
-// and resize steps fire at indices computed identically).
-std::vector<LifecycleStep> NormalizedLifecycleSchedule(std::vector<LifecycleStep> schedule);
+// Normal form of a resize or lifecycle schedule as every replay engine
+// applies it: steps stably sorted by at_op_fraction with fractions clamped to
+// [0, 1]. Oracle replays (sim/elastic_oracle.h) use the same normal form so
+// every consumer crosses steps at identical request indices.
+template <typename Step>
+std::vector<Step> NormalizedSchedule(std::vector<Step> schedule) {
+  std::stable_sort(schedule.begin(), schedule.end(), [](const Step& a, const Step& b) {
+    return a.at_op_fraction < b.at_op_fraction;
+  });
+  for (Step& step : schedule) {
+    step.at_op_fraction = std::min(std::max(step.at_op_fraction, 0.0), 1.0);
+  }
+  return schedule;
+}
 
 // Absolute trace index at which a (normalized) step fires over the measured
 // region [begin, end).
 size_t ResizeStepIndex(double at_op_fraction, size_t begin, size_t end);
+
+// The firing index of every step of a normalized schedule (ascending).
+template <typename Step>
+std::vector<size_t> StepIndices(const std::vector<Step>& steps, size_t begin, size_t end) {
+  std::vector<size_t> indices;
+  indices.reserve(steps.size());
+  for (const Step& step : steps) {
+    indices.push_back(ResizeStepIndex(step.at_op_fraction, begin, end));
+  }
+  return indices;
+}
 
 // Deterministic seeded key -> shard partition of the concurrent engine.
 uint32_t ShardForKey(uint64_t key, size_t num_shards, uint64_t seed);
 
 // Concurrent sharded replay on real host threads. shards[s] owns key
 // partition s (ShardForKey with options.partition_seed) with shard-private
-// cache state; requests are routed by key through per-shard lock-free SPSC
-// queues fed by a single dispatcher, and options.threads workers each drive
-// a static subset of the shards (shard s -> worker s % threads).
+// cache state, and min(options.threads, shards.size()) host threads each
+// drive a static subset of the shards (shard s -> thread s % threads),
+// feeding every shard its requests in trace order. Throws
+// std::invalid_argument when `shards` is empty.
 //
 // Because every shard's request stream and cache state are thread-private,
 // the per-shard access order — and therefore hits/misses/evictions — is

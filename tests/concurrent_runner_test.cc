@@ -1,9 +1,10 @@
-// Tests of the concurrent sharded simulation engine: the SPSC request
-// queue, thread-count-independent determinism of RunTraceSharded, and a
-// ThreadSanitizer-friendly stress of ClusterClient on a shared pool.
+// Tests of the concurrent sharded simulation engine: thread-count-independent
+// determinism of RunTraceSharded, its result pinned to recorded constants,
+// and a ThreadSanitizer-friendly stress of ClusterClient on a shared pool.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,48 +13,10 @@
 #include "core/cluster.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
-#include "sim/spsc_queue.h"
 #include "workloads/ycsb.h"
 
 namespace ditto {
 namespace {
-
-TEST(SpscQueueTest, DeliversAllItemsInOrderAcrossThreads) {
-  constexpr uint32_t kItems = 200000;
-  sim::SpscQueue<uint32_t> queue(256);
-  std::thread producer([&queue] {
-    for (uint32_t i = 0; i < kItems; ++i) {
-      while (!queue.TryPush(i)) {
-        std::this_thread::yield();
-      }
-    }
-  });
-  uint32_t expected = 0;
-  while (expected < kItems) {
-    uint32_t got;
-    if (queue.TryPop(&got)) {
-      ASSERT_EQ(got, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(queue.Empty());
-}
-
-TEST(SpscQueueTest, PushFailsWhenFullPopFailsWhenEmpty) {
-  sim::SpscQueue<int> queue(4);
-  int out;
-  EXPECT_FALSE(queue.TryPop(&out));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(queue.TryPush(i));
-  }
-  EXPECT_FALSE(queue.TryPush(99));
-  EXPECT_TRUE(queue.TryPop(&out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(queue.TryPush(4));
-}
 
 // A sharded Ditto deployment: one memory node, server, context, and client
 // per shard, so every shard's cache state is thread-private.
@@ -131,6 +94,59 @@ TEST(ConcurrentRunnerTest, BatchingDoesNotChangeCacheBehaviour) {
   EXPECT_EQ(batched.sets, plain.sets);
   EXPECT_LE(batched.nic_messages, plain.nic_messages);
   EXPECT_LT(batched.nic_doorbells, plain.nic_doorbells);
+}
+
+// Pins the absolute result of one sharded run that exercises every
+// per-shard path (split capacity across a two-step resize schedule, fused
+// multi-get runs, deletes, doorbell batching, warmup, miss penalty) to
+// recorded constants: thread-count invariance alone cannot catch a change
+// that shifts every thread count's result the same way.
+TEST(ConcurrentRunnerTest, MatchesRecordedResult) {
+  const workload::Trace trace = MakeTrace();
+  bench::ShardedEngineDeployment d = MakeDeployment(/*num_shards=*/8);
+  sim::RunOptions options;
+  options.threads = 2;
+  options.partition_seed = 42;
+  options.batch_ops = 32;
+  options.warmup_fraction = 0.2;
+  options.miss_penalty_us = 50.0;
+  options.resize_schedule = {{0.4, 800}, {0.7, 2400}};
+  options.op_mix.multiget_fraction = 0.2;
+  options.op_mix.delete_fraction = 0.05;
+  const sim::RunResult r = sim::RunTraceSharded(d.raw, trace, d.nodes, options);
+
+  EXPECT_EQ(r.ops, 24000u);
+  EXPECT_EQ(r.gets, 11423u);
+  EXPECT_EQ(r.hits, 10635u);
+  EXPECT_EQ(r.misses, 788u);
+  EXPECT_EQ(r.sets, 12771u);
+  EXPECT_EQ(r.deletes, 561u);
+  EXPECT_EQ(r.evictions, 830u);
+  EXPECT_EQ(r.nic_messages, 134264u);
+  EXPECT_EQ(r.nic_doorbells, 118665u);
+  EXPECT_EQ(r.rpc_ops, 24u);
+  EXPECT_DOUBLE_EQ(r.hit_rate, 0.93101637048060926);
+  EXPECT_DOUBLE_EQ(r.elapsed_s, 0.035729234999999998);
+  EXPECT_DOUBLE_EQ(r.p50_us, 6.7317038241449829);
+  EXPECT_DOUBLE_EQ(r.p99_us, 153.99265260594919);
+  EXPECT_DOUBLE_EQ(r.throughput_mops, 0.6717188319313302);
+
+  ASSERT_EQ(r.phases.size(), 3u);
+  const uint64_t capacities[] = {0, 800, 2400};
+  const uint64_t ops[] = {9600, 7200, 7200};
+  const double hit_rates[] = {0.95249615130855514, 0.89882352941176469, 0.93440736478711162};
+  for (size_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(r.phases[p].capacity_objects, capacities[p]) << "phase " << p;
+    EXPECT_EQ(r.phases[p].ops, ops[p]) << "phase " << p;
+    EXPECT_DOUBLE_EQ(r.phases[p].hit_rate, hit_rates[p]) << "phase " << p;
+  }
+}
+
+TEST(ConcurrentRunnerTest, EmptyShardListThrows) {
+  const workload::Trace trace = MakeTrace();
+  sim::RunOptions options;
+  options.threads = 2;
+  EXPECT_THROW(sim::RunTraceSharded({}, trace, {}, options), std::invalid_argument);
 }
 
 TEST(ConcurrentRunnerTest, ShardForKeyIsSeededAndBalanced) {

@@ -382,7 +382,7 @@ TEST_F(PipelineReplayTest, BaselineClientsDegradeToDepth1IncludingMissPenalty) {
 }
 
 TEST_F(PipelineReplayTest, ShardedEngineDepthInvariantAcrossThreadCounts) {
-  // The pipelined issue loop lives in the per-shard dispatcher, so the
+  // The pipelined issue loop lives in the per-shard OpDispatcher, so the
   // sharded engine's thread-count invariance must survive pipelining.
   const workload::Trace trace = TestTrace('B', 30000);
   auto run_sharded = [&](int threads) {
