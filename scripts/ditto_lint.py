@@ -57,6 +57,8 @@ REQUIRED_HOT_PATHS = {
     "pipeline-window": "src/sim/pipeline_window.h",
     "conn-issue": "src/net/connection.cc",
     "request-policy": "src/sim/request_policy.h",
+    "verb-post": "src/rdma/verbs.cc",
+    "fc-record": "src/core/fc_cache.cc",
 }
 
 # relative file -> exact number of reinterpret_cast tokens allowed.

@@ -266,6 +266,25 @@ class RealRepoTest(unittest.TestCase):
         errors = ditto_lint.run(REPO_ROOT)
         self.assertEqual(errors, [], "\n".join(errors))
 
+    def test_per_verb_and_per_access_paths_sit_in_their_regions(self):
+        # Every simulated verb and every FC-cache access runs these
+        # functions; moving one out of its region would drop it from the
+        # no-allocation check.
+        expected = {
+            "verb-post": ["Verbs::PostSignalled(", "Verbs::ChargeAsync(",
+                          "Verbs::EnqueueBatched(", "Verbs::FlushBatch("],
+            "fc-record": ["FcCache::RecordAccess(", "FcCache::FlushEntry(",
+                          "FcCache::FlushAged(", "FcCache::EvictOldest("],
+        }
+        for name, functions in expected.items():
+            with self.subTest(region=name):
+                text = (REPO_ROOT / ditto_lint.REQUIRED_HOT_PATHS[name]).read_text()
+                begin = text.index(f"ditto-lint: hot-path-begin({name})")
+                end = text.index(f"ditto-lint: hot-path-end({name})")
+                for fn in functions:
+                    at = text.find(fn)
+                    self.assertTrue(begin < at < end, f"{fn} is outside region {name}")
+
     def test_pinned_cast_budget_is_seven(self):
         # The whole point of the pin: growing it is a reviewed decision.
         self.assertEqual(sum(ditto_lint.ALLOWED_REINTERPRET_CASTS.values()), 7)

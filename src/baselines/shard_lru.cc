@@ -62,8 +62,7 @@ void ShardLruClient::WithShardLock(uint64_t hash, const std::function<void()>& b
     const auto retries = static_cast<uint64_t>(
         static_cast<double>(queue_ns) / 1000.0 / retry_period_us);
     for (uint64_t r = 0; r < retries; ++r) {
-      pool_->node().nic().ChargeMessage(ctx_->now_ns(), cost.atomic_msg_cost);
-      ctx_->atomics++;
+      verbs_.ChargeLostAtomic();
       lock_retries_++;
     }
     ctx_->clock().AdvanceNs(queue_ns);

@@ -44,8 +44,10 @@ DittoClient::DittoClient(dm::MemoryPool* pool, rdma::ClientContext* ctx,
   acfg.lazy = config_.enable_lazy_weights;
   adaptive_ = std::make_unique<AdaptiveState>(acfg, &verbs_);
 
-  fc_ = std::make_unique<FcCache>(&table_, config_.fc_threshold, config_.fc_capacity_bytes,
-                                  config_.enable_fc_cache, config_.fc_max_age_accesses);
+  fc_ = std::make_unique<FcCache>(
+      [this](uint64_t slot_addr, uint64_t delta) { table_.AddFreqAsync(slot_addr, delta); },
+      config_.fc_threshold, config_.fc_capacity_bytes, config_.enable_fc_cache,
+      config_.fc_max_age_accesses);
 }
 
 DittoClient::SuperblockView DittoClient::DecodeSuperblock(const uint64_t raw[4]) {

@@ -40,9 +40,12 @@ struct DittoConfig {
   int num_samples = 5;            // sampled objects per eviction (Redis default)
   int fc_threshold = 10;          // FC-cache flush threshold t
   size_t fc_capacity_bytes = 10 << 20;
-  // Staleness bound on buffered frequency deltas, in client accesses. Scales
-  // with run length: 64 suits the scaled-down experiment sizes in this repo;
-  // the paper's 10M+-request runs tolerate (and amortize) far larger lags.
+  // Intended staleness bound on buffered frequency deltas, counted in FC-cache
+  // inserts. Scales with run length: 64 suits the scaled-down experiment
+  // sizes in this repo; the paper's 10M+-request runs tolerate (and amortize)
+  // far larger lags. It does not hold as a bound: a hot key's stale FIFO
+  // record stalls the age flush (FcCache, ROADMAP.md "Known deviations"), so
+  // entries can stay buffered far past 64 inserts.
   uint64_t fc_max_age_accesses = 64;
   double learning_rate = 0.1;     // lambda of regret minimization
   double discount_base = 0.005;   // d = base^(1/N)

@@ -1,18 +1,8 @@
 #include "hashtable/hash_table.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace ditto::ht {
-
-SlotView HashTable::DecodeSlot(const uint8_t* raw) {
-  // SlotView mirrors the wire layout exactly (asserted in layout.h), so one
-  // 40-byte copy decodes the whole slot — the per-field memcpys this
-  // replaces were ~5x the work on the bucket-scan hot path.
-  SlotView view;
-  std::memcpy(&view, raw, kSlotBytes);
-  return view;
-}
 
 bool HashTable::ReadBucket(uint64_t bucket, std::vector<SlotView>* out) {
   const uint64_t wr = PostReadBucket(bucket, out);
@@ -28,14 +18,11 @@ uint64_t HashTable::PostReadBucket(uint64_t bucket, std::vector<SlotView>* out) 
     out->clear();
     return 0;
   }
-  const int count = slots_per_bucket_;
-  const size_t bytes = static_cast<size_t>(count) * kSlotBytes;
-  scratch_.resize(bytes);
-  const uint64_t wr =
-      verbs_->PostRead(SlotAddr(bucket * slots_per_bucket_), scratch_.data(), bytes);
-  out->resize(count);
-  std::memcpy(out->data(), scratch_.data(), bytes);  // layout match: one bulk decode
-  return wr;
+  // SlotView mirrors the wire layout (asserted in layout.h), so the bucket
+  // READ lands straight in the caller's vector: no scratch copy, no decode.
+  out->resize(slots_per_bucket_);
+  return verbs_->PostRead(SlotAddr(bucket * slots_per_bucket_), out->data(),
+                          out->size() * kSlotBytes);
 }
 
 bool HashTable::ReadSlots(uint64_t start_slot, int count, std::vector<SlotView>* out,
@@ -50,18 +37,15 @@ bool HashTable::ReadSlots(uint64_t start_slot, int count, std::vector<SlotView>*
   if (actual_start != nullptr) {
     *actual_start = start_slot;
   }
-  const size_t bytes = static_cast<size_t>(count) * kSlotBytes;
-  scratch_.resize(bytes);
-  verbs_->Read(SlotAddr(start_slot), scratch_.data(), bytes);
   out->resize(count);
-  std::memcpy(out->data(), scratch_.data(), bytes);  // layout match: one bulk decode
+  verbs_->Read(SlotAddr(start_slot), out->data(), out->size() * kSlotBytes);
   return true;
 }
 
 SlotView HashTable::ReadSlot(uint64_t slot_addr) {
-  uint8_t raw[kSlotBytes];
-  verbs_->Read(slot_addr, raw, kSlotBytes);
-  return DecodeSlot(raw);
+  SlotView view;
+  verbs_->Read(slot_addr, &view, kSlotBytes);
+  return view;
 }
 
 bool HashTable::CasAtomic(uint64_t slot_addr, uint64_t expected, uint64_t desired) {

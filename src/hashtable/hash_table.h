@@ -81,14 +81,11 @@ class HashTable {
   void WriteExpertBmapAsync(uint64_t slot_addr, uint64_t bmap);
 
  private:
-  static SlotView DecodeSlot(const uint8_t* raw);
-
   dm::MemoryPool* pool_;
   rdma::Verbs* verbs_;
   uint64_t table_addr_;
   size_t num_buckets_;
   int slots_per_bucket_;
-  std::vector<uint8_t> scratch_;
 };
 
 }  // namespace ditto::ht

@@ -64,10 +64,10 @@ struct SlotView {
   uint64_t expert_bmap() const { return insert_ts; }
 };
 
-// SlotView mirrors the wire layout field-for-field, so a whole slot (or a
-// whole bucket) decodes with one memcpy from the READ scratch buffer.
+// SlotView mirrors the wire layout field-for-field, so a READ of a whole
+// slot (or a whole bucket) lands directly in SlotView storage.
 static_assert(std::is_trivially_copyable_v<SlotView>,
-              "SlotView is memcpy'd off the wire; it must stay trivially copyable");
+              "SlotView is READ off the wire; it must stay trivially copyable");
 static_assert(sizeof(SlotView) == kSlotBytes, "SlotView must match the wire slot size");
 static_assert(offsetof(SlotView, atomic_word) == kAtomicOff &&
                   offsetof(SlotView, hash) == kHashOff &&

@@ -26,22 +26,6 @@ void Verbs::AdvanceBaseToNs(uint64_t ns) {
   }
 }
 
-uint64_t Verbs::PostSignalled(double rtt_us, double msg_cost, size_t bytes) {
-  const CostModel& cost = node_->cost();
-  node_->nic().ChargeBytes(bytes);
-  node_->nic().CountDoorbell();
-  const uint64_t now = base_now_ns();
-  const uint64_t queue_ns = node_->nic().ChargeMessage(now, msg_cost);
-  uint64_t complete_ns = now;
-  if (cost.enabled) {
-    const double wire_us = static_cast<double>(bytes) / cost.bytes_per_us;
-    complete_ns += queue_ns + static_cast<uint64_t>((rtt_us + wire_us) * 1000.0);
-  }
-  const uint64_t wr = next_wr_++;
-  cq_.push_back(Completion{wr, complete_ns});
-  return wr;
-}
-
 double Verbs::FaultDraw() {
   const FaultPlan& plan = node_->fault().plan();
   const uint64_t mix =
@@ -133,22 +117,35 @@ uint64_t Verbs::EndOp() {
   return op_cursor_;
 }
 
+// ditto-lint: hot-path-begin(verb-post)
+// Per-verb NIC accounting: counters go to this QP's tally, and the queue's
+// work counter is the one node-shared write per message.
+uint64_t Verbs::PostSignalled(double rtt_us, double msg_cost, size_t bytes) {
+  const CostModel& cost = node_->cost();
+  tally_->AddBytes(bytes);
+  tally_->AddDoorbell();
+  const uint64_t now = base_now_ns();
+  const uint64_t queue_ns = node_->nic().ChargeMessage(tally_, now, msg_cost);
+  uint64_t complete_ns = now;
+  if (cost.enabled) {
+    const double wire_us = static_cast<double>(bytes) / cost.bytes_per_us;
+    complete_ns += queue_ns + static_cast<uint64_t>((rtt_us + wire_us) * 1000.0);
+  }
+  const uint64_t wr = next_wr_++;
+  // ditto-lint: allow(alloc): erases keep capacity; grows to the deepest window
+  cq_.push_back(Completion{wr, complete_ns});
+  return wr;
+}
+
 void Verbs::ChargeAsync(double msg_cost, size_t bytes) {
   const CostModel& cost = node_->cost();
-  node_->nic().ChargeBytes(bytes);
-  node_->nic().CountDoorbell();
-  node_->nic().ChargeMessage(base_now_ns(), msg_cost);
+  tally_->AddBytes(bytes);
+  tally_->AddDoorbell();
+  node_->nic().ChargeMessage(tally_, base_now_ns(), msg_cost);
   if (!cost.enabled) {
     return;
   }
   AdvanceBaseNs(static_cast<uint64_t>(cost.async_post_us * 1000.0));
-}
-
-void Verbs::SetBatchOps(size_t max_pending) {
-  // Reconfiguring the chain always drains it, so callers can use this at a
-  // measurement boundary to keep deferred costs out of the next window.
-  FlushBatch();
-  batch_max_ = max_pending;
 }
 
 void Verbs::EnqueueBatched(uint8_t kind, uint64_t addr, uint32_t bytes) {
@@ -164,6 +161,7 @@ void Verbs::EnqueueBatched(uint8_t kind, uint64_t addr, uint32_t bytes) {
       return;
     }
   }
+  // ditto-lint: allow(alloc): clear() keeps capacity; grows to batch_max_
   pending_.push_back(PendingOp{kind, addr, bytes});
   if (batch_posts_ >= batch_max_) {
     FlushBatch();
@@ -176,11 +174,11 @@ void Verbs::FlushBatch() {
     return;
   }
   const CostModel& cost = node_->cost();
-  node_->nic().CountDoorbell();
+  tally_->AddDoorbell();
   for (const PendingOp& op : pending_) {
     const double msg_cost = op.kind == 0 ? 1.0 : cost.atomic_msg_cost;
-    node_->nic().ChargeBytes(op.bytes);
-    node_->nic().ChargeMessage(base_now_ns(), msg_cost);
+    tally_->AddBytes(op.bytes);
+    node_->nic().ChargeMessage(tally_, base_now_ns(), msg_cost);
   }
   if (cost.enabled) {
     AdvanceBaseNs(static_cast<uint64_t>(
@@ -188,6 +186,14 @@ void Verbs::FlushBatch() {
         1000.0));
   }
   pending_.clear();
+}
+// ditto-lint: hot-path-end(verb-post)
+
+void Verbs::SetBatchOps(size_t max_pending) {
+  // Reconfiguring the chain always drains it, so callers can use this at a
+  // measurement boundary to keep deferred costs out of the next window.
+  FlushBatch();
+  batch_max_ = max_pending;
 }
 
 void Verbs::Read(uint64_t addr, void* dst, size_t len) {
@@ -305,11 +311,11 @@ void Verbs::Rpc(uint32_t handler_id, std::string_view request, std::string* resp
   }
   ctx_->rpcs++;
   // Request and response messages; one doorbell for the send WQE.
-  node_->nic().CountDoorbell();
-  node_->nic().ChargeBytes(request.size());
+  tally_->AddDoorbell();
+  tally_->AddBytes(request.size());
   const uint64_t now = base_now_ns();
-  const uint64_t nic_queue_ns = node_->nic().ChargeMessage(now, 1.0);
-  node_->nic().ChargeMessage(now, 1.0);
+  const uint64_t nic_queue_ns = node_->nic().ChargeMessage(tally_, now, 1.0);
+  node_->nic().ChargeMessage(tally_, now, 1.0);
   const uint64_t cpu_queue_ns = node_->cpu().ChargeRpc(now, service_us);
   node_->DispatchRpc(handler_id, request, response);
   if (cost.enabled) {
@@ -318,6 +324,11 @@ void Verbs::Rpc(uint32_t handler_id, std::string_view request, std::string* resp
     AdvanceBaseNs(nic_queue_ns + cpu_queue_ns +
                   static_cast<uint64_t>((cost.read_rtt_us + service_us + wire_us) * 1000.0));
   }
+}
+
+void Verbs::ChargeLostAtomic() {
+  ctx_->atomics++;
+  node_->nic().ChargeMessage(tally_, base_now_ns(), node_->cost().atomic_msg_cost);
 }
 
 std::string Verbs::Rpc(uint32_t handler_id, std::string_view request, double service_us) {

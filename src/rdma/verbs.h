@@ -38,7 +38,13 @@ struct Completion {
 
 class Verbs {
  public:
-  Verbs(RemoteNode* node, ClientContext* ctx) : node_(node), ctx_(ctx) {}
+  // Takes one of the node's NIC tally blocks for this QP's counters; the
+  // node must outlive the Verbs.
+  Verbs(RemoteNode* node, ClientContext* ctx)
+      : node_(node), ctx_(ctx), tally_(node->nic().AcquireTally()) {}
+  ~Verbs() { node_->nic().ReleaseTally(tally_); }
+  Verbs(const Verbs&) = delete;
+  Verbs& operator=(const Verbs&) = delete;
 
   RemoteNode& node() { return *node_; }
   ClientContext& ctx() { return *ctx_; }
@@ -129,6 +135,12 @@ class Verbs {
            double service_us = -1.0);
   std::string Rpc(uint32_t handler_id, std::string_view request, double service_us = -1.0);
 
+  // Charges the NIC message rate of one atomic the caller models without
+  // posting it (a lock-acquire CAS retry that loses): one message on this
+  // QP's tally, counted as an atomic on the context. No doorbell, bytes,
+  // memory effect, completion or client time; the caller charges the wait.
+  void ChargeLostAtomic();
+
   // Charges a client-local think/backoff time (e.g. 5us lock backoff or the
   // 500us miss penalty) without touching the network.
   void Sleep(double us) { AdvanceBaseNs(static_cast<uint64_t>(us * 1000.0)); }
@@ -178,6 +190,7 @@ class Verbs {
 
   RemoteNode* node_;
   ClientContext* ctx_;
+  NicTally* tally_;  // this QP's NIC counters; written only by this QP
   size_t batch_max_ = 0;    // 0 = batching disabled
   uint64_t batch_posts_ = 0;  // raw WQEs in the current chain (pre-merge)
   std::vector<PendingOp> pending_;

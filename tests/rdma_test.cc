@@ -122,8 +122,9 @@ TEST(NicModelTest, ThroughputCapsAtMessageRate) {
   CostModel cost;
   cost.nic_mops = 10.0;  // 100ns per message
   NicModel nic(cost);
+  NicTally* tally = nic.AcquireTally();
   for (int i = 0; i < 1000; ++i) {
-    nic.ChargeMessage(0, 1.0);
+    nic.ChargeMessage(tally, 0, 1.0);
   }
   EXPECT_EQ(nic.messages(), 1000u);
   EXPECT_EQ(nic.busy_horizon_ns(), 100000u);  // 1000 msgs x 100ns
@@ -134,15 +135,69 @@ TEST(NicModelTest, AtomicsCostMoreSlots) {
   cost.nic_mops = 10.0;
   cost.atomic_msg_cost = 3.0;
   NicModel nic(cost);
-  nic.ChargeMessage(0, cost.atomic_msg_cost);
+  nic.ChargeMessage(nic.AcquireTally(), 0, cost.atomic_msg_cost);
   EXPECT_EQ(nic.busy_horizon_ns(), 300u);
 }
 
 TEST(NicModelTest, DisabledCostSkipsTimeAccounting) {
   NicModel nic(CostModel::Disabled());
-  EXPECT_EQ(nic.ChargeMessage(0, 1.0), 0u);
+  EXPECT_EQ(nic.ChargeMessage(nic.AcquireTally(), 0, 1.0), 0u);
   EXPECT_EQ(nic.busy_horizon_ns(), 0u);
   EXPECT_EQ(nic.messages(), 1u);  // counters still work
+}
+
+TEST(NicModelTest, PerQpTalliesSumExactlyAcrossThreadsAndOutliveTheirQps) {
+  // Each thread posts through its own Verbs, so each writes only its own
+  // tally block; the node's totals must still be exact, also after the
+  // Verbs are gone, and Reset() must zero every block.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  RemoteNode node(1 << 20, CostModel{});
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&node, t] {
+      ClientContext ctx(static_cast<uint32_t>(t));
+      Verbs verbs(&node, &ctx);
+      const uint64_t base = static_cast<uint64_t>(t) * 4096;
+      uint8_t buf[64];
+      uint64_t word = 1;
+      for (int i = 0; i < kRounds; ++i) {
+        verbs.Read(base, buf, sizeof(buf));  // 1 message, 1 doorbell, 64 B
+        verbs.WriteAsync(base + 64, &word, 8);  // 1, 1, 8 B
+        verbs.FetchAdd(base + 128, 1);  // 1, 1, 8 B
+      }
+      verbs.SetBatchOps(4);
+      for (int i = 0; i < 4; ++i) {
+        verbs.FetchAddAsync(base + 256 + 8 * static_cast<uint64_t>(i), 1);
+      }  // one chain: 4 messages, 1 doorbell, 32 B
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const uint64_t messages = uint64_t{kThreads} * (3 * kRounds + 4);
+  const uint64_t doorbells = uint64_t{kThreads} * (3 * kRounds + 1);
+  const uint64_t bytes = uint64_t{kThreads} * (80 * kRounds + 32);
+  EXPECT_EQ(node.nic().messages(), messages);
+  EXPECT_EQ(node.nic().doorbells(), doorbells);
+  EXPECT_EQ(node.nic().bytes(), bytes);
+
+  // A later QP reuses a released block and adds to its counts.
+  ClientContext ctx(99);
+  Verbs verbs(&node, &ctx);
+  uint8_t buf[16];
+  verbs.Read(0, buf, sizeof(buf));
+  EXPECT_EQ(node.nic().messages(), messages + 1);
+  EXPECT_EQ(node.nic().doorbells(), doorbells + 1);
+  EXPECT_EQ(node.nic().bytes(), bytes + 16);
+
+  node.nic().Reset();
+  EXPECT_EQ(node.nic().messages(), 0u);
+  EXPECT_EQ(node.nic().doorbells(), 0u);
+  EXPECT_EQ(node.nic().bytes(), 0u);
+  EXPECT_EQ(node.nic().busy_horizon_ns(), 0u);
+  verbs.Read(0, buf, sizeof(buf));
+  EXPECT_EQ(node.nic().messages(), 1u) << "a live QP keeps counting after Reset";
 }
 
 TEST(CpuModelTest, MoreCoresServeFaster) {
