@@ -616,10 +616,12 @@ bool DittoClient::StepSet(SetOp* op) {
         alloc_.FreeBlocks(op->found_pointer, op->found_blocks);
         ht::SlotView updated = bucket_buf_[op->found_slot];
         updated.atomic_word = desired;
-        object_buf_.assign(encode_buf_.begin(), encode_buf_.end());
+        // TouchObject reads the object only for its extension words, so the
+        // buffer just encoded is decoded in place, and only when it has any.
         DecodedObject obj;
-        DecodeObject(object_buf_.data(), object_buf_.size(), &obj);
-        TouchObject(slot_addr, updated, &obj, op->addr);
+        const bool have_ext =
+            total_ext_words_ > 0 && DecodeObject(encode_buf_.data(), encode_buf_.size(), &obj);
+        TouchObject(slot_addr, updated, have_ext ? &obj : nullptr, op->addr);
         op->stored = true;
         op->stage = SetOp::Stage::kRetired;
         return true;

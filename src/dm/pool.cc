@@ -1,18 +1,48 @@
 #include "dm/pool.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 namespace ditto::dm {
+namespace {
+
+constexpr size_t kSlotBytes = 40;  // 40 B per slot (Figure 7)
+
+// The heap starts at the first block boundary past the superblock and table.
+uint64_t HeapAddrFor(const PoolConfig& config) {
+  const size_t table_bytes =
+      config.num_buckets * static_cast<size_t>(config.slots_per_bucket) * kSlotBytes;
+  return (kSuperblockBytes + table_bytes + kBlockBytes - 1) & ~(kBlockBytes - 1);
+}
+
+// Rejects layouts the pool cannot address. Checked in every build type: an
+// undersized memory_bytes would underflow heap_bytes_ and let the allocator
+// hand out addresses past the arena, and zero buckets would divide by zero
+// in every bucket lookup.
+const PoolConfig& Validated(const PoolConfig& config) {
+  if (config.num_buckets == 0) {
+    throw std::invalid_argument("PoolConfig: num_buckets must be positive");
+  }
+  if (config.slots_per_bucket <= 0) {
+    throw std::invalid_argument("PoolConfig: slots_per_bucket must be positive");
+  }
+  const size_t max_slots = config.memory_bytes / kSlotBytes;
+  if (config.num_buckets > max_slots / static_cast<size_t>(config.slots_per_bucket) ||
+      HeapAddrFor(config) >= config.memory_bytes) {
+    throw std::invalid_argument(
+        "PoolConfig: memory_bytes does not fit the superblock and hash table");
+  }
+  return config;
+}
+
+}  // namespace
 
 MemoryPool::MemoryPool(const PoolConfig& config)
-    : config_(config),
-      node_(config.memory_bytes, config.cost, config.controller_cores) {
-  const size_t table_bytes = num_slots() * 40;  // 40 B per slot (Figure 7)
-  heap_addr_ = (kSuperblockBytes + table_bytes + kBlockBytes - 1) & ~(kBlockBytes - 1);
-  assert(heap_addr_ < config_.memory_bytes);
-  heap_bytes_ = config_.memory_bytes - heap_addr_;
+    : config_(Validated(config)),
+      node_(config.memory_bytes, config.cost, config.controller_cores),
+      heap_addr_(HeapAddrFor(config)),
+      heap_bytes_(config.memory_bytes - heap_addr_) {
   // Block index 0 is never handed out (0 means "null" in freelist links), so
   // bump allocation starts one block into the heap.
   bump_ = heap_addr_ + kBlockBytes;

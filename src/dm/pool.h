@@ -14,11 +14,10 @@
 //
 // Thread safety: a MemoryPool may be shared by concurrent client threads
 // (one ClientContext per thread), as the contended engine and multi-threaded
-// ClusterClient deployments require. The arena is an
-// array of atomic cells, segment allocation is serialized by alloc_mu_, RPC
-// dispatch by the node's handler mutex, and all counters are atomics; this
-// contract is exercised under ThreadSanitizer by
-// tests/concurrent_runner_test.cc.
+// ClusterClient deployments require. Every arena cell is accessed atomically,
+// segment allocation is serialized by alloc_mu_, RPC dispatch by the node's
+// handler mutex, and all counters are atomics; this contract is exercised
+// under ThreadSanitizer by tests/concurrent_runner_test.cc.
 #ifndef DITTO_DM_POOL_H_
 #define DITTO_DM_POOL_H_
 
@@ -80,6 +79,8 @@ struct PoolConfig {
 
 class MemoryPool {
  public:
+  // Throws std::invalid_argument if num_buckets is 0, slots_per_bucket is
+  // not positive, or memory_bytes cannot hold the superblock and table.
   explicit MemoryPool(const PoolConfig& config);
 
   rdma::RemoteNode& node() { return node_; }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -39,6 +40,29 @@ TEST(PoolTest, CapacityIsRuntimeAdjustable) {
   EXPECT_EQ(pool.capacity_objects(), 1234u);
   pool.SetHistorySize(777);
   EXPECT_EQ(pool.node().arena().ReadU64(kHistSizeAddr), 777u);
+}
+
+TEST(PoolTest, RejectsMemoryTooSmallForTable) {
+  PoolConfig config = SmallPool();
+  // 512 buckets x 8 slots x 40 B = 160 KiB of table after the superblock.
+  config.memory_bytes = kSuperblockBytes + 512 * 8 * 40;
+  EXPECT_THROW(MemoryPool pool(config), std::invalid_argument);
+  config.memory_bytes = 1024;  // smaller than the superblock alone
+  EXPECT_THROW(MemoryPool pool(config), std::invalid_argument);
+}
+
+TEST(PoolTest, RejectsZeroBuckets) {
+  PoolConfig config = SmallPool();
+  config.num_buckets = 0;
+  EXPECT_THROW(MemoryPool pool(config), std::invalid_argument);
+}
+
+TEST(PoolTest, RejectsNonPositiveSlotsPerBucket) {
+  PoolConfig config = SmallPool();
+  config.slots_per_bucket = 0;
+  EXPECT_THROW(MemoryPool pool(config), std::invalid_argument);
+  config.slots_per_bucket = -8;
+  EXPECT_THROW(MemoryPool pool(config), std::invalid_argument);
 }
 
 TEST(AllocatorTest, AllocatesDistinctAlignedRuns) {

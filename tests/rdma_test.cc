@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -95,6 +99,101 @@ TEST(ArenaTest, ConcurrentCasExactlyOneWinnerPerRound) {
     t.join();
   }
   EXPECT_EQ(winners.load(), 1);
+}
+
+// Resident set size of this process, from /proc/self/statm.
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0;
+  size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(ArenaTest, CommitsMemoryOnlyWhereTouched) {
+  constexpr size_t kBytes = size_t{1} << 30;
+  const size_t before = ResidentBytes();
+  MemoryArena arena(kBytes);
+  arena.WriteU64(0, 1);
+  arena.WriteU64(kBytes - 8, 2);
+  const size_t after = ResidentBytes();
+  EXPECT_LT(after, before + (size_t{32} << 20))
+      << "resident set grew from " << before << " to " << after << " bytes";
+  EXPECT_EQ(arena.ReadU64(0), 1u);
+  EXPECT_EQ(arena.ReadU64(kBytes - 8), 2u);
+  EXPECT_EQ(arena.ReadU64(8), 0u);
+  EXPECT_EQ(arena.ReadU64(kBytes - 16), 0u);
+  uint64_t middle[40];
+  arena.Read(kBytes / 2, middle, sizeof(middle));
+  for (const uint64_t word : middle) {
+    EXPECT_EQ(word, 0u);
+  }
+}
+
+TEST(ArenaTest, SizeRoundsUpToWholeCells) {
+  EXPECT_EQ(MemoryArena(1).size(), 8u);
+  EXPECT_EQ(MemoryArena(8).size(), 8u);
+  EXPECT_EQ(MemoryArena(13).size(), 16u);
+  EXPECT_EQ(MemoryArena(0).size(), 0u);
+  MemoryArena arena(13);
+  arena.WriteU64(8, 7);  // the rounded-up last cell is usable
+  EXPECT_EQ(arena.ReadU64(8), 7u);
+}
+
+TEST(ArenaDeathTest, ReadingTheWordAtSizeDies) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // One page-multiple size and two that end inside a page: the cells end
+  // at the guard page either way.
+  for (const size_t bytes : {size_t{8}, size_t{4096}, size_t{4096 + 24}}) {
+    MemoryArena arena(bytes);
+    EXPECT_DEATH(
+        {
+          const volatile uint64_t word = arena.ReadU64(arena.size());
+          (void)word;
+        },
+        "")
+        << bytes << "-byte arena";
+  }
+  MemoryArena empty(0);
+  EXPECT_DEATH(
+      {
+        const volatile uint64_t word = empty.ReadU64(0);
+        (void)word;
+      },
+      "");
+}
+
+TEST(ArenaTest, ConcurrentFaaAndCasOnSharedCellsGiveExactTotals) {
+  MemoryArena arena(4096);
+  constexpr int kThreads = 4;
+  constexpr int kIters = 20000;
+  constexpr uint64_t kFaaCell = 0;
+  constexpr uint64_t kCasCell = 8;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&arena] {
+      uint64_t last[2] = {0, 0};
+      for (int i = 0; i < kIters; ++i) {
+        arena.FetchAdd(kFaaCell, 1);
+        uint64_t seen = arena.ReadU64(kCasCell);
+        for (uint64_t prior; (prior = arena.CompareSwap(kCasCell, seen, seen + 1)) != seen;) {
+          seen = prior;
+        }
+        // A bulk READ of both cells sees each one only grow.
+        uint64_t now[2];
+        arena.Read(kFaaCell, now, sizeof(now));
+        EXPECT_GE(now[0], last[0]);
+        EXPECT_GE(now[1], last[1]);
+        std::copy(now, now + 2, last);
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  const uint64_t total = static_cast<uint64_t>(kThreads) * kIters;
+  EXPECT_EQ(arena.ReadU64(kFaaCell), total);
+  EXPECT_EQ(arena.ReadU64(kCasCell), total);
 }
 
 TEST(QueueingServerTest, UnloadedServerHasNoDelay) {
