@@ -1,16 +1,39 @@
-// Shared deployment and reporting helpers for the per-figure bench binaries.
+// Shared deployment, figure-cell and reporting helpers for the bench
+// binaries.
 //
 // Every bench prints a header naming the paper figure it regenerates, the
 // cost-model parameters, and tab-separated data rows suitable for plotting.
 // Request counts are scaled down from the paper's 10M-request runs so the
 // full suite finishes in minutes; pass --scale=N (default 1) to multiply all
 // workload sizes.
+//
+// Adding a figure: build the trace, then run one cell per system and size:
+//
+//   sim::RunOptions options;
+//   options.miss_penalty_us = 500.0;
+//   for (const char* name : {"ditto", "ditto-lru", "cm-lru"}) {
+//     const sim::RunResult r = bench::RunSystem(bench::ParseSystem(name), trace,
+//                                               bench::MakePoolConfig(capacity),
+//                                               clients, options);
+//     std::printf(" %10.4f", r.hit_rate);
+//   }
+//
+// ParseSystem takes the names the figures print (see its comment) and
+// returns a System whose configs a figure may edit first (an ablation
+// switch, the FC-cache size). A cell that needs the deployment itself — to
+// replay several phases against one cache, or to set the history size —
+// passes a generic lambda to WithSystem. Only experiments outside the
+// system x workload x size grid (Figure 13's live resizing, the engines'
+// sweeps, the cluster benches) build a Deployment with the Make* helpers.
 #ifndef DITTO_BENCH_BENCH_COMMON_H_
 #define DITTO_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +44,7 @@
 #include "core/cluster.h"
 #include "core/ditto_client.h"
 #include "dm/pool.h"
+#include "policies/policy.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
 #include "workloads/synthetic_traces.h"
@@ -114,153 +138,154 @@ inline dm::PoolConfig MakePoolConfig(uint64_t capacity_objects, int controller_c
   return config;
 }
 
-// A Ditto deployment: pool + server + n clients, driven through the runner.
-struct DittoDeployment {
-  std::unique_ptr<dm::MemoryPool> pool;
-  std::unique_ptr<core::DittoServer> server;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
-  std::vector<sim::CacheClient*> raw;
+// The memory nodes whose NIC/CPU horizons bound a replay on `pool`.
+inline std::vector<rdma::RemoteNode*> NodesOf(dm::MemoryPool& pool) { return {&pool.node()}; }
+inline std::vector<rdma::RemoteNode*> NodesOf(core::ClusterPool& pool) {
+  std::vector<rdma::RemoteNode*> nodes;
+  for (int i = 0; i < pool.num_nodes(); ++i) {
+    nodes.push_back(&pool.node(i).node());
+  }
+  return nodes;
+}
 
-  void Resize(int num_clients, const core::DittoConfig& config) {
+// Host-side state of a deployment that has none (a ClusterPool builds its
+// own Ditto controllers).
+struct NoHost {};
+
+// A deployment: the memory side (one dm::MemoryPool, or a core::ClusterPool
+// of nodes), the host-side state its clients share (the Ditto controller,
+// CliqueMap's server CPU, Shard-LRU's lock directory), and N typed clients
+// with one context each. `raw` is the runner's view of the clients and
+// `nodes` is NodesOf(*pool).
+template <typename PoolT, typename HostT, typename ClientT>
+struct Deployment {
+  // Builds client `index` on its context.
+  using ClientFactory = std::function<std::unique_ptr<ClientT>(int index, rdma::ClientContext*)>;
+
+  Deployment() = default;
+  Deployment(std::unique_ptr<PoolT> memory, std::unique_ptr<HostT> host_state,
+             ClientFactory factory, int num_clients)
+      : pool(std::move(memory)),
+        host(std::move(host_state)),
+        nodes(NodesOf(*pool)),
+        make_client(std::move(factory)) {
+    Resize(num_clients);
+  }
+
+  // Grows or shrinks the client set (Figure 13's compute elasticity). A
+  // client added mid-experiment joins at the current virtual time, not at
+  // t=0 (otherwise it would observe all previously accumulated NIC work as
+  // queueing backlog).
+  void Resize(int num_clients) {
     while (static_cast<int>(clients.size()) > num_clients) {
       clients.pop_back();
       ctxs.pop_back();
       raw.pop_back();
     }
-    // A client added mid-experiment joins at the current virtual time, not
-    // at t=0 (otherwise it would observe all previously accumulated NIC work
-    // as queueing backlog).
     uint64_t now_ns = 0;
     for (const auto& ctx : ctxs) {
       now_ns = std::max(now_ns, ctx->clock().busy_ns());
     }
     while (static_cast<int>(clients.size()) < num_clients) {
-      const auto id = static_cast<uint32_t>(ctxs.size());
-      ctxs.push_back(std::make_unique<rdma::ClientContext>(id));
+      const auto index = static_cast<int>(ctxs.size());
+      ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(index)));
       ctxs.back()->clock().AdvanceNs(now_ns);
-      clients.push_back(
-          std::make_unique<sim::DittoCacheClient>(pool.get(), ctxs.back().get(), config));
+      clients.push_back(make_client(index, ctxs.back().get()));
       raw.push_back(clients.back().get());
     }
   }
-};
 
-inline DittoDeployment MakeDitto(const dm::PoolConfig& pool_config,
-                                 const core::DittoConfig& config, int num_clients) {
-  DittoDeployment d;
-  d.pool = std::make_unique<dm::MemoryPool>(pool_config);
-  d.server = std::make_unique<core::DittoServer>(d.pool.get(), config);
-  d.Resize(num_clients, config);
-  return d;
-}
-
-// A sharded-engine deployment for sim::RunTraceSharded: the memory nodes
-// and their servers come from a ClusterPool, with one context and Ditto
-// client per shard bound directly to its node, so every shard's cache state
-// (and virtual-time accounting) is private to the worker thread driving it.
-struct ShardedEngineDeployment {
-  std::unique_ptr<core::ClusterPool> pool;
+  std::unique_ptr<PoolT> pool;
+  std::unique_ptr<HostT> host;
   std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> shards;
+  std::vector<std::unique_ptr<ClientT>> clients;
   std::vector<sim::CacheClient*> raw;
   std::vector<rdma::RemoteNode*> nodes;
+  ClientFactory make_client;
 };
 
+using DittoDeployment = Deployment<dm::MemoryPool, core::DittoServer, sim::DittoCacheClient>;
+using ClusterDeployment = Deployment<core::ClusterPool, NoHost, sim::ClusterCacheClient>;
+using ShardedEngineDeployment = Deployment<core::ClusterPool, NoHost, sim::DittoCacheClient>;
+using CmDeployment =
+    Deployment<dm::MemoryPool, baselines::CliqueMapServer, baselines::CliqueMapClient>;
+using ShardDeployment =
+    Deployment<dm::MemoryPool, baselines::ShardLruDirectory, baselines::ShardLruClient>;
+
+// Ditto on one memory node: pool + controller + n clients.
+inline DittoDeployment MakeDitto(const dm::PoolConfig& pool_config,
+                                 const core::DittoConfig& config, int num_clients) {
+  auto pool = std::make_unique<dm::MemoryPool>(pool_config);
+  auto server = std::make_unique<core::DittoServer>(pool.get(), config);
+  dm::MemoryPool* memory = pool.get();
+  return DittoDeployment(std::move(pool), std::move(server),
+                         [memory, config](int, rdma::ClientContext* ctx) {
+                           return std::make_unique<sim::DittoCacheClient>(memory, ctx, config);
+                         },
+                         num_clients);
+}
+
+// The sharded engine's deployment (sim::RunTraceSharded): one memory node
+// per shard from a ClusterPool, with shard i's client bound directly to node
+// i, so every shard's cache state and virtual-time accounting is private to
+// the worker thread driving it. The pool's ring is unused: RunTraceSharded
+// assigns requests with sim::ShardForKey(options.partition_seed), and the
+// always-armed fault state draws no randomness under the empty plan.
 inline ShardedEngineDeployment MakeShardedEngine(const dm::PoolConfig& per_node_config,
                                                  const core::DittoConfig& config,
                                                  int num_shards) {
-  ShardedEngineDeployment d;
-  // The pool's ring is unused here: RunTraceSharded assigns requests to
-  // shards with sim::ShardForKey(options.partition_seed). The pool's
-  // always-armed fault state draws no randomness under the empty plan.
   core::ClusterConfig cluster_config;
   cluster_config.nodes = num_shards;
   cluster_config.pool = per_node_config;
   cluster_config.ditto = config;
-  d.pool = std::make_unique<core::ClusterPool>(cluster_config);
-  for (int i = 0; i < num_shards; ++i) {
-    d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
-    d.shards.push_back(
-        std::make_unique<sim::DittoCacheClient>(&d.pool->node(i), d.ctxs.back().get(), config));
-    d.raw.push_back(d.shards.back().get());
-    d.nodes.push_back(&d.pool->node(i).node());
-  }
-  return d;
+  auto pool = std::make_unique<core::ClusterPool>(cluster_config);
+  core::ClusterPool* memory = pool.get();
+  return ShardedEngineDeployment(std::move(pool), nullptr,
+                                 [memory, config](int shard, rdma::ClientContext* ctx) {
+                                   return std::make_unique<sim::DittoCacheClient>(
+                                       &memory->node(shard), ctx, config);
+                                 },
+                                 num_shards);
 }
 
-// A fault-tolerant cluster deployment: N memory nodes behind a hash ring,
-// driven by retrying ClusterCacheClients (see core/cluster.h). Lifecycle
-// steps come from RunOptions::lifecycle_schedule.
-struct ClusterDeployment {
-  std::unique_ptr<core::ClusterPool> pool;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::ClusterCacheClient>> clients;
-  std::vector<sim::CacheClient*> raw;
-  std::vector<rdma::RemoteNode*> nodes;
-};
-
+// A fault-tolerant cluster: N memory nodes behind a hash ring, driven by
+// retrying ClusterCacheClients (see core/cluster.h). Lifecycle steps come
+// from RunOptions::lifecycle_schedule.
 inline ClusterDeployment MakeCluster(const core::ClusterConfig& config, int num_clients) {
-  ClusterDeployment d;
-  d.pool = std::make_unique<core::ClusterPool>(config);
-  for (int i = 0; i < num_clients; ++i) {
-    d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
-    d.clients.push_back(std::make_unique<sim::ClusterCacheClient>(d.pool.get(),
-                                                                  d.ctxs.back().get(),
-                                                                  config.ditto));
-    d.raw.push_back(d.clients.back().get());
-  }
-  for (int i = 0; i < d.pool->num_nodes(); ++i) {
-    d.nodes.push_back(&d.pool->node(i).node());
-  }
-  return d;
+  auto pool = std::make_unique<core::ClusterPool>(config);
+  core::ClusterPool* memory = pool.get();
+  return ClusterDeployment(std::move(pool), nullptr,
+                           [memory, ditto = config.ditto](int, rdma::ClientContext* ctx) {
+                             return std::make_unique<sim::ClusterCacheClient>(memory, ctx, ditto);
+                           },
+                           num_clients);
 }
-
-// A CliqueMap deployment.
-struct CmDeployment {
-  std::unique_ptr<dm::MemoryPool> pool;
-  std::unique_ptr<baselines::CliqueMapServer> server;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<baselines::CliqueMapClient>> clients;
-  std::vector<sim::CacheClient*> raw;
-};
 
 inline CmDeployment MakeCliqueMap(const dm::PoolConfig& pool_config,
                                   const baselines::CliqueMapConfig& config, int num_clients) {
-  CmDeployment d;
-  d.pool = std::make_unique<dm::MemoryPool>(pool_config);
-  d.server = std::make_unique<baselines::CliqueMapServer>(d.pool.get(), config);
-  for (int i = 0; i < num_clients; ++i) {
-    d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
-    d.clients.push_back(std::make_unique<baselines::CliqueMapClient>(d.pool.get(),
-                                                                     d.server.get(),
-                                                                     d.ctxs.back().get()));
-    d.raw.push_back(d.clients.back().get());
-  }
-  return d;
+  auto pool = std::make_unique<dm::MemoryPool>(pool_config);
+  auto server = std::make_unique<baselines::CliqueMapServer>(pool.get(), config);
+  dm::MemoryPool* memory = pool.get();
+  baselines::CliqueMapServer* host = server.get();
+  return CmDeployment(std::move(pool), std::move(server),
+                      [memory, host](int, rdma::ClientContext* ctx) {
+                        return std::make_unique<baselines::CliqueMapClient>(memory, host, ctx);
+                      },
+                      num_clients);
 }
 
-// A Shard-LRU (or KVC/KVC-S/KVS) deployment.
-struct ShardDeployment {
-  std::unique_ptr<dm::MemoryPool> pool;
-  std::unique_ptr<baselines::ShardLruDirectory> dir;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<baselines::ShardLruClient>> clients;
-  std::vector<sim::CacheClient*> raw;
-};
-
+// Shard-LRU and its Figure 2 variants (KVC, KVC-S, KVS).
 inline ShardDeployment MakeShardLru(const dm::PoolConfig& pool_config,
                                     const baselines::ShardLruConfig& config, int num_clients) {
-  ShardDeployment d;
-  d.pool = std::make_unique<dm::MemoryPool>(pool_config);
-  d.dir = std::make_unique<baselines::ShardLruDirectory>(d.pool.get(), config);
-  for (int i = 0; i < num_clients; ++i) {
-    d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
-    d.clients.push_back(std::make_unique<baselines::ShardLruClient>(d.pool.get(), d.dir.get(),
-                                                                    d.ctxs.back().get()));
-    d.raw.push_back(d.clients.back().get());
-  }
-  return d;
+  auto pool = std::make_unique<dm::MemoryPool>(pool_config);
+  auto dir = std::make_unique<baselines::ShardLruDirectory>(pool.get(), config);
+  dm::MemoryPool* memory = pool.get();
+  baselines::ShardLruDirectory* host = dir.get();
+  return ShardDeployment(std::move(pool), std::move(dir),
+                         [memory, host](int, rdma::ClientContext* ctx) {
+                           return std::make_unique<baselines::ShardLruClient>(memory, host, ctx);
+                         },
+                         num_clients);
 }
 
 // Preloads all distinct keys of a trace so a subsequent read phase has no
@@ -282,6 +307,83 @@ inline void Preload(const std::vector<sim::CacheClient*>& clients, const workloa
       ++i;
     }
   }
+}
+
+// A system a figure compares. ParseSystem accepts:
+//   ditto                adaptive Ditto (LRU + LFU experts)
+//   ditto-lru, ditto-lfu one-expert Ditto (the paper's Ditto-LRU/-LFU)
+//   <policy>             any policy::AllPolicyNames() entry as a one-expert Ditto
+//   cm-lru, cm-lfu       CliqueMap with the given server-side policy
+//   shard-lru, kvc-s     Shard-LRU: 32 lock-protected LRU lists
+//   kvc                  one lock-protected LRU list
+//   kvs                  no caching structure
+// and throws std::invalid_argument for anything else.
+struct System {
+  enum class Kind { kDitto, kCliqueMap, kShardLru };
+
+  std::string name;
+  Kind kind = Kind::kDitto;
+  core::DittoConfig ditto;
+  baselines::CliqueMapConfig cliquemap;
+  baselines::ShardLruConfig shard_lru;
+};
+
+inline System ParseSystem(std::string_view name) {
+  System system;
+  system.name = std::string(name);
+  if (name == "ditto") {
+    system.ditto.experts = {"lru", "lfu"};
+  } else if (name == "ditto-lru" || name == "ditto-lfu") {
+    system.ditto.experts = {std::string(name.substr(6))};
+  } else if (name == "cm-lru" || name == "cm-lfu") {
+    system.kind = System::Kind::kCliqueMap;
+    system.cliquemap.policy =
+        name == "cm-lru" ? baselines::CmPolicy::kLru : baselines::CmPolicy::kLfu;
+  } else if (name == "shard-lru" || name == "kvc-s" || name == "kvc" || name == "kvs") {
+    system.kind = System::Kind::kShardLru;
+    system.shard_lru.num_shards = name == "kvc" ? 1 : 32;
+    system.shard_lru.maintain_list = name != "kvs";
+  } else if (policy::MakePolicy(system.name) != nullptr) {
+    system.ditto.experts = {system.name};
+  } else {
+    throw std::invalid_argument("unknown system: " + system.name);
+  }
+  return system;
+}
+
+// Deploys `system` on a fresh pool with `num_clients` clients and returns
+// fn(deployment); fn is generic over the deployment's client type.
+template <typename Fn>
+auto WithSystem(const System& system, const dm::PoolConfig& pool_config, int num_clients,
+                Fn&& fn) {
+  switch (system.kind) {
+    case System::Kind::kCliqueMap: {
+      CmDeployment d = MakeCliqueMap(pool_config, system.cliquemap, num_clients);
+      return fn(d);
+    }
+    case System::Kind::kShardLru: {
+      ShardDeployment d = MakeShardLru(pool_config, system.shard_lru, num_clients);
+      return fn(d);
+    }
+    case System::Kind::kDitto:
+      break;
+  }
+  DittoDeployment d = MakeDitto(pool_config, system.ditto, num_clients);
+  return fn(d);
+}
+
+// One figure cell: replays `trace` against a fresh deployment of `system`.
+// With `preload`, every distinct key is written first (options.value_bytes
+// values), so the replay measures a cache with no cold misses.
+inline sim::RunResult RunSystem(const System& system, const workload::Trace& trace,
+                                const dm::PoolConfig& pool_config, int num_clients,
+                                const sim::RunOptions& options, bool preload = false) {
+  return WithSystem(system, pool_config, num_clients, [&](auto& d) {
+    if (preload) {
+      Preload(d.raw, trace, options.value_bytes);
+    }
+    return sim::RunTrace(d.raw, trace, d.nodes, options);
+  });
 }
 
 }  // namespace ditto::bench

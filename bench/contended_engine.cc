@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
       options.value_bytes = 128;
       // No warmup here, so the engine's own wall measurement covers the whole
       // replay — the same region ReplayAllocString's timer covers above.
-      sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+      sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
       wall_free = std::max(wall_free, r.wall_mops);
       hit_free = r.hit_rate;
       if (round + 1 == kHotPathRounds) {
@@ -213,8 +213,7 @@ int main(int argc, char** argv) {
       options.warmup_fraction = 0.2;
       // The engine measures wall time over the measured region only (warmup
       // excluded), consistent with every other bench's wall_mops.
-      const sim::RunResult r =
-          sim::RunTraceContended(d.raw, contended, {&d.pool->node()}, options);
+      const sim::RunResult r = sim::RunTraceContended(d.raw, contended, d.nodes, options);
       std::printf("%-8d %8.2f %12.3f %12.3f %8.2f %14llu %14llu\n", clients, overlap,
                   r.wall_mops, r.throughput_mops, r.hit_rate * 100.0,
                   static_cast<unsigned long long>(r.cas_failures),

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};
   bench::DittoDeployment d = bench::MakeDitto(bench::MakePoolConfig(capacity), config, clients);
-  const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+  const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
 
   const size_t measure_begin =
       static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
       options.op_mix = row.mix;
       options.multiget_batch = batch;
       options.expire_ttl_ticks = ttl;
-      const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+      const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
       std::printf("%-10s %6zu %10.3f %8.2f %9llu %9llu %9llu %13llu %11llu\n", row.label,
                   sweeps_batch ? batch : 1, r.throughput_mops, r.hit_rate * 100.0,
                   static_cast<unsigned long long>(r.deletes),

@@ -10,13 +10,8 @@ namespace {
 
 using namespace ditto;
 
-struct SweepResult {
-  double hit_rate;
-  double tput;
-};
-
-SweepResult Run(const workload::Trace& trace, uint64_t capacity, int clients,
-                const core::DittoConfig& config, uint64_t history_size = 0) {
+sim::RunResult Run(const workload::Trace& trace, uint64_t capacity, int clients,
+                   const core::DittoConfig& config, uint64_t history_size = 0) {
   bench::DittoDeployment d = bench::MakeDitto(bench::MakePoolConfig(capacity), config, clients);
   if (history_size != 0) {
     d.pool->SetHistorySize(history_size);
@@ -24,8 +19,7 @@ SweepResult Run(const workload::Trace& trace, uint64_t capacity, int clients,
   sim::RunOptions options;
   options.miss_penalty_us = 500.0;
   options.warmup_fraction = 0.3;
-  const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
-  return SweepResult{r.hit_rate, r.throughput_mops};
+  return sim::RunTrace(d.raw, trace, d.nodes, options);
 }
 
 }  // namespace
@@ -49,8 +43,8 @@ int main(int argc, char** argv) {
     core::DittoConfig config;
     config.experts = {"lru", "lfu"};
     config.num_samples = samples;
-    const SweepResult r = Run(trace, capacity, clients, config);
-    std::printf("%-10d %10.4f %12.4f\n", samples, r.hit_rate, r.tput);
+    const sim::RunResult r = Run(trace, capacity, clients, config);
+    std::printf("%-10d %10.4f %12.4f\n", samples, r.hit_rate, r.throughput_mops);
   }
 
   std::printf("\n# eviction-history size as a fraction of cache size (paper: 1.0)\n");
@@ -58,9 +52,9 @@ int main(int argc, char** argv) {
   for (const double frac : {0.1, 0.5, 1.0, 2.0}) {
     core::DittoConfig config;
     config.experts = {"lru", "lfu"};
-    const SweepResult r = Run(trace, capacity, clients, config,
+    const sim::RunResult r = Run(trace, capacity, clients, config,
                               static_cast<uint64_t>(frac * static_cast<double>(capacity)));
-    std::printf("%-10.1f %10.4f %12.4f\n", frac, r.hit_rate, r.tput);
+    std::printf("%-10.1f %10.4f %12.4f\n", frac, r.hit_rate, r.throughput_mops);
   }
 
   std::printf("\n# adaptive learning rate lambda (paper: 0.1)\n");
@@ -69,8 +63,8 @@ int main(int argc, char** argv) {
     core::DittoConfig config;
     config.experts = {"lru", "lfu"};
     config.learning_rate = lr;
-    const SweepResult r = Run(trace, capacity, clients, config);
-    std::printf("%-10.2f %10.4f %12.4f\n", lr, r.hit_rate, r.tput);
+    const sim::RunResult r = Run(trace, capacity, clients, config);
+    std::printf("%-10.2f %10.4f %12.4f\n", lr, r.hit_rate, r.throughput_mops);
   }
 
   std::printf("\n# lazy weight-update batch size (paper: 100; 1 = eager RPC per regret)\n");
@@ -79,12 +73,7 @@ int main(int argc, char** argv) {
     core::DittoConfig config;
     config.experts = {"lru", "lfu"};
     config.penalty_batch = batch;
-    bench::DittoDeployment d =
-        bench::MakeDitto(bench::MakePoolConfig(capacity), config, clients);
-    sim::RunOptions options;
-    options.miss_penalty_us = 500.0;
-    options.warmup_fraction = 0.3;
-    const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+    const sim::RunResult r = Run(trace, capacity, clients, config);
     std::printf("%-10d %10.4f %12.4f %14llu\n", batch, r.hit_rate, r.throughput_mops,
                 static_cast<unsigned long long>(r.rpc_ops));
   }

@@ -7,24 +7,6 @@
 
 #include "bench_common.h"
 
-namespace {
-
-using namespace ditto;
-
-bench::ShardDeployment MakeVariant(const std::string& name, uint64_t keys, int clients) {
-  baselines::ShardLruConfig config;
-  if (name == "KVS") {
-    config.maintain_list = false;
-  } else if (name == "KVC") {
-    config.num_shards = 1;
-  } else {  // KVC-S
-    config.num_shards = 32;
-  }
-  return bench::MakeShardLru(bench::MakePoolConfig(keys * 2), config, clients);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace ditto;
   Flags flags(argc, argv);
@@ -38,33 +20,33 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader("Figure 2", "cost of caching data structures on DM (YCSB-C, no misses)");
 
+  // Printed label -> system name.
+  const std::pair<const char*, const char*> systems[] = {
+      {"KVS", "kvs"}, {"KVC", "kvc"}, {"KVC-S", "kvc-s"}};
+  sim::RunOptions options;
+  options.set_on_miss = false;
+  auto run = [&](const char* system, int clients) {
+    return bench::RunSystem(bench::ParseSystem(system), trace, bench::MakePoolConfig(keys * 2),
+                            clients, options, /*preload=*/true);
+  };
+
   std::printf("\n# (a) single-client performance\n");
   std::printf("%-8s %10s %9s %9s\n", "system", "tput_mops", "p50_us", "p99_us");
-  for (const std::string name : {"KVS", "KVC", "KVC-S"}) {
-    bench::ShardDeployment d = MakeVariant(name, keys, 1);
-    bench::Preload(d.raw, trace, 232);
-    sim::RunOptions options;
-    options.set_on_miss = false;
-    const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
-    std::printf("%-8s %10.3f %9.1f %9.1f\n", name.c_str(), r.throughput_mops, r.p50_us,
-                r.p99_us);
+  for (const auto& [label, system] : systems) {
+    const sim::RunResult r = run(system, 1);
+    std::printf("%-8s %10.3f %9.1f %9.1f\n", label, r.throughput_mops, r.p50_us, r.p99_us);
   }
 
   std::printf("\n# (b) multi-client throughput (Mops)\n");
   std::printf("%-8s", "clients");
-  for (const std::string name : {"KVS", "KVC", "KVC-S"}) {
-    std::printf(" %10s", name.c_str());
+  for (const auto& [label, system] : systems) {
+    std::printf(" %10s", label);
   }
   std::printf("\n");
   for (const int clients : {1, 2, 4, 8, 16, 32, 64, 96}) {
     std::printf("%-8d", clients);
-    for (const std::string name : {"KVS", "KVC", "KVC-S"}) {
-      bench::ShardDeployment d = MakeVariant(name, keys, clients);
-      bench::Preload(d.raw, trace, 232);
-      sim::RunOptions options;
-      options.set_on_miss = false;
-      const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
-      std::printf(" %10.3f", r.throughput_mops);
+    for (const auto& [label, system] : systems) {
+      std::printf(" %10.3f", run(system, clients).throughput_mops);
     }
     std::printf("\n");
   }

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/flags.h"
-#include "common/rand.h"
 #include "sim/hit_rate.h"
 #include "workloads/synthetic_traces.h"
 
@@ -23,22 +22,7 @@ int main(int argc, char** argv) {
 
   for (int lfu_clients = 0; lfu_clients <= total_clients; lfu_clients += 4) {
     const double frac_b = static_cast<double>(lfu_clients) / total_clients;
-    const auto n_b = static_cast<uint64_t>(frac_b * static_cast<double>(requests));
-    // App A keys live in [0, footprint); app B keys start at 2*footprint.
-    workload::Trace a = workload::MakeShiftingHotSet(
-        requests - n_b, footprint, footprint / 10, requests / 60, footprint / 16, 3);
-    workload::Trace b =
-        workload::MakeLfuFriendly(n_b, footprint / 2, 0.99, 0.3, 4, 2 * footprint);
-    // Interleave the two applications' request streams.
-    workload::Trace mixed;
-    mixed.reserve(a.size() + b.size());
-    size_t ia = 0;
-    size_t ib = 0;
-    Rng rng(7);
-    while (ia < a.size() || ib < b.size()) {
-      const bool from_a = ib >= b.size() || (ia < a.size() && rng.NextDouble() < 1.0 - frac_b);
-      mixed.push_back(from_a ? a[ia++] : b[ib++]);
-    }
+    const workload::Trace mixed = workload::MakeTwoAppMix(requests, footprint, 1.0 - frac_b);
     const double lru = sim::ReplayHitRate(mixed, capacity, policy::PrecisePolicyKind::kLru);
     const double lfu = sim::ReplayHitRate(mixed, capacity, policy::PrecisePolicyKind::kLfu);
     std::printf("%-14d %10.4f %10.4f %8s\n", lfu_clients, lru, lfu,

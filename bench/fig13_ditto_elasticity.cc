@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
   options.set_on_miss = false;
 
   auto run_phase = [&](const char* phase, int clients, uint64_t capacity) {
-    d.Resize(clients, config);
+    d.Resize(clients);
     d.pool->SetCapacityObjects(capacity);
-    const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+    const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
     std::printf("%-28s %8d %10llu %10.3f %9.1f %9.1f\n", phase, clients,
                 static_cast<unsigned long long>(capacity), r.throughput_mops, r.p50_us,
                 r.p99_us);

@@ -10,42 +10,6 @@
 
 #include "bench_common.h"
 
-namespace {
-
-using namespace ditto;
-
-sim::RunResult RunDitto(const workload::Trace& trace, uint64_t keys, int clients) {
-  core::DittoConfig config;
-  config.experts = {"lru", "lfu"};
-  bench::DittoDeployment d = bench::MakeDitto(bench::MakePoolConfig(keys * 2), config, clients);
-  bench::Preload(d.raw, trace, 232);
-  sim::RunOptions options;
-  options.set_on_miss = false;
-  return sim::RunTrace(d.raw, trace, &d.pool->node(), options);
-}
-
-sim::RunResult RunCm(const workload::Trace& trace, uint64_t keys, int clients) {
-  baselines::CliqueMapConfig config;
-  bench::CmDeployment d =
-      bench::MakeCliqueMap(bench::MakePoolConfig(keys * 2), config, clients);
-  bench::Preload(d.raw, trace, 232);
-  sim::RunOptions options;
-  options.set_on_miss = false;
-  return sim::RunTrace(d.raw, trace, &d.pool->node(), options);
-}
-
-sim::RunResult RunShard(const workload::Trace& trace, uint64_t keys, int clients) {
-  baselines::ShardLruConfig config;
-  bench::ShardDeployment d =
-      bench::MakeShardLru(bench::MakePoolConfig(keys * 2), config, clients);
-  bench::Preload(d.raw, trace, 232);
-  sim::RunOptions options;
-  options.set_on_miss = false;
-  return sim::RunTrace(d.raw, trace, &d.pool->node(), options);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace ditto;
   Flags flags(argc, argv);
@@ -53,28 +17,28 @@ int main(int argc, char** argv) {
   const uint64_t requests = flags.GetInt("requests", 120000) * flags.GetInt("scale", 1);
 
   bench::PrintHeader("Figure 14", "YCSB A-D throughput/p99 vs clients (no misses)");
+  sim::RunOptions options;
+  options.set_on_miss = false;
 
   for (const char workload : {'A', 'B', 'C', 'D'}) {
+    // Workload D: 5% inserts of fresh keys, reads skewed to recent.
     workload::YcsbConfig ycsb;
-    ycsb.workload = workload == 'D' ? 'B' : workload;  // D's inserts replayed as updates
+    ycsb.workload = workload;
     ycsb.num_keys = keys;
-    workload::Trace trace = workload::MakeYcsbTrace(ycsb, requests, 1);
-    if (workload == 'D') {
-      // Workload D: 5% inserts of fresh keys, reads skewed to recent.
-      ycsb.workload = 'D';
-      trace = workload::MakeYcsbTrace(ycsb, requests, 1);
-    }
+    const workload::Trace trace = workload::MakeYcsbTrace(ycsb, requests, 1);
 
     std::printf("\n# YCSB-%c\n", workload);
     std::printf("%-8s %12s %12s %12s %12s %12s %12s\n", "clients", "ditto_mops", "ditto_p99",
                 "cm_mops", "cm_p99", "shard_mops", "shard_p99");
     for (const int clients : {1, 4, 16, 64, 128, 256}) {
-      const sim::RunResult ditto = RunDitto(trace, keys, clients);
-      const sim::RunResult cm = RunCm(trace, keys, clients);
-      const sim::RunResult shard = RunShard(trace, keys, clients);
-      std::printf("%-8d %12.3f %12.1f %12.3f %12.1f %12.3f %12.1f\n", clients,
-                  ditto.throughput_mops, ditto.p99_us, cm.throughput_mops, cm.p99_us,
-                  shard.throughput_mops, shard.p99_us);
+      std::printf("%-8d", clients);
+      for (const char* system : {"ditto", "cm-lru", "shard-lru"}) {
+        const sim::RunResult r =
+            bench::RunSystem(bench::ParseSystem(system), trace, bench::MakePoolConfig(keys * 2),
+                             clients, options, /*preload=*/true);
+        std::printf(" %12.3f %12.1f", r.throughput_mops, r.p99_us);
+      }
+      std::printf("\n");
     }
   }
   std::printf("\n# expected shape: Ditto plateaus at the NIC message-rate bound; CliqueMap\n"

@@ -17,6 +17,8 @@ int main(int argc, char** argv) {
   const int clients = static_cast<int>(flags.GetInt("clients", 128));
 
   bench::PrintHeader("Figure 15", "throughput vs MN CPU cores (256 clients in the paper)");
+  sim::RunOptions options;
+  options.set_on_miss = false;
 
   for (const char workload : {'A', 'C'}) {
     workload::YcsbConfig ycsb;
@@ -27,29 +29,18 @@ int main(int argc, char** argv) {
     std::printf("\n# YCSB-%c\n", workload);
     std::printf("%-8s %12s %12s %12s\n", "cores", "ditto_mops", "cm_mops", "redis_mops");
     for (const int cores : {1, 2, 4, 8, 16, 32}) {
-      core::DittoConfig ditto_config;
-      ditto_config.experts = {"lru", "lfu"};
-      bench::DittoDeployment ditto =
-          bench::MakeDitto(bench::MakePoolConfig(keys * 2, cores), ditto_config, clients);
-      bench::Preload(ditto.raw, trace, 232);
-
-      baselines::CliqueMapConfig cm_config;
-      cm_config.sync_every = 100;
-      bench::CmDeployment cm =
-          bench::MakeCliqueMap(bench::MakePoolConfig(keys * 2, cores), cm_config, clients);
-      bench::Preload(cm.raw, trace, 232);
-
-      sim::RunOptions options;
-      options.set_on_miss = false;
-      const sim::RunResult rd = sim::RunTrace(ditto.raw, trace, &ditto.pool->node(), options);
-      const sim::RunResult rc = sim::RunTrace(cm.raw, trace, &cm.pool->node(), options);
-
+      std::printf("%-8d", cores);
+      for (const char* system : {"ditto", "cm-lru"}) {
+        const sim::RunResult r = bench::RunSystem(bench::ParseSystem(system), trace,
+                                                  bench::MakePoolConfig(keys * 2, cores),
+                                                  clients, options, /*preload=*/true);
+        std::printf(" %12.3f", r.throughput_mops);
+      }
       baselines::RedisModelConfig redis_config;
       redis_config.initial_shards = cores;
       redis_config.num_keys = keys;
       baselines::RedisModel redis(redis_config);
-      std::printf("%-8d %12.3f %12.3f %12.3f\n", cores, rd.throughput_mops,
-                  rc.throughput_mops, redis.SteadyThroughputMops(cores));
+      std::printf(" %12.3f\n", redis.SteadyThroughputMops(cores));
     }
   }
   std::printf("\n# expected shape: Ditto flat; CliqueMap scales with cores; Redis bounded\n"

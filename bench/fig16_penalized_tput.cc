@@ -3,7 +3,7 @@
 // CM-LFU across five real-world-like workloads.
 #include <cstdio>
 
-#include "realworld_common.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
@@ -22,19 +22,22 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> workloads = {"webmail", "twitter-transient",
                                               "twitter-storage", "twitter-compute", "ibm"};
-  const std::vector<std::string> variants = {"ditto", "ditto-lru", "ditto-lfu", "cm-lru",
-                                             "cm-lfu"};
-  for (const std::string& name : workloads) {
-    const workload::Trace trace = workload::MakeNamedTrace(name, requests, footprint, 5);
-    const auto capacity = static_cast<uint64_t>(
-        cache_frac * static_cast<double>(workload::Footprint(trace)));
-    std::printf("%-20s", name.c_str());
-    for (const std::string& variant : variants) {
-      const bench::VariantResult r =
-          bench::RunVariant(variant, trace, capacity, clients, 500.0);
+  sim::RunOptions options;
+  options.miss_penalty_us = 500.0;
+  options.warmup_fraction = 0.3;
+  auto print_row = [&](const workload::Trace& trace, uint64_t capacity) {
+    for (const char* system : {"ditto", "ditto-lru", "ditto-lfu", "cm-lru", "cm-lfu"}) {
+      const sim::RunResult r = bench::RunSystem(bench::ParseSystem(system), trace,
+                                                bench::MakePoolConfig(capacity), clients, options);
       std::printf(" %10.4f", r.throughput_mops);
     }
     std::printf("\n");
+  };
+  for (const std::string& name : workloads) {
+    const workload::Trace trace = workload::MakeNamedTrace(name, requests, footprint, 5);
+    std::printf("%-20s", name.c_str());
+    print_row(trace, static_cast<uint64_t>(cache_frac *
+                                           static_cast<double>(workload::Footprint(trace))));
   }
   // High-hit-rate regime: the paper's Twitter workloads run at ~95%+ hit
   // rates, where the request rate exceeds what the weak MN CPU can serve for
@@ -43,12 +46,7 @@ int main(int argc, char** argv) {
   std::printf("%-20s", "twitter-storage-hot");
   const workload::Trace hot = workload::MakeNamedTrace("twitter-storage", requests,
                                                        footprint / 4, 6);
-  const uint64_t hot_capacity = workload::Footprint(hot);
-  for (const std::string& variant : variants) {
-    const bench::VariantResult r = bench::RunVariant(variant, hot, hot_capacity, clients, 500.0);
-    std::printf(" %10.4f", r.throughput_mops);
-  }
-  std::printf("\n");
+  print_row(hot, workload::Footprint(hot));
 
   std::printf("\n# expected shape: Ditto tracks the better of Ditto-LRU/Ditto-LFU. At\n"
               "# moderate hit rates all systems are miss-penalty-bound (within ~5%%); in\n"

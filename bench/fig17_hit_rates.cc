@@ -2,7 +2,7 @@
 // five real-world-like workloads across cache sizes (fraction of footprint).
 #include <cstdio>
 
-#include "realworld_common.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
@@ -17,17 +17,17 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> workloads = {"webmail", "twitter-transient",
                                               "twitter-storage", "twitter-compute", "ibm"};
-  const std::vector<std::string> variants = {"ditto", "ditto-lru", "ditto-lfu", "cm-lru",
-                                             "cm-lfu"};
+  sim::RunOptions options;
+  options.warmup_fraction = 0.3;
   for (const std::string& name : workloads) {
     const workload::Trace trace = workload::MakeNamedTrace(name, requests, footprint, 5);
     const uint64_t fp = workload::Footprint(trace);
     for (const double frac : {0.05, 0.10, 0.20, 0.40}) {
       const auto capacity = static_cast<uint64_t>(frac * static_cast<double>(fp));
       std::printf("%-20s %-8.2f", name.c_str(), frac);
-      for (const std::string& variant : variants) {
-        const bench::VariantResult r =
-            bench::RunVariant(variant, trace, capacity, clients, 0.0);
+      for (const char* system : {"ditto", "ditto-lru", "ditto-lfu", "cm-lru", "cm-lfu"}) {
+        const sim::RunResult r = bench::RunSystem(
+            bench::ParseSystem(system), trace, bench::MakePoolConfig(capacity), clients, options);
         std::printf(" %10.4f", r.hit_rate);
       }
       std::printf("\n");

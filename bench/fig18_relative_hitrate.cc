@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "realworld_common.h"
+#include "bench_common.h"
 #include "sim/hit_rate.h"
 
 namespace {
@@ -39,6 +39,8 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Figure 18",
                      "relative hit rates (normalized over random eviction), 33 workloads");
 
+  sim::RunOptions options;
+  options.warmup_fraction = 0.3;
   std::vector<double> ditto_rel;
   std::vector<double> best_rel;
   std::vector<double> worst_rel;
@@ -48,9 +50,14 @@ int main(int argc, char** argv) {
     const double random_rate = sim::ReplayHitRate(trace, capacity,
                                                   policy::PrecisePolicyKind::kRandom);
     const double base = std::max(random_rate, 1e-3);
-    const double ditto = bench::RunVariant("ditto", trace, capacity, clients, 0.0).hit_rate;
-    const double lru = bench::RunVariant("ditto-lru", trace, capacity, clients, 0.0).hit_rate;
-    const double lfu = bench::RunVariant("ditto-lfu", trace, capacity, clients, 0.0).hit_rate;
+    auto hit_rate = [&](const char* system) {
+      return bench::RunSystem(bench::ParseSystem(system), trace, bench::MakePoolConfig(capacity),
+                              clients, options)
+          .hit_rate;
+    };
+    const double ditto = hit_rate("ditto");
+    const double lru = hit_rate("ditto-lru");
+    const double lfu = hit_rate("ditto-lfu");
     ditto_rel.push_back(ditto / base);
     best_rel.push_back(std::max(lru, lfu) / base);
     worst_rel.push_back(std::min(lru, lfu) / base);

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "realworld_common.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
@@ -30,57 +30,32 @@ int main(int argc, char** argv) {
   }
   std::printf("  overall_hit  ptput_mops\n");
 
-  for (const std::string variant :
-       {"ditto", "ditto-lru", "ditto-lfu", "cm-lru", "cm-lfu"}) {
-    // Replay phase by phase against one persistent deployment so adaptation
-    // carries across phase switches (as in the paper's time series).
-    sim::RunOptions options;
-    options.miss_penalty_us = 500.0;
-
+  std::vector<workload::Trace> phases;
+  for (int p = 0; p < kPhases; ++p) {
+    phases.emplace_back(trace.begin() + p * phase_len, trace.begin() + (p + 1) * phase_len);
+  }
+  sim::RunOptions options;
+  options.miss_penalty_us = 500.0;
+  // Replay phase by phase against one persistent deployment so adaptation
+  // carries across phase switches (as in the paper's time series).
+  const auto replay_phases = [&](auto& d) {
+    std::vector<sim::RunResult> results;
+    for (const workload::Trace& phase : phases) {
+      results.push_back(sim::RunTrace(d.raw, phase, d.nodes, options));
+    }
+    return results;
+  };
+  for (const char* system : {"ditto", "ditto-lru", "ditto-lfu", "cm-lru", "cm-lfu"}) {
     double total_hits = 0.0;
     double total_gets = 0.0;
     double total_tput = 0.0;
-    std::vector<double> phase_hits;
-
-    if (variant.rfind("cm-", 0) == 0) {
-      baselines::CliqueMapConfig config;
-      config.policy =
-          variant == "cm-lru" ? baselines::CmPolicy::kLru : baselines::CmPolicy::kLfu;
-      config.capacity_objects = capacity;
-      bench::CmDeployment d = bench::MakeCliqueMap(bench::MakePoolConfig(capacity), config,
-                                                   clients);
-      for (int p = 0; p < kPhases; ++p) {
-        const workload::Trace phase(trace.begin() + p * phase_len,
-                                    trace.begin() + (p + 1) * phase_len);
-        const sim::RunResult r = sim::RunTrace(d.raw, phase, &d.pool->node(), options);
-        phase_hits.push_back(r.hit_rate);
-        total_hits += r.hit_rate * static_cast<double>(r.gets);
-        total_gets += static_cast<double>(r.gets);
-        total_tput += r.throughput_mops;
-      }
-    } else {
-      core::DittoConfig config;
-      if (variant == "ditto") {
-        config.experts = {"lru", "lfu"};
-      } else {
-        config.experts = {variant == "ditto-lru" ? "lru" : "lfu"};
-      }
-      bench::DittoDeployment d =
-          bench::MakeDitto(bench::MakePoolConfig(capacity), config, clients);
-      for (int p = 0; p < kPhases; ++p) {
-        const workload::Trace phase(trace.begin() + p * phase_len,
-                                    trace.begin() + (p + 1) * phase_len);
-        const sim::RunResult r = sim::RunTrace(d.raw, phase, &d.pool->node(), options);
-        phase_hits.push_back(r.hit_rate);
-        total_hits += r.hit_rate * static_cast<double>(r.gets);
-        total_gets += static_cast<double>(r.gets);
-        total_tput += r.throughput_mops;
-      }
-    }
-
-    std::printf("%-12s", variant.c_str());
-    for (const double h : phase_hits) {
-      std::printf("   %10.4f", h);
+    std::printf("%-12s", system);
+    for (const sim::RunResult& r : bench::WithSystem(
+             bench::ParseSystem(system), bench::MakePoolConfig(capacity), clients, replay_phases)) {
+      std::printf("   %10.4f", r.hit_rate);
+      total_hits += r.hit_rate * static_cast<double>(r.gets);
+      total_gets += static_cast<double>(r.gets);
+      total_tput += r.throughput_mops;
     }
     std::printf("   %10.4f  %10.4f\n", total_hits / total_gets, total_tput / kPhases);
   }

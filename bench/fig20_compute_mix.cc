@@ -3,7 +3,7 @@
 // varies. Ditto adapts to whichever mixture the compute allocation creates.
 #include <cstdio>
 
-#include "realworld_common.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
@@ -17,26 +17,19 @@ int main(int argc, char** argv) {
   std::printf("%-12s %10s %10s %10s %12s %12s\n", "lru_portion", "ditto", "d-lru", "d-lfu",
               "ditto_rel", "lfu_rel");
 
+  sim::RunOptions options;
+  options.warmup_fraction = 0.3;
   for (const double lru_portion : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
-    const auto n_lru = static_cast<uint64_t>(lru_portion * static_cast<double>(requests));
-    workload::Trace lru_app = workload::MakeShiftingHotSet(
-        n_lru, footprint, footprint / 10, requests / 60, footprint / 16, 3);
-    workload::Trace lfu_app = workload::MakeLfuFriendly(requests - n_lru, footprint / 2, 0.99,
-                                                        0.3, 4, 2 * footprint);
-    workload::Trace mixed;
-    mixed.reserve(requests);
-    size_t ia = 0;
-    size_t ib = 0;
-    Rng rng(7);
-    while (ia < lru_app.size() || ib < lfu_app.size()) {
-      const bool from_a =
-          ib >= lfu_app.size() || (ia < lru_app.size() && rng.NextDouble() < lru_portion);
-      mixed.push_back(from_a ? lru_app[ia++] : lfu_app[ib++]);
-    }
+    const workload::Trace mixed = workload::MakeTwoAppMix(requests, footprint, lru_portion);
     const uint64_t capacity = workload::Footprint(mixed) / 10;
-    const double ditto = bench::RunVariant("ditto", mixed, capacity, clients, 0.0).hit_rate;
-    const double lru = bench::RunVariant("ditto-lru", mixed, capacity, clients, 0.0).hit_rate;
-    const double lfu = bench::RunVariant("ditto-lfu", mixed, capacity, clients, 0.0).hit_rate;
+    auto hit_rate = [&](const char* system) {
+      return bench::RunSystem(bench::ParseSystem(system), mixed, bench::MakePoolConfig(capacity),
+                              clients, options)
+          .hit_rate;
+    };
+    const double ditto = hit_rate("ditto");
+    const double lru = hit_rate("ditto-lru");
+    const double lfu = hit_rate("ditto-lfu");
     std::printf("%-12.1f %10.4f %10.4f %10.4f %12.3f %12.3f\n", lru_portion, ditto, lru, lfu,
                 ditto / std::max(lru, 1e-9), lfu / std::max(lru, 1e-9));
   }

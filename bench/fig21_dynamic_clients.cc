@@ -3,7 +3,7 @@
 // interleaving of more clients changes the access pattern; Ditto re-adapts.
 #include <cstdio>
 
-#include "realworld_common.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
@@ -18,10 +18,17 @@ int main(int argc, char** argv) {
                                   "(webmail-like)");
   std::printf("%-10s %10s %10s %10s %12s\n", "clients", "ditto", "d-lru", "d-lfu",
               "ditto_rel");
+  sim::RunOptions options;
+  options.warmup_fraction = 0.3;
   for (const int clients : {4, 8, 16, 32, 64}) {
-    const double ditto = bench::RunVariant("ditto", trace, capacity, clients, 0.0).hit_rate;
-    const double lru = bench::RunVariant("ditto-lru", trace, capacity, clients, 0.0).hit_rate;
-    const double lfu = bench::RunVariant("ditto-lfu", trace, capacity, clients, 0.0).hit_rate;
+    auto hit_rate = [&](const char* system) {
+      return bench::RunSystem(bench::ParseSystem(system), trace, bench::MakePoolConfig(capacity),
+                              clients, options)
+          .hit_rate;
+    };
+    const double ditto = hit_rate("ditto");
+    const double lru = hit_rate("ditto-lru");
+    const double lfu = hit_rate("ditto-lfu");
     std::printf("%-10d %10.4f %10.4f %10.4f %12.3f\n", clients, ditto, lru, lfu,
                 ditto / std::max(lru, 1e-9));
   }

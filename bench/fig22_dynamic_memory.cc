@@ -3,7 +3,7 @@
 // Ditto adapts at every size.
 #include <cstdio>
 
-#include "realworld_common.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
@@ -18,11 +18,18 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Figure 22", "hit rate under dynamically growing cache sizes "
                                   "(webmail-like)");
   std::printf("%-12s %10s %10s %10s %8s\n", "cache_frac", "ditto", "d-lru", "d-lfu", "best");
+  sim::RunOptions options;
+  options.warmup_fraction = 0.3;
   for (const double frac : {0.05, 0.10, 0.20, 0.30, 0.40, 0.60}) {
     const auto capacity = static_cast<uint64_t>(frac * static_cast<double>(fp));
-    const double ditto = bench::RunVariant("ditto", trace, capacity, clients, 0.0).hit_rate;
-    const double lru = bench::RunVariant("ditto-lru", trace, capacity, clients, 0.0).hit_rate;
-    const double lfu = bench::RunVariant("ditto-lfu", trace, capacity, clients, 0.0).hit_rate;
+    auto hit_rate = [&](const char* system) {
+      return bench::RunSystem(bench::ParseSystem(system), trace, bench::MakePoolConfig(capacity),
+                              clients, options)
+          .hit_rate;
+    };
+    const double ditto = hit_rate("ditto");
+    const double lru = hit_rate("ditto-lru");
+    const double lfu = hit_rate("ditto-lfu");
     std::printf("%-12.2f %10.4f %10.4f %10.4f %8s\n", frac, ditto, lru, lfu,
                 lru >= lfu ? "LRU" : "LFU");
   }

@@ -26,6 +26,15 @@ int main(int argc, char** argv) {
   const auto heap_budget =
       static_cast<size_t>(cache_frac * static_cast<double>(fp) * avg_object_bytes);
   const uint64_t approx_objects = heap_budget / avg_object_bytes;
+  dm::PoolConfig pool_config;
+  pool_config.num_buckets = 1;
+  while (pool_config.num_buckets * 8 < approx_objects * 4) {
+    pool_config.num_buckets *= 2;
+  }
+  pool_config.segment_bytes = 8 << 10;
+  pool_config.memory_bytes =
+      dm::kSuperblockBytes + pool_config.num_buckets * 8 * 40 + heap_budget;
+  pool_config.capacity_objects = uint64_t{1} << 40;  // byte-gated, not count-gated
 
   sim::RunOptions options;
   options.value_bytes = 64;
@@ -46,27 +55,13 @@ int main(int argc, char** argv) {
   std::printf("%-12s %12s %10s %10s %12s\n", "algorithm", "tput_mops", "hit_rate",
               "loc(ours)", "loc(paper)");
   for (const std::string& name : policy::AllPolicyNames()) {
-    dm::PoolConfig pool_config;
-    pool_config.num_buckets = 1;
-    while (pool_config.num_buckets * 8 < approx_objects * 4) {
-      pool_config.num_buckets *= 2;
-    }
-    pool_config.segment_bytes = 8 << 10;
-    pool_config.memory_bytes = dm::kSuperblockBytes +
-                               pool_config.num_buckets * 8 * 40 + heap_budget;
-    pool_config.capacity_objects = uint64_t{1} << 40;  // byte-gated, not count-gated
-    dm::MemoryPool pool(pool_config);
-    pool.SetHistorySize(approx_objects);
-
-    core::DittoConfig config;
-    config.experts = {name};
-    bench::DittoDeployment d;
-    d.pool = std::make_unique<dm::MemoryPool>(pool_config);
-    d.pool->SetHistorySize(approx_objects);
-    d.server = std::make_unique<core::DittoServer>(d.pool.get(), config);
-    d.Resize(clients, config);
-
-    const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+    const sim::RunResult r = bench::WithSystem(
+        bench::ParseSystem(name), pool_config, clients, [&](auto& d) {
+          // The history is sized by the byte budget's object count, not the
+          // disabled object-count gate.
+          d.pool->SetHistorySize(approx_objects);
+          return sim::RunTrace(d.raw, trace, d.nodes, options);
+        });
     std::printf("%-12s %12.4f %10.4f %10d %12d\n", name.c_str(), r.throughput_mops,
                 r.hit_rate, loc.at(name).first, loc.at(name).second);
   }

@@ -24,15 +24,13 @@ int main(int argc, char** argv) {
   std::printf("%-22s %12s %10s %10s %12s\n", "configuration", "tput_mops", "hit_rate",
               "p99_us", "vs_full");
 
+  sim::RunOptions options;
+  options.warmup_fraction = 0.3;
   auto run = [&](const char* label, auto mutate, double full_tput) -> double {
-    core::DittoConfig config;
-    config.experts = {"lru", "lfu"};
-    mutate(config);
-    bench::DittoDeployment d =
-        bench::MakeDitto(bench::MakePoolConfig(capacity), config, clients);
-    sim::RunOptions options;
-    options.warmup_fraction = 0.3;
-    const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+    bench::System system = bench::ParseSystem("ditto");
+    mutate(system.ditto);
+    const sim::RunResult r =
+        bench::RunSystem(system, trace, bench::MakePoolConfig(capacity), clients, options);
     const double rel = full_tput > 0.0 ? r.throughput_mops / full_tput : 1.0;
     std::printf("%-22s %12.4f %10.4f %10.1f %11.1f%%\n", label, r.throughput_mops,
                 r.hit_rate, r.p99_us, rel * 100.0);

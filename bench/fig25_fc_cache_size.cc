@@ -27,17 +27,14 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<const char*, size_t>> sizes = {
       {"disabled", 0},     {"1KB", 1 << 10},   {"4KB", 4 << 10},  {"16KB", 16 << 10},
       {"64KB", 64 << 10},  {"1MB", 1 << 20},   {"10MB", 10 << 20}};
+  sim::RunOptions options;
+  options.set_on_miss = false;
   for (const auto& [label, bytes] : sizes) {
-    core::DittoConfig config;
-    config.experts = {"lru", "lfu"};
-    config.enable_fc_cache = bytes != 0;
-    config.fc_capacity_bytes = bytes;
-    bench::DittoDeployment d =
-        bench::MakeDitto(bench::MakePoolConfig(keys * 2), config, clients);
-    bench::Preload(d.raw, trace, 232);
-    sim::RunOptions options;
-    options.set_on_miss = false;
-    const sim::RunResult r = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+    bench::System system = bench::ParseSystem("ditto");
+    system.ditto.enable_fc_cache = bytes != 0;
+    system.ditto.fc_capacity_bytes = bytes;
+    const sim::RunResult r = bench::RunSystem(system, trace, bench::MakePoolConfig(keys * 2),
+                                              clients, options, /*preload=*/true);
     std::printf("%-12s %12.4f %10.1f %14.2f\n", label, r.throughput_mops, r.p99_us,
                 static_cast<double>(r.nic_messages) / static_cast<double>(r.ops));
   }

@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
     options.warmup_fraction = 0.2;
     options.miss_penalty_us = penalty_us;
     options.pipeline_depth = depth;
-    const sim::RunResult r =
-        sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+    const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
 
     if (base_hit < 0.0) {
       base_tput = r.throughput_mops;

@@ -9,6 +9,7 @@
 //
 // Without --trace, a demonstration webmail-like synthetic trace is used.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "common/flags.h"
@@ -86,10 +87,16 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
   std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
   std::vector<sim::CacheClient*> raw;
-  for (int i = 0; i < num_clients; ++i) {
-    ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
-    clients.push_back(std::make_unique<sim::DittoCacheClient>(&pool, ctxs.back().get(), config));
-    raw.push_back(clients.back().get());
+  try {
+    for (int i = 0; i < num_clients; ++i) {
+      ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
+      clients.push_back(
+          std::make_unique<sim::DittoCacheClient>(&pool, ctxs.back().get(), config));
+      raw.push_back(clients.back().get());
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "replay_trace: %s\n", e.what());
+    return 2;
   }
 
   std::printf("replaying: footprint=%llu capacity=%llu clients=%d experts=%s penalty=%.0fus\n",

@@ -1,7 +1,8 @@
 // Time sources for the simulated disaggregated-memory substrate.
 //
-// LogicalClock: a global atomic tick used as the timestamp domain for cache
-// metadata (insert_ts / last_ts). Deterministic across runs.
+// LogicalClock: an atomic tick used as the timestamp domain for cache
+// metadata (insert_ts / last_ts); each dm::MemoryPool owns one, shared by
+// all of its clients. Deterministic across runs.
 //
 // VirtualClock: per-client accumulated busy time in nanoseconds. One-sided
 // verbs, lock backoffs and miss penalties charge latency here; experiment
@@ -21,9 +22,6 @@ class LogicalClock {
   uint64_t Tick() { return now_.fetch_add(1, std::memory_order_relaxed) + 1; }
   uint64_t Now() const { return now_.load(std::memory_order_relaxed); }
   void Reset() { now_.store(0, std::memory_order_relaxed); }
-
-  // Global instance shared by all clients of a process-wide simulation.
-  static LogicalClock& Global();
 
  private:
   std::atomic<uint64_t> now_{0};

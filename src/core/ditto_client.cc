@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/hash.h"
 
@@ -26,14 +28,22 @@ DittoClient::DittoClient(dm::MemoryPool* pool, rdma::ClientContext* ctx,
       verbs_(&pool->node(), ctx),
       table_(pool, &verbs_),
       alloc_(pool, &verbs_) {
-  assert(!config_.experts.empty());
+  if (config_.experts.empty()) {
+    throw std::invalid_argument("DittoConfig: experts is empty");
+  }
   for (const std::string& name : config_.experts) {
     auto policy = policy::MakePolicy(name);
-    assert(policy != nullptr && "unknown caching algorithm");
+    if (policy == nullptr) {
+      throw std::invalid_argument("DittoConfig: unknown caching algorithm '" + name + "'");
+    }
     total_ext_words_ += policy->extension_words();
     experts_.push_back(std::move(policy));
   }
-  assert(total_ext_words_ <= policy::Metadata::kMaxExtensionWords);
+  if (total_ext_words_ > policy::Metadata::kMaxExtensionWords) {
+    throw std::invalid_argument("DittoConfig: experts need " +
+                                std::to_string(total_ext_words_) + " extension words, max " +
+                                std::to_string(policy::Metadata::kMaxExtensionWords));
+  }
 
   AdaptiveConfig acfg;
   acfg.num_experts = static_cast<int>(experts_.size());

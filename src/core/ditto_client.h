@@ -192,6 +192,9 @@ struct SetOp {
 
 class DittoClient {
  public:
+  // Throws std::invalid_argument if config.experts is empty, names an
+  // unknown caching algorithm, or needs more than
+  // policy::Metadata::kMaxExtensionWords extension words in total.
   DittoClient(dm::MemoryPool* pool, rdma::ClientContext* ctx, const DittoConfig& config);
 
   // Looks up key. On hit fills *value (may be nullptr to skip the copy) and

@@ -107,6 +107,25 @@ Trace MakeChangingWorkload(int phases, uint64_t phase_len, uint64_t num_keys, ui
   return trace;
 }
 
+Trace MakeTwoAppMix(uint64_t count, uint64_t footprint, double lru_fraction) {
+  const auto lru_count = static_cast<uint64_t>(lru_fraction * static_cast<double>(count));
+  const Trace lru_app = MakeShiftingHotSet(lru_count, footprint, footprint / 10, count / 60,
+                                           footprint / 16, 3);
+  const Trace lfu_app =
+      MakeLfuFriendly(count - lru_count, footprint / 2, 0.99, 0.3, 4, 2 * footprint);
+  Trace mixed;
+  mixed.reserve(count);
+  size_t ia = 0;
+  size_t ib = 0;
+  Rng rng(7);
+  while (ia < lru_app.size() || ib < lfu_app.size()) {
+    const bool from_lru =
+        ib >= lfu_app.size() || (ia < lru_app.size() && rng.NextDouble() < lru_fraction);
+    mixed.push_back(from_lru ? lru_app[ia++] : lfu_app[ib++]);
+  }
+  return mixed;
+}
+
 namespace {
 
 // Blends two traces request-by-request with the given probability of

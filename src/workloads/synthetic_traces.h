@@ -48,6 +48,12 @@ Trace MakeZipfWithScans(uint64_t count, uint64_t num_keys, double theta, uint64_
 // LRU-friendly and LFU-friendly segments of `phase_len` requests each.
 Trace MakeChangingWorkload(int phases, uint64_t phase_len, uint64_t num_keys, uint64_t seed);
 
+// Two applications sharing one cache (paper Figures 3 and 20): an
+// LRU-friendly app (shifting hot set over keys [0, footprint)) issuing
+// `lru_fraction` of `count` requests, and an LFU-friendly app (Zipf core plus
+// noise, keys from 2*footprint) issuing the rest, interleaved at random.
+Trace MakeTwoAppMix(uint64_t count, uint64_t footprint, double lru_fraction);
+
 // Named trace families used throughout the evaluation benches. Valid names:
 // webmail, twitter-transient, twitter-storage, twitter-compute, ibm,
 // cloudphysics. `count` requests over roughly `footprint` distinct keys.

@@ -12,15 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/hash.h"
-#include "core/ditto_client.h"
-#include "dm/pool.h"
 #include "hashtable/hash_table.h"
 #include "rdma/verbs.h"
-#include "sim/adapters.h"
-#include "sim/runner.h"
-#include "workloads/synthetic_traces.h"
-#include "workloads/ycsb.h"
 
 namespace ditto {
 namespace {
@@ -37,25 +32,11 @@ dm::PoolConfig ContendedPool(uint64_t capacity_objects, size_t num_buckets = 102
 // A shared-pool Ditto deployment: one pool + server, one context/client per
 // thread, with insert validation on (the contended engine's contract: racing
 // inserters must converge on a single copy of a key).
-struct ContendedDeployment {
-  explicit ContendedDeployment(const dm::PoolConfig& pool_config,
-                               core::DittoConfig config, int num_clients)
-      : pool(pool_config), server(&pool, config) {
-    config.validate_inserts = true;
-    for (int i = 0; i < num_clients; ++i) {
-      ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-      clients.push_back(
-          std::make_unique<sim::DittoCacheClient>(&pool, ctxs.back().get(), config));
-      raw.push_back(clients.back().get());
-    }
-  }
-
-  dm::MemoryPool pool;
-  core::DittoServer server;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
-  std::vector<sim::CacheClient*> raw;
-};
+bench::DittoDeployment Contended(const dm::PoolConfig& pool_config, core::DittoConfig config,
+                                 int num_clients) {
+  config.validate_inserts = true;
+  return bench::MakeDitto(pool_config, config, num_clients);
+}
 
 // Two clients spinning CAS-increments on one slot's atomic word: every
 // update must land exactly once (8-byte CAS linearizes them), and the sum of
@@ -104,7 +85,7 @@ TEST(ContendedCasTest, TwoClientsSpinningOnOneSlotSerialize) {
 TEST(ContendedCasTest, ConcurrentInsertsOfOneKeyConvergeToSingleCopy) {
   core::DittoConfig config;
   config.experts = {"lru"};
-  ContendedDeployment d(ContendedPool(1000), config, 8);
+  bench::DittoDeployment d = Contended(ContendedPool(1000), config, 8);
   const std::string key = "contended-key";
   const std::string value = "same-value-on-every-client";
 
@@ -124,8 +105,8 @@ TEST(ContendedCasTest, ConcurrentInsertsOfOneKeyConvergeToSingleCopy) {
 
   // Scan the key's bucket: exactly one live object slot may remain.
   rdma::ClientContext ctx(100);
-  rdma::Verbs verbs(&d.pool.node(), &ctx);
-  ht::HashTable table(&d.pool, &verbs);
+  rdma::Verbs verbs(&d.pool->node(), &ctx);
+  ht::HashTable table(d.pool.get(), &verbs);
   const uint64_t hash = HashKey(key);
   std::vector<ht::SlotView> bucket;
   ASSERT_TRUE(table.ReadBucket(table.BucketIndexFor(hash), &bucket));
@@ -140,7 +121,7 @@ TEST(ContendedCasTest, ConcurrentInsertsOfOneKeyConvergeToSingleCopy) {
   std::string got;
   EXPECT_TRUE(d.clients[0]->ditto().Get(key, &got));
   EXPECT_EQ(got, value);
-  EXPECT_EQ(d.pool.cached_objects(), 1u) << "count accounting must survive the race";
+  EXPECT_EQ(d.pool->cached_objects(), 1u) << "count accounting must survive the race";
 }
 
 // Model-based safety under full-overlap churn: every client writes the same
@@ -151,7 +132,7 @@ TEST(ContendedCasTest, ConcurrentInsertsOfOneKeyConvergeToSingleCopy) {
 TEST(ContendedCasTest, OverlappedChurnNeverServesCorruptValues) {
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};
-  ContendedDeployment d(ContendedPool(400, 256), config, 4);
+  bench::DittoDeployment d = Contended(ContendedPool(400, 256), config, 4);
   constexpr int kOpsPerClient = 8000;
   constexpr int kKeySpace = 1200;  // 3x capacity: constant eviction churn
 
@@ -184,7 +165,7 @@ TEST(ContendedCasTest, OverlappedChurnNeverServesCorruptValues) {
     thread.join();
   }
   EXPECT_EQ(corrupt.load(), 0u);
-  EXPECT_LE(d.pool.cached_objects(), 400u + d.clients.size())
+  EXPECT_LE(d.pool->cached_objects(), 400u + d.clients.size())
       << "capacity must hold under contended churn";
 }
 
@@ -205,9 +186,9 @@ TEST(RunTraceContendedTest, FullOverlapReportsContentionAndConsistentCounters) {
   sim::RunResult r;
   std::vector<sim::RunResult> per_client;
   for (int round = 0; round < 5; ++round) {
-    ContendedDeployment d(ContendedPool(512, 512), config, 8);
+    bench::DittoDeployment d = Contended(ContendedPool(512, 512), config, 8);
     per_client.clear();
-    r = sim::RunTraceContended(d.raw, trace, {&d.pool.node()}, options, &per_client);
+    r = sim::RunTraceContended(d.raw, trace, d.nodes, options, &per_client);
     if (r.cas_failures + r.insert_retries > 0) {
       break;
     }
@@ -252,13 +233,13 @@ TEST(RunTraceContendedTest, SingleClientMatchesSequentialReplay) {
   sim::RunOptions options;
   options.warmup_fraction = 0.25;
 
-  ContendedDeployment contended(ContendedPool(1024), config, 1);
+  bench::DittoDeployment contended = Contended(ContendedPool(1024), config, 1);
   const sim::RunResult a =
-      sim::RunTraceContended(contended.raw, trace, {&contended.pool.node()}, options);
+      sim::RunTraceContended(contended.raw, trace, contended.nodes, options);
 
-  ContendedDeployment sequential(ContendedPool(1024), config, 1);
+  bench::DittoDeployment sequential = Contended(ContendedPool(1024), config, 1);
   const sim::RunResult b =
-      sim::RunTrace(sequential.raw, trace, &sequential.pool.node(), options);
+      sim::RunTrace(sequential.raw, trace, sequential.nodes, options);
 
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.gets, b.gets);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -324,6 +325,34 @@ TEST(DittoClientTest, SfhtDisabledStillCorrect) {
   }
   EXPECT_GT(client.stats().evictions, 0u);
   EXPECT_TRUE(client.Get("k-299", nullptr));
+}
+
+// An invalid DittoConfig is rejected in every build type, not only where
+// assertions are compiled in.
+TEST(DittoClientConfigTest, EmptyExpertsThrow) {
+  dm::MemoryPool pool(PoolFor(100));
+  rdma::ClientContext ctx(0);
+  DittoConfig config;
+  config.experts.clear();
+  EXPECT_THROW((DittoClient(&pool, &ctx, config)), std::invalid_argument);
+}
+
+TEST(DittoClientConfigTest, UnknownExpertThrows) {
+  dm::MemoryPool pool(PoolFor(100));
+  rdma::ClientContext ctx(0);
+  DittoConfig config;
+  config.experts = {"lru", "bogus"};
+  EXPECT_THROW((DittoClient(&pool, &ctx, config)), std::invalid_argument);
+}
+
+TEST(DittoClientConfigTest, ExtensionWordsBeyondMetadataThrow) {
+  dm::MemoryPool pool(PoolFor(100));
+  rdma::ClientContext ctx(0);
+  DittoConfig config;
+  config.experts = {"lruk", "lrfu"};  // 2 + 2 words: exactly the budget
+  EXPECT_NO_THROW((DittoClient(&pool, &ctx, config)));
+  config.experts.push_back("lirs");  // one word over
+  EXPECT_THROW((DittoClient(&pool, &ctx, config)), std::invalid_argument);
 }
 
 }  // namespace

@@ -240,14 +240,10 @@ TEST(ElasticScheduleTest, ShrinkLosesLessThanColdRestartAndExpandRecovers) {
   options.warmup_fraction = 1.0 / 3.0;
   options.resize_schedule = {{1.0 / 3.0, kShrunk}, {2.0 / 3.0, kCapacity}};
 
-  dm::MemoryPool pool(PoolConfigFor(kCapacity));
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};
-  core::DittoServer server(&pool, config);
-  rdma::ClientContext ctx(0);
-  sim::DittoCacheClient client(&pool, &ctx, config);
-  const sim::RunResult r =
-      sim::RunTrace({&client}, trace, &pool.node(), options);
+  bench::DittoDeployment d = bench::MakeDitto(PoolConfigFor(kCapacity), config, 1);
+  const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
 
   ASSERT_EQ(r.phases.size(), 3u);
   EXPECT_EQ(r.phases[1].capacity_objects, kShrunk);
@@ -329,13 +325,10 @@ TEST(ElasticScheduleTest, ShardedTrajectoryIsThreadCountInvariant) {
 
 TEST(ElasticScheduleTest, EmptyScheduleYieldsSingleWholeRunPhase) {
   const workload::Trace trace = ZipfReadTrace(500, 4000, /*seed=*/1);
-  dm::MemoryPool pool(PoolConfigFor(250));
   core::DittoConfig config;
   config.experts = {"lru"};
-  core::DittoServer server(&pool, config);
-  rdma::ClientContext ctx(0);
-  sim::DittoCacheClient client(&pool, &ctx, config);
-  const sim::RunResult r = sim::RunTrace({&client}, trace, &pool.node(), sim::RunOptions{});
+  bench::DittoDeployment d = bench::MakeDitto(PoolConfigFor(250), config, 1);
+  const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, sim::RunOptions{});
   ASSERT_EQ(r.phases.size(), 1u);
   EXPECT_EQ(r.phases[0].capacity_objects, 0u);
   EXPECT_EQ(r.phases[0].gets, r.gets);

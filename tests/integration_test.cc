@@ -7,31 +7,18 @@
 //   4. The cache keeps functioning across runtime capacity changes.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/ditto_client.h"
-#include "dm/pool.h"
-#include "sim/adapters.h"
+#include "bench_common.h"
 #include "sim/hit_rate.h"
-#include "sim/runner.h"
-#include "workloads/synthetic_traces.h"
 
 namespace ditto {
 namespace {
 
-struct Deployment {
-  std::unique_ptr<dm::MemoryPool> pool;
-  std::unique_ptr<core::DittoServer> server;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
-  std::vector<sim::CacheClient*> raw;
-};
-
-Deployment MakeDeployment(uint64_t capacity, const std::vector<std::string>& experts,
-                          int num_clients) {
-  Deployment d;
+bench::DittoDeployment MakeDeployment(uint64_t capacity, const std::vector<std::string>& experts,
+                                      int num_clients) {
   dm::PoolConfig pool_config;
   pool_config.memory_bytes = 64 << 20;
   // ~4 slots per cached object so samples are dense.
@@ -41,27 +28,18 @@ Deployment MakeDeployment(uint64_t capacity, const std::vector<std::string>& exp
   }
   pool_config.capacity_objects = capacity;
   pool_config.cost = rdma::CostModel::Disabled();
-  d.pool = std::make_unique<dm::MemoryPool>(pool_config);
-
   core::DittoConfig config;
   config.experts = experts;
-  d.server = std::make_unique<core::DittoServer>(d.pool.get(), config);
-  for (int i = 0; i < num_clients; ++i) {
-    d.ctxs.push_back(std::make_unique<rdma::ClientContext>(i));
-    d.clients.push_back(
-        std::make_unique<sim::DittoCacheClient>(d.pool.get(), d.ctxs.back().get(), config));
-    d.raw.push_back(d.clients.back().get());
-  }
-  return d;
+  return bench::MakeDitto(pool_config, config, num_clients);
 }
 
 double RunHitRate(const workload::Trace& trace, uint64_t capacity,
                   const std::vector<std::string>& experts, int num_clients = 2,
                   double warmup = 0.3) {
-  Deployment d = MakeDeployment(capacity, experts, num_clients);
+  bench::DittoDeployment d = MakeDeployment(capacity, experts, num_clients);
   sim::RunOptions options;
   options.warmup_fraction = warmup;
-  const sim::RunResult result = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+  const sim::RunResult result = sim::RunTrace(d.raw, trace, d.nodes, options);
   return result.hit_rate;
 }
 
@@ -134,7 +112,7 @@ TEST(IntegrationTest, CapacityGrowthImprovesHitRate) {
 }
 
 TEST(IntegrationTest, RuntimeCapacityShrinkTakesEffect) {
-  Deployment d = MakeDeployment(2000, {"lru", "lfu"}, 1);
+  bench::DittoDeployment d = MakeDeployment(2000, {"lru", "lfu"}, 1);
   auto& client = *d.clients[0];
   for (int i = 0; i < 2000; ++i) {
     client.Set(workload::KeyString(i), "v");
@@ -161,13 +139,56 @@ TEST(IntegrationTest, MultiClientAdaptiveConvergesLikeSingle) {
 TEST(IntegrationTest, TwelveAlgorithmsRunEndToEnd) {
   const workload::Trace trace = workload::MakeNamedTrace("webmail", 20000, 2000, 11);
   for (const std::string& name : policy::AllPolicyNames()) {
-    Deployment d = MakeDeployment(300, {name}, 1);
+    bench::DittoDeployment d = MakeDeployment(300, {name}, 1);
     sim::RunOptions options;
     options.warmup_fraction = 0.2;
-    const sim::RunResult result = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
+    const sim::RunResult result = sim::RunTrace(d.raw, trace, d.nodes, options);
     EXPECT_GT(result.ops, 0u) << name;
     EXPECT_GE(result.hit_rate, 0.0) << name;
     EXPECT_GT(d.clients[0]->ditto().stats().evictions, 0u) << name;
+  }
+}
+
+// Every system name a figure prints parses to the configuration the paper
+// names and replays end to end through the figure cell.
+TEST(FigureCellTest, EveryFigureSystemParsesAndRuns) {
+  std::vector<std::string> names = {"ditto", "ditto-lru", "ditto-lfu", "cm-lru", "cm-lfu",
+                                    "kvs",   "kvc",       "kvc-s",     "shard-lru"};
+  const std::vector<std::string>& policies = policy::AllPolicyNames();
+  names.insert(names.end(), policies.begin(), policies.end());
+  const workload::Trace trace = workload::MakeNamedTrace("webmail", 4000, 1000, 3);
+  sim::RunOptions options;
+  options.warmup_fraction = 0.2;
+  for (const std::string& name : names) {
+    const bench::System system = bench::ParseSystem(name);
+    EXPECT_EQ(system.name, name);
+    const sim::RunResult r =
+        bench::RunSystem(system, trace, bench::MakePoolConfig(100, 1, /*costed=*/false), 2,
+                         options, /*preload=*/true);
+    EXPECT_GT(r.gets, 0u) << name;
+    EXPECT_GT(r.hits, 0u) << name;
+  }
+}
+
+TEST(FigureCellTest, SystemNamesMapToThePaperConfigurations) {
+  using Kind = bench::System::Kind;
+  EXPECT_EQ(bench::ParseSystem("ditto").ditto.experts, (std::vector<std::string>{"lru", "lfu"}));
+  EXPECT_EQ(bench::ParseSystem("ditto-lfu").ditto.experts, std::vector<std::string>{"lfu"});
+  EXPECT_EQ(bench::ParseSystem("gdsf").ditto.experts, std::vector<std::string>{"gdsf"});
+  const bench::System cm = bench::ParseSystem("cm-lfu");
+  EXPECT_EQ(cm.kind, Kind::kCliqueMap);
+  EXPECT_EQ(cm.cliquemap.policy, baselines::CmPolicy::kLfu);
+  const bench::System kvc = bench::ParseSystem("kvc");
+  EXPECT_EQ(kvc.kind, Kind::kShardLru);
+  EXPECT_EQ(kvc.shard_lru.num_shards, 1);
+  EXPECT_EQ(bench::ParseSystem("kvc-s").shard_lru.num_shards, 32);
+  EXPECT_FALSE(bench::ParseSystem("kvs").shard_lru.maintain_list);
+  EXPECT_TRUE(bench::ParseSystem("shard-lru").shard_lru.maintain_list);
+}
+
+TEST(FigureCellTest, UnknownSystemThrows) {
+  for (const char* name : {"", "bogus", "ditto-", "ditto-fifo", "cm-fifo", "KVS"}) {
+    EXPECT_THROW(bench::ParseSystem(name), std::invalid_argument) << name;
   }
 }
 

@@ -107,15 +107,12 @@ void ExerciseOpContract(sim::CacheClient* client,
 }
 
 TEST(OpApiTest, DittoClientSupportsTypedOps) {
-  dm::MemoryPool pool(SmallPool());
-  core::DittoServer server(&pool, DittoCfg());
-  rdma::ClientContext ctx(0);
-  sim::DittoCacheClient client(&pool, &ctx, DittoCfg());
+  bench::DittoDeployment d = bench::MakeDitto(SmallPool(), DittoCfg(), 1);
   // Ditto's TTL domain is the pool's logical clock, which ticks on every
   // Set / metadata touch; a burst of filler Sets advances it.
-  ExerciseOpContract(&client, [&](uint64_t n) {
+  ExerciseOpContract(d.raw[0], [&](uint64_t n) {
     for (uint64_t i = 0; i < n; ++i) {
-      pool.clock().Tick();
+      d.pool->clock().Tick();
     }
   });
 }
@@ -126,13 +123,11 @@ TEST(OpApiTest, ClusterClientSupportsTypedOps) {
   config.partition_seed = 7;
   config.pool = SmallPool();
   config.ditto = DittoCfg();
-  core::ClusterPool pool(config);
-  rdma::ClientContext ctx(0);
-  sim::ClusterCacheClient client(&pool, &ctx, config.ditto);
-  ExerciseOpContract(&client, [&](uint64_t n) {
-    for (int node = 0; node < pool.num_nodes(); ++node) {
+  bench::ClusterDeployment d = bench::MakeCluster(config, 1);
+  ExerciseOpContract(d.raw[0], [&](uint64_t n) {
+    for (int node = 0; node < d.pool->num_nodes(); ++node) {
       for (uint64_t i = 0; i < n; ++i) {
-        pool.node(node).clock().Tick();
+        d.pool->node(node).clock().Tick();
       }
     }
   });
@@ -247,39 +242,32 @@ TEST(OpApiTest, RedisClusterEvictsAtCapacity) {
 // doorbell.
 TEST(OpApiTest, MultiGetIssuesFewerDoorbellsThanSingleGets) {
   constexpr int kKeys = 16;
-  struct Deployment {
-    Deployment() : pool(SmallPool()), server(&pool, DittoCfg()), ctx(0) {
-      client = std::make_unique<sim::DittoCacheClient>(&pool, &ctx, DittoCfg());
-      for (int i = 0; i < kKeys; ++i) {
-        client->Set("mgk-" + std::to_string(i), "value");
-      }
-    }
-    dm::MemoryPool pool;
-    core::DittoServer server;
-    rdma::ClientContext ctx;
-    std::unique_ptr<sim::DittoCacheClient> client;
-  };
-
-  Deployment singly;
-  Deployment batched;
-
   std::vector<std::string> key_storage;
   for (int i = 0; i < kKeys; ++i) {
     key_storage.push_back("mgk-" + std::to_string(i));
   }
+  auto preloaded = [&] {
+    bench::DittoDeployment d = bench::MakeDitto(SmallPool(), DittoCfg(), 1);
+    for (const std::string& key : key_storage) {
+      d.raw[0]->Set(key, "value");
+    }
+    return d;
+  };
+  bench::DittoDeployment singly = preloaded();
+  bench::DittoDeployment batched = preloaded();
 
-  const uint64_t singly_before = singly.pool.node().nic().doorbells();
+  const uint64_t singly_before = singly.pool->node().nic().doorbells();
   size_t single_hits = 0;
   for (const std::string& key : key_storage) {
-    single_hits += singly.client->Get(key, nullptr) ? 1 : 0;
+    single_hits += singly.raw[0]->Get(key, nullptr) ? 1 : 0;
   }
-  const uint64_t singly_doorbells = singly.pool.node().nic().doorbells() - singly_before;
+  const uint64_t singly_doorbells = singly.pool->node().nic().doorbells() - singly_before;
 
   std::vector<std::string_view> keys(key_storage.begin(), key_storage.end());
   std::vector<sim::CacheResult> results;
-  const uint64_t batched_before = batched.pool.node().nic().doorbells();
-  const size_t batched_hits = batched.client->MultiGet(keys, &results);
-  const uint64_t batched_doorbells = batched.pool.node().nic().doorbells() - batched_before;
+  const uint64_t batched_before = batched.pool->node().nic().doorbells();
+  const size_t batched_hits = batched.raw[0]->MultiGet(keys, &results);
+  const uint64_t batched_doorbells = batched.pool->node().nic().doorbells() - batched_before;
 
   EXPECT_EQ(single_hits, static_cast<size_t>(kKeys));
   EXPECT_EQ(batched_hits, static_cast<size_t>(kKeys)) << "batching must not change behaviour";

@@ -210,39 +210,22 @@ TEST(PipelineWindowTest, RetiresOldestFirstAndEndsAtLatestCompletion) {
 // Replay equivalence
 // ---------------------------------------------------------------------------
 
-struct Deployment {
-  std::unique_ptr<dm::MemoryPool> pool;
-  std::unique_ptr<core::DittoServer> server;
-  std::vector<std::unique_ptr<ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
-  std::vector<sim::CacheClient*> raw;
-
-  uint64_t TotalVerbs() const {
-    uint64_t total = 0;
-    for (const auto& ctx : ctxs) {
-      total += ctx->reads + ctx->writes + ctx->atomics + ctx->rpcs;
-    }
-    return total;
-  }
-};
-
-Deployment MakeDeployment(uint64_t capacity, int num_clients) {
-  Deployment d;
+bench::DittoDeployment MakeDeployment(uint64_t capacity, int num_clients) {
   dm::PoolConfig pool_config;
   pool_config.memory_bytes = 32 << 20;
   pool_config.num_buckets = 4096;
   pool_config.capacity_objects = capacity;  // cost model ON: timing matters here
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};
-  d.pool = std::make_unique<dm::MemoryPool>(pool_config);
-  d.server = std::make_unique<core::DittoServer>(d.pool.get(), config);
-  for (int i = 0; i < num_clients; ++i) {
-    d.ctxs.push_back(std::make_unique<ClientContext>(i));
-    d.clients.push_back(
-        std::make_unique<sim::DittoCacheClient>(d.pool.get(), d.ctxs.back().get(), config));
-    d.raw.push_back(d.clients.back().get());
+  return bench::MakeDitto(pool_config, config, num_clients);
+}
+
+uint64_t TotalVerbs(const bench::DittoDeployment& d) {
+  uint64_t total = 0;
+  for (const auto& ctx : d.ctxs) {
+    total += ctx->reads + ctx->writes + ctx->atomics + ctx->rpcs;
   }
-  return d;
+  return total;
 }
 
 workload::Trace TestTrace(char workload, uint64_t requests) {
@@ -264,10 +247,10 @@ class PipelineReplayTest : public ::testing::Test {
   };
 
   static Run Replay(const workload::Trace& trace, const sim::RunOptions& options) {
-    Deployment d = MakeDeployment(kCapacity, kClients);
+    bench::DittoDeployment d = MakeDeployment(kCapacity, kClients);
     Run run;
-    run.result = sim::RunTrace(d.raw, trace, &d.pool->node(), options);
-    run.verbs = d.TotalVerbs();
+    run.result = sim::RunTrace(d.raw, trace, d.nodes, options);
+    run.verbs = TotalVerbs(d);
     return run;
   }
 };

@@ -26,17 +26,12 @@
 #include <string>
 #include <vector>
 
-#include "core/ditto_client.h"
-#include "dm/pool.h"
+#include "bench_common.h"
 #include "net/connection.h"
 #include "net/loadgen.h"
 #include "net/resp.h"
 #include "net/ring_buffer.h"
 #include "net/server.h"
-#include "sim/adapters.h"
-#include "sim/runner.h"
-#include "workloads/trace.h"
-#include "workloads/ycsb.h"
 
 namespace ditto {
 namespace {
@@ -50,25 +45,13 @@ dm::PoolConfig TestPool(uint64_t capacity_objects) {
   return config;
 }
 
-// One pool + server + n clients, one client per reactor.
-struct Deployment {
-  Deployment(const dm::PoolConfig& pool_config, core::DittoConfig config, int num_clients)
-      : pool(pool_config), server(&pool, config) {
-    config.validate_inserts = config.validate_inserts || num_clients > 1;
-    for (int i = 0; i < num_clients; ++i) {
-      ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-      clients.push_back(
-          std::make_unique<sim::DittoCacheClient>(&pool, ctxs.back().get(), config));
-      raw.push_back(clients.back().get());
-    }
-  }
-
-  dm::MemoryPool pool;
-  core::DittoServer server;
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
-  std::vector<sim::CacheClient*> raw;
-};
+// One pool + server + n clients, one client per reactor; reactors sharing
+// the pool validate their inserts.
+bench::DittoDeployment Served(const dm::PoolConfig& pool_config, core::DittoConfig config,
+                              int num_clients) {
+  config.validate_inserts = config.validate_inserts || num_clients > 1;
+  return bench::MakeDitto(pool_config, config, num_clients);
+}
 
 workload::Trace TestTrace(uint64_t requests) {
   workload::YcsbConfig ycsb;
@@ -221,20 +204,20 @@ TEST(ServerFidelityTest, ServedReplayMatchesInProcessRunTrace) {
     policy.set_on_miss = c.set_on_miss;
 
     // In-process side.
-    Deployment in_process(TestPool(512), config, 1);
+    bench::DittoDeployment in_process = Served(TestPool(512), config, 1);
     sim::RunOptions options;
     static_cast<sim::RequestPolicy&>(options) = policy;
-    const uint64_t expected_bytes_before = in_process.pool.node().nic().bytes();
+    const uint64_t expected_bytes_before = in_process.pool->node().nic().bytes();
     const sim::RunResult expected =
-        sim::RunTrace(in_process.raw, trace, &in_process.pool.node(), options);
-    const uint64_t expected_bytes = in_process.pool.node().nic().bytes() - expected_bytes_before;
+        sim::RunTrace(in_process.raw, trace, in_process.nodes, options);
+    const uint64_t expected_bytes = in_process.pool->node().nic().bytes() - expected_bytes_before;
 
     // Served side: fresh deployment, one reactor, one connection at depth 1
     // (both sides then execute the trace in its original order).
-    Deployment served(TestPool(512), config, 1);
+    bench::DittoDeployment served = Served(TestPool(512), config, 1);
     served.raw[0]->ResetForMeasurement();
-    const uint64_t nic_before = served.pool.node().nic().messages();
-    const uint64_t bytes_before = served.pool.node().nic().bytes();
+    const uint64_t nic_before = served.pool->node().nic().messages();
+    const uint64_t bytes_before = served.pool->node().nic().bytes();
     net::Server server(served.raw, net::ServerOptions{});
     std::string error;
     ASSERT_TRUE(server.Start(&error)) << error;
@@ -273,9 +256,9 @@ TEST(ServerFidelityTest, ServedReplayMatchesInProcessRunTrace) {
     EXPECT_EQ(counters.deletes, expected.deletes);
     EXPECT_EQ(counters.evictions, expected.evictions);
     EXPECT_EQ(counters.expired, expected.expired);
-    EXPECT_EQ(served.pool.node().nic().messages() - nic_before, expected.nic_messages);
+    EXPECT_EQ(served.pool->node().nic().messages() - nic_before, expected.nic_messages);
     // Equal wire bytes: every stored value had the size the policy gave it.
-    EXPECT_EQ(served.pool.node().nic().bytes() - bytes_before, expected_bytes);
+    EXPECT_EQ(served.pool->node().nic().bytes() - bytes_before, expected_bytes);
   }
 }
 
@@ -286,7 +269,7 @@ TEST(ServerFidelityTest, MultiConnectionReplayServesEveryRequest) {
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};
   config.validate_inserts = true;
-  Deployment d(TestPool(512), config, 2);
+  bench::DittoDeployment d = Served(TestPool(512), config, 2);
   net::Server server(d.raw, net::ServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
@@ -312,7 +295,7 @@ TEST(ServerFidelityTest, MultiConnectionReplayServesEveryRequest) {
 
 TEST(ServerOverloadTest, ConnCapAnswersErrorAndCloses) {
   core::DittoConfig config;
-  Deployment d(TestPool(256), config, 1);
+  bench::DittoDeployment d = Served(TestPool(256), config, 1);
   net::ServerOptions options;
   options.max_conns = 2;
   net::Server server(d.raw, options);
@@ -344,7 +327,7 @@ TEST(ServerOverloadTest, ConnCapAnswersErrorAndCloses) {
 
 TEST(ServerOverloadTest, ShedWatermarkAnswersLoadshedNotStall) {
   core::DittoConfig config;
-  Deployment d(TestPool(256), config, 1);
+  bench::DittoDeployment d = Served(TestPool(256), config, 1);
   net::ServerOptions options;
   options.shed_watermark = 4;
   net::Server server(d.raw, options);
@@ -387,7 +370,7 @@ TEST(ServerOverloadTest, ShedWatermarkAnswersLoadshedNotStall) {
 
 TEST(ServerProtocolTest, MalformedFrameGetsErrorThenClose) {
   core::DittoConfig config;
-  Deployment d(TestPool(256), config, 1);
+  bench::DittoDeployment d = Served(TestPool(256), config, 1);
   net::Server server(d.raw, net::ServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
@@ -402,7 +385,7 @@ TEST(ServerProtocolTest, MalformedFrameGetsErrorThenClose) {
 
 TEST(ServerProtocolTest, QuitFlushesPipelinedRepliesThenCloses) {
   core::DittoConfig config;
-  Deployment d(TestPool(256), config, 1);
+  bench::DittoDeployment d = Served(TestPool(256), config, 1);
   net::Server server(d.raw, net::ServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
@@ -428,11 +411,8 @@ TEST(ServerClusterTest, CrashedClusterAnswersUnavailableOnWire) {
   core::ClusterConfig cluster_config;
   cluster_config.nodes = 2;
   cluster_config.pool = TestPool(256);
-  core::ClusterPool pool(cluster_config);
-  rdma::ClientContext ctx(0);
-  sim::ClusterCacheClient client(&pool, &ctx, cluster_config.ditto);
-  std::vector<sim::CacheClient*> raw{&client};
-  net::Server server(raw, net::ServerOptions{});
+  bench::ClusterDeployment d = bench::MakeCluster(cluster_config, 1);
+  net::Server server(d.raw, net::ServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -443,13 +423,13 @@ TEST(ServerClusterTest, CrashedClusterAnswersUnavailableOnWire) {
 
   // Crash 1 of 2 nodes: keys re-route to the survivor, the wire stays up.
   // (Round trips order each crash strictly before the next command batch.)
-  pool.Crash(0);
+  d.pool->Crash(0);
   ASSERT_TRUE(conn.Send("SET k2 w\r\nGET k2\r\n"));
   EXPECT_EQ(conn.ReadReplies(2), (std::vector<std::string>{"+OK", "$w"}));
 
   // Crash the survivor: every data command answers -UNAVAILABLE; PING (no
   // cache op) still answers, and the connection stays open.
-  pool.Crash(1);
+  d.pool->Crash(1);
   ASSERT_TRUE(conn.Send(
       "GET k\r\nSET k v\r\nDEL k\r\nEXPIRE k 5\r\nTTL k\r\nMGET a b\r\nPING\r\n"));
   const std::vector<std::string> replies = conn.ReadReplies(7);
@@ -463,7 +443,7 @@ TEST(ServerClusterTest, CrashedClusterAnswersUnavailableOnWire) {
 
 TEST(ServerProtocolTest, UnknownCommandAndArityErrorsKeepConnectionOpen) {
   core::DittoConfig config;
-  Deployment d(TestPool(256), config, 1);
+  bench::DittoDeployment d = Served(TestPool(256), config, 1);
   net::Server server(d.raw, net::ServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
@@ -483,7 +463,7 @@ TEST(ServerProtocolTest, UnknownCommandAndArityErrorsKeepConnectionOpen) {
 // in-flight budget and count no executed op.
 TEST(ServerProtocolTest, RejectedCommandsCountNoOps) {
   core::DittoConfig config;
-  Deployment d(TestPool(256), config, 1);
+  bench::DittoDeployment d = Served(TestPool(256), config, 1);
   net::ServerOptions options;
   options.shed_watermark = 1;  // one op in flight: a charged reject would shed the GET
   net::Server server(d.raw, options);
@@ -555,15 +535,15 @@ workload::Trace PipelineTrace(uint64_t requests) {
 
 // A fresh single-client deployment with every even key cached, so a trace
 // mixes hits and misses. The preload is identical on every deployment.
-struct PipeDeployment : Deployment {
-  PipeDeployment() : Deployment(PipelinePool(), core::DittoConfig{}, 1) {
-    const std::string value(kPipeValueBytes, 'v');
-    for (uint64_t key = 0; key < 512; key += 2) {
-      workload::KeyBuf buf;
-      raw[0]->Set(workload::FormatKey(key, &buf), value);
-    }
+bench::DittoDeployment PipeDeployment() {
+  bench::DittoDeployment d = bench::MakeDitto(PipelinePool(), core::DittoConfig{}, 1);
+  const std::string value(kPipeValueBytes, 'v');
+  for (uint64_t key = 0; key < 512; key += 2) {
+    workload::KeyBuf buf;
+    d.raw[0]->Set(workload::FormatKey(key, &buf), value);
   }
-};
+  return d;
+}
 
 // What one execution did to the cache and the simulated network.
 struct Effects {
@@ -573,7 +553,7 @@ struct Effects {
   uint64_t busy_ns = 0;
 };
 
-Effects Snapshot(Deployment& d) {
+Effects Snapshot(bench::DittoDeployment& d) {
   Effects e;
   e.counters = d.raw[0]->counters();
   const rdma::ClientContext& ctx = *d.ctxs[0];
@@ -581,7 +561,7 @@ Effects Snapshot(Deployment& d) {
   e.writes = ctx.writes;
   e.atomics = ctx.atomics;
   e.rpcs = ctx.rpcs;
-  e.nic_messages = d.pool.node().nic().messages();
+  e.nic_messages = d.pool->node().nic().messages();
   e.busy_ns = d.ctxs[0]->clock().busy_ns();
   return e;
 }
@@ -620,8 +600,9 @@ std::vector<std::string> TraceCommands(const workload::Trace& trace) {
 
 // Feeds `batch` commands per readable event, then finishes the client like
 // sim::RunTrace does; returns every reply byte.
-std::string ServeInBatches(Deployment& d, const std::vector<std::string>& commands,
-                           size_t batch, TestHost* host) {
+std::string ServeInBatches(bench::DittoDeployment& d,
+                           const std::vector<std::string>& commands, size_t batch,
+                           TestHost* host) {
   net::Connection conn(/*fd=*/-1, host);
   std::string replies;
   for (size_t i = 0; i < commands.size(); i += batch) {
@@ -645,13 +626,13 @@ TEST(ConnectionPipelineTest, BatchMatchesDepthOneAndRunTraceAtSameDepth) {
     const workload::Trace trace = PipelineTrace(n);
     const std::vector<std::string> commands = TraceCommands(trace);
 
-    PipeDeployment depth1;
+    bench::DittoDeployment depth1 = PipeDeployment();
     const Effects depth1_before = Snapshot(depth1);
     TestHost depth1_host(depth1.raw[0]);
     const std::string depth1_replies = ServeInBatches(depth1, commands, 1, &depth1_host);
     const Effects depth1_after = Snapshot(depth1);
 
-    PipeDeployment batched;
+    bench::DittoDeployment batched = PipeDeployment();
     const Effects batched_before = Snapshot(batched);
     TestHost batched_host(batched.raw[0]);
     const std::string batched_replies = ServeInBatches(batched, commands, n, &batched_host);
@@ -668,13 +649,13 @@ TEST(ConnectionPipelineTest, BatchMatchesDepthOneAndRunTraceAtSameDepth) {
     EXPECT_LT(batched_ns, depth1_ns) << "verb waits of a batch overlap";
 
     // The runner's pipelined replay of the same ops at the same depth.
-    PipeDeployment replay;
+    bench::DittoDeployment replay = PipeDeployment();
     sim::RunOptions options;
     options.value_bytes = kPipeValueBytes;
     options.set_on_miss = false;
     options.pipeline_depth = std::min(n, net::Connection::kWindowOps);
     const Effects replay_before = Snapshot(replay);
-    sim::RunTrace(replay.raw, trace, &replay.pool.node(), options);
+    sim::RunTrace(replay.raw, trace, replay.nodes, options);
     const Effects replay_after = Snapshot(replay);
     EXPECT_EQ(replay_after.busy_ns - replay_before.busy_ns, batched_ns);
     EXPECT_EQ(replay_after.nic_messages - replay_before.nic_messages,
@@ -688,11 +669,11 @@ TEST(ConnectionPipelineTest, OneCommandBatchIsBlockingExecution) {
   const workload::Trace trace = PipelineTrace(200);
   const std::vector<std::string> commands = TraceCommands(trace);
 
-  PipeDeployment served;
+  bench::DittoDeployment served = PipeDeployment();
   TestHost host(served.raw[0]);
   ServeInBatches(served, commands, 1, &host);
 
-  PipeDeployment blocking;
+  bench::DittoDeployment blocking = PipeDeployment();
   const std::string value(kPipeValueBytes, 'v');
   for (const workload::Request& req : trace) {
     workload::KeyBuf buf;

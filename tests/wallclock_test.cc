@@ -7,15 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/ditto_client.h"
-#include "dm/pool.h"
-#include "sim/adapters.h"
-#include "sim/runner.h"
-#include "workloads/ycsb.h"
 
 namespace ditto {
 namespace {
@@ -57,30 +51,18 @@ void ExpectWallFilled(const sim::RunResult& r, int expected_threads) {
 }
 
 TEST(WallClockTest, RunTraceFillsWallFields) {
-  dm::MemoryPool pool(SmallPool());
-  const core::DittoConfig config = LruLfu();
-  core::DittoServer server(&pool, config);
-  rdma::ClientContext ctx(0);
-  sim::DittoCacheClient client(&pool, &ctx, config);
-  std::vector<sim::CacheClient*> raw = {&client};
-
+  bench::DittoDeployment d = bench::MakeDitto(SmallPool(), LruLfu(), 1);
   sim::RunOptions options;
   options.warmup_fraction = 0.1;
-  const sim::RunResult r = sim::RunTrace(raw, SmallTrace(), &pool.node(), options);
+  const sim::RunResult r = sim::RunTrace(d.raw, SmallTrace(), d.nodes, options);
   ExpectWallFilled(r, /*expected_threads=*/1);
 }
 
 TEST(WallClockTest, PipelinedRunTraceFillsWallFields) {
-  dm::MemoryPool pool(SmallPool());
-  const core::DittoConfig config = LruLfu();
-  core::DittoServer server(&pool, config);
-  rdma::ClientContext ctx(0);
-  sim::DittoCacheClient client(&pool, &ctx, config);
-  std::vector<sim::CacheClient*> raw = {&client};
-
+  bench::DittoDeployment d = bench::MakeDitto(SmallPool(), LruLfu(), 1);
   sim::RunOptions options;
   options.pipeline_depth = 4;
-  const sim::RunResult r = sim::RunTrace(raw, SmallTrace(), &pool.node(), options);
+  const sim::RunResult r = sim::RunTrace(d.raw, SmallTrace(), d.nodes, options);
   ExpectWallFilled(r, /*expected_threads=*/1);
 }
 
@@ -111,23 +93,11 @@ TEST(WallClockTest, RunTraceContendedReportsOneThreadPerClient) {
   constexpr int kClients = 2;
   core::DittoConfig config = LruLfu();
   config.validate_inserts = true;
-  dm::MemoryPool pool(SmallPool());
-  core::DittoServer server(&pool, config);
-  std::vector<std::unique_ptr<rdma::ClientContext>> ctxs;
-  std::vector<std::unique_ptr<sim::DittoCacheClient>> clients;
-  std::vector<sim::CacheClient*> raw;
-  for (int i = 0; i < kClients; ++i) {
-    ctxs.push_back(std::make_unique<rdma::ClientContext>(static_cast<uint32_t>(i)));
-    clients.push_back(
-        std::make_unique<sim::DittoCacheClient>(&pool, ctxs.back().get(), config));
-    raw.push_back(clients.back().get());
-  }
-
+  bench::DittoDeployment d = bench::MakeDitto(SmallPool(), config, kClients);
   sim::RunOptions options;
-  std::vector<rdma::RemoteNode*> nodes = {&pool.node()};
   std::vector<sim::RunResult> per_client;
   const sim::RunResult r =
-      sim::RunTraceContended(raw, SmallTrace(), nodes, options, &per_client);
+      sim::RunTraceContended(d.raw, SmallTrace(), d.nodes, options, &per_client);
   ExpectWallFilled(r, /*expected_threads=*/kClients);
   // Per-client results share the run's wall window and thread count.
   ASSERT_EQ(per_client.size(), static_cast<size_t>(kClients));

@@ -205,6 +205,26 @@ TEST(SyntheticTest, ChangingWorkloadAlternatesAffinity) {
   EXPECT_GT(LruRate(phase1, cap), LfuRate(phase1, cap));
 }
 
+TEST(SyntheticTest, TwoAppMixSplitsRequestsAndKeyRanges) {
+  const Trace t = MakeTwoAppMix(kCount, kFootprint, 0.25);
+  EXPECT_EQ(t.size(), kCount);
+  uint64_t lru_app = 0;
+  for (const Request& r : t) {
+    if (r.key < kFootprint) {
+      lru_app++;
+    } else {
+      EXPECT_GE(r.key, 2 * kFootprint) << "the LFU app's keys start at 2*footprint";
+    }
+  }
+  EXPECT_EQ(lru_app, kCount / 4);
+  // The mix flips the better algorithm with the compute split (Figure 3).
+  const size_t cap = kFootprint / 10;
+  const Trace lru_heavy = MakeTwoAppMix(kCount, kFootprint, 1.0);
+  const Trace lfu_heavy = MakeTwoAppMix(kCount, kFootprint, 0.0);
+  EXPECT_GT(LruRate(lru_heavy, cap), LfuRate(lru_heavy, cap));
+  EXPECT_GT(LfuRate(lfu_heavy, cap), LruRate(lfu_heavy, cap));
+}
+
 TEST(SyntheticTest, NamedFamiliesAllGenerate) {
   for (const std::string& name : NamedTraceFamilies()) {
     const Trace t = MakeNamedTrace(name, 50000, 5000, 1);
