@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   // algorithm (this repo), next to the paper's Table 3 counts.
   const std::map<std::string, std::pair<int, int>> loc = {
       {"lru", {3, 9}},       {"lfu", {4, 9}},        {"mru", {3, 9}},
-      {"gds", {7, 14}},      {"lirs", {10, 12}},     {"fifo", {3, 9}},
-      {"size", {3, 9}},      {"gdsf", {8, 14}},      {"lrfu", {14, 17}},
+      {"gds", {12, 14}},     {"lirs", {10, 12}},     {"fifo", {3, 9}},
+      {"size", {3, 9}},      {"gdsf", {15, 14}},     {"lrfu", {14, 17}},
       {"lruk", {9, 23}},     {"lfuda", {12, 14}},    {"hyperbolic", {7, 11}}};
 
   bench::PrintHeader("Figure 23 + Table 3",

@@ -1,14 +1,14 @@
-// Completion-queue verb-pipeline engine bench: sweeps the per-client
-// pipeline depth (RunOptions::pipeline_depth) and reports simulated
-// throughput, latency, and hit rate at each depth.
+// Op-pipeline engine bench: sweeps the per-client pipeline depth
+// (RunOptions::pipeline_depth) and reports simulated throughput, latency,
+// and hit rate at each depth.
 //
-// Depth 1 replays through the classic blocking path — every signalled verb
-// charges a full RTT before the next issues, capping a client at ~1/RTT ops.
-// Depth K keeps K independent ops in flight per client on the rdma::Verbs
-// completion queue: ops still execute (and mutate cache state) in issue
-// order, so the hit rate is bit-identical at every depth, while the verb
-// latencies overlap and throughput scales until the NIC message rate (or the
-// op mix's inherent dependency chain) binds. The sweep prints the speedup
+// Depth 1 is blocking replay — every signalled verb charges a full RTT
+// before the next issues, capping a client at ~1/RTT ops. Depth K keeps K
+// independent ops in flight per client, each on its own detached timeline
+// (rdma::Verbs::BeginOp): ops still execute (and mutate cache state) in
+// issue order, so the hit rate is bit-identical at every depth, while the
+// verb latencies overlap and throughput scales until the NIC message rate
+// (or the op mix's inherent dependency chain) binds. The sweep prints the speedup
 // over depth 1 and asserts hit-rate invariance.
 //
 // Flags:
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   const uint64_t capacity = std::max<uint64_t>(1, keys / 4);
 
   bench::PrintHeader("pipelined_engine",
-                     "completion-queue verb pipeline: K in-flight ops per client");
+                     "op pipeline: K in-flight ops per client");
   std::printf("# workload=%s theta=%.2f keys=%llu requests=%llu clients=%d capacity=%llu\n",
               workload_name.c_str(), theta, static_cast<unsigned long long>(keys),
               static_cast<unsigned long long>(requests), clients,

@@ -59,6 +59,8 @@ REQUIRED_HOT_PATHS = {
     "request-policy": "src/sim/request_policy.h",
     "verb-post": "src/rdma/verbs.cc",
     "fc-record": "src/core/fc_cache.cc",
+    "client-get": "src/core/ditto_client.cc",
+    "client-set": "src/core/ditto_client.cc",
 }
 
 # relative file -> exact number of reinterpret_cast tokens allowed.

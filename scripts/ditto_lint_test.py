@@ -267,14 +267,16 @@ class RealRepoTest(unittest.TestCase):
         self.assertEqual(errors, [], "\n".join(errors))
 
     def test_per_verb_and_per_access_paths_sit_in_their_regions(self):
-        # Every simulated verb and every FC-cache access runs these
-        # functions; moving one out of its region would drop it from the
-        # no-allocation check.
+        # Every simulated verb, every FC-cache access and every client
+        # Get/Set runs these functions; moving one out of its region would
+        # drop it from the no-allocation check.
         expected = {
-            "verb-post": ["Verbs::PostSignalled(", "Verbs::ChargeAsync(",
+            "verb-post": ["Verbs::ChargeSignalled(", "Verbs::ChargeAsync(",
                           "Verbs::EnqueueBatched(", "Verbs::FlushBatch("],
             "fc-record": ["FcCache::RecordAccess(", "FcCache::FlushEntry(",
                           "FcCache::FlushAged(", "FcCache::EvictOldest("],
+            "client-get": ["DittoClient::Get("],
+            "client-set": ["DittoClient::AllocEvicting(", "DittoClient::Set("],
         }
         for name, functions in expected.items():
             with self.subTest(region=name):

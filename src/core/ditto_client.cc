@@ -17,6 +17,9 @@ constexpr uint64_t kMinusOne = ~uint64_t{0};
 // Scratch area in the superblock used to emulate the verb traffic of a
 // non-embedded history (ablation mode, see ChargeExternalHistory*).
 constexpr uint64_t kExternalHistScratch = 512;
+// History entries record which experts voted for the victim in a 64-bit
+// bitmap, one bit per expert index, so at most 64 experts fit.
+constexpr size_t kExpertBitmapBits = 64;
 
 }  // namespace
 
@@ -30,6 +33,10 @@ DittoClient::DittoClient(dm::MemoryPool* pool, rdma::ClientContext* ctx,
       alloc_(pool, &verbs_) {
   if (config_.experts.empty()) {
     throw std::invalid_argument("DittoConfig: experts is empty");
+  }
+  if (config_.experts.size() > kExpertBitmapBits) {
+    throw std::invalid_argument("DittoConfig: " + std::to_string(config_.experts.size()) +
+                                " experts, max " + std::to_string(kExpertBitmapBits));
   }
   for (const std::string& name : config_.experts) {
     auto policy = policy::MakePolicy(name);
@@ -60,14 +67,10 @@ DittoClient::DittoClient(dm::MemoryPool* pool, rdma::ClientContext* ctx,
       config_.fc_max_age_accesses);
 }
 
-DittoClient::SuperblockView DittoClient::DecodeSuperblock(const uint64_t raw[4]) {
-  return SuperblockView{raw[0], raw[1], raw[2], raw[3]};
-}
-
 DittoClient::SuperblockView DittoClient::ReadSuperblock() {
   uint64_t raw[4];
   verbs_.Read(dm::kHistCounterAddr, raw, sizeof(raw));
-  return DecodeSuperblock(raw);
+  return SuperblockView{raw[0], raw[1], raw[2], raw[3]};
 }
 
 uint64_t DittoClient::NowTick() { return pool_->clock().Tick(); }
@@ -154,128 +157,75 @@ void DittoClient::TouchObject(uint64_t slot_addr, const ht::SlotView& slot,
   }
 }
 
+// ditto-lint: hot-path-begin(client-get)
+// Lookup: bucket READ, then one object READ per fp/hash match until the key
+// verifies (hit) or the matches run out (miss: regret collection against the
+// embedded history).
+// ditto-lint: allow(alloc): the caller's string, filled only on a hit
 bool DittoClient::Get(std::string_view key, std::string* value) {
-  GetOp op;
-  StartGet(&op, key, value);
-  while (!StepGet(&op)) {
-  }
-  return op.hit;
-}
-
-void DittoClient::StartGet(GetOp* op, std::string_view key, std::string* value) {
   stats_.gets++;
-  op->key = key;
-  op->value = value;
-  op->hash = HashKey(key);
-  op->fp = Fingerprint(op->hash);
-  op->bucket = table_.BucketIndexFor(op->hash);
-  op->wr = table_.PostReadBucket(op->bucket, &bucket_buf_);
-  // The bucket decodes at post time, so the matching object's address is
-  // already known here — one verb ahead of the object READ. Prefetch its
-  // blocks now: by the time the bucket completion is consumed and
-  // kVerifyObject's READ copies the object, the lines are warm. Free in
-  // verb/time accounting (see Verbs::PrefetchRead).
-  const int match = ht::FindObjectSlot(bucket_buf_.data(), 0, table_.slots_per_bucket(),
-                                       op->fp, op->hash);
-  if (match >= 0) {
-    const ht::SlotView& slot = bucket_buf_[match];
-    verbs_.PrefetchRead(slot.pointer(),
-                        static_cast<size_t>(slot.size_blocks()) * dm::kBlockBytes);
-  }
-  op->stage = GetOp::Stage::kMatchSlot;
-}
-
-void DittoClient::GetMatchNext(GetOp* op) {
-  const int i = ht::FindObjectSlot(bucket_buf_.data(), op->scan_from,
-                                   table_.slots_per_bucket(), op->fp, op->hash);
-  if (i >= 0) {
+  const uint64_t hash = HashKey(key);
+  const uint8_t fp = Fingerprint(hash);
+  const uint64_t bucket = table_.BucketIndexFor(hash);
+  table_.ReadBucket(bucket, &bucket_buf_);
+  const int slots = table_.slots_per_bucket();
+  for (int i = ht::FindObjectSlot(bucket_buf_.data(), 0, slots, fp, hash); i >= 0;
+       i = ht::FindObjectSlot(bucket_buf_.data(), i + 1, slots, fp, hash)) {
     const ht::SlotView& slot = bucket_buf_[i];
-    op->slot = i;
-    op->scan_from = i + 1;
+    const uint64_t obj_addr = slot.pointer();
     const size_t obj_bytes = static_cast<size_t>(slot.size_blocks()) * dm::kBlockBytes;
+    // ditto-lint: allow(alloc): grows to the largest object run, then reused
     object_buf_.resize(obj_bytes);
-    op->wr = verbs_.PostRead(slot.pointer(), object_buf_.data(), obj_bytes);
-    op->stage = GetOp::Stage::kVerifyObject;
-    return;
-  }
-  op->wr = 0;
-  op->stage = GetOp::Stage::kMissHistory;
-}
-
-bool DittoClient::StepGet(GetOp* op) {
-  switch (op->stage) {
-    case GetOp::Stage::kMatchSlot:
-      verbs_.WaitWr(op->wr);
-      GetMatchNext(op);
-      return false;
-
-    case GetOp::Stage::kVerifyObject: {
-      verbs_.WaitWr(op->wr);
-      const ht::SlotView& slot = bucket_buf_[op->slot];
-      const uint64_t obj_addr = slot.pointer();
-      const size_t obj_bytes = static_cast<size_t>(slot.size_blocks()) * dm::kBlockBytes;
-      DecodedObject obj;
-      if (!DecodeObject(object_buf_.data(), obj_bytes, &obj) || obj.key != op->key) {
-        // Fingerprint + hash collision with a different key: keep scanning.
-        GetMatchNext(op);
-        return false;
-      }
-      if (obj.ExpiredAt(pool_->clock().Now())) {
-        // Lazy expiry: reclaim the dead object and report a miss. Losing the
-        // CAS means a concurrent client already reclaimed or replaced it.
-        if (CasSlot(table_.BucketSlotAddr(op->bucket, op->slot), slot.atomic_word, 0)) {
-          alloc_.FreeBlocks(obj_addr, slot.size_blocks());
-          verbs_.FetchAddAsync(dm::kObjectCountAddr, kMinusOne);
-        }
-        stats_.expired++;
-        stats_.misses++;
-        op->hit = false;
-        op->stage = GetOp::Stage::kRetired;
-        return true;
-      }
-      if (op->value != nullptr) {
-        op->value->assign(obj.value);
-      }
-      TouchObject(table_.BucketSlotAddr(op->bucket, op->slot), slot, &obj, obj_addr);
-      stats_.hits++;
-      op->hit = true;
-      op->stage = GetOp::Stage::kRetired;
-      return true;
+    verbs_.Read(obj_addr, object_buf_.data(), obj_bytes);
+    DecodedObject obj;
+    if (!DecodeObject(object_buf_.data(), obj_bytes, &obj) || obj.key != key) {
+      continue;  // fingerprint + hash collision with a different key
     }
-
-    case GetOp::Stage::kMissHistory:
-      stats_.misses++;
-      // Regret collection: a missed key whose history entry is still within
-      // the logical FIFO window penalizes the experts that evicted it.
-      if (config_.adaptive()) {
-        if (!config_.enable_history) {
-          // A non-embedded history must be probed on every miss; the embedded
-          // design collects regrets for free during the bucket scan.
-          ChargeExternalHistoryLookup();
-        }
-        for (int i = 0; i < table_.slots_per_bucket(); ++i) {
-          const ht::SlotView& slot = bucket_buf_[i];
-          if (!slot.IsHistory() || slot.hash != op->hash) {
-            continue;
-          }
-          const SuperblockView super = ReadSuperblock();
-          const uint64_t age = (super.hist_counter - slot.history_id()) & kMask48;
-          if (age <= super.hist_size) {
-            adaptive_->OnRegret(slot.expert_bmap(), age);
-            stats_.regrets++;
-          }
-          break;
-        }
+    if (obj.ExpiredAt(pool_->clock().Now())) {
+      // Lazy expiry: reclaim the dead object and report a miss. Losing the
+      // CAS means a concurrent client already reclaimed or replaced it.
+      if (CasSlot(table_.BucketSlotAddr(bucket, i), slot.atomic_word, 0)) {
+        alloc_.FreeBlocks(obj_addr, slot.size_blocks());
+        verbs_.FetchAddAsync(dm::kObjectCountAddr, kMinusOne);
       }
-      op->hit = false;
-      op->stage = GetOp::Stage::kRetired;
-      return true;
-
-    case GetOp::Stage::kRetired:
-      return true;
+      stats_.expired++;
+      stats_.misses++;
+      return false;
+    }
+    if (value != nullptr) {
+      value->assign(obj.value);
+    }
+    TouchObject(table_.BucketSlotAddr(bucket, i), slot, &obj, obj_addr);
+    stats_.hits++;
+    return true;
   }
-  return true;
+
+  stats_.misses++;
+  // Regret collection: a missed key whose history entry is still within the
+  // logical FIFO window penalizes the experts that evicted it.
+  if (config_.adaptive()) {
+    if (!config_.enable_history) {
+      // A non-embedded history must be probed on every miss; the embedded
+      // design collects regrets for free during the bucket scan.
+      ChargeExternalHistoryLookup();
+    }
+    for (int i = 0; i < slots; ++i) {
+      const ht::SlotView& slot = bucket_buf_[i];
+      if (!slot.IsHistory() || slot.hash != hash) {
+        continue;
+      }
+      const SuperblockView super = ReadSuperblock();
+      const uint64_t age = (super.hist_counter - slot.history_id()) & kMask48;
+      if (age <= super.hist_size) {
+        adaptive_->OnRegret(slot.expert_bmap(), age);
+        stats_.regrets++;
+      }
+      break;
+    }
+  }
+  return false;
 }
+// ditto-lint: hot-path-end(client-get)
 
 bool DittoClient::EvictOne() {
   const size_t num_slots = table_.num_slots();
@@ -531,211 +481,118 @@ bool DittoClient::ClaimSlotAndPublish(uint64_t bucket, uint64_t hash, uint8_t fp
   return false;
 }
 
+// ditto-lint: hot-path-begin(client-set)
+uint64_t DittoClient::AllocEvicting(int blocks) {
+  uint64_t addr = alloc_.AllocBlocks(blocks);
+  for (int evictions = 0; addr == 0 && evictions < 128; ++evictions) {
+    if (!EvictOne()) {
+      break;
+    }
+    addr = alloc_.AllocBlocks(blocks);
+  }
+  return addr;
+}
+
+// Store: an in-place update of a cached copy (bucket READ, ext-word READ,
+// object WRITE, slot CAS; up to 4 attempts), else an insert (superblock
+// READ, count FAA, capacity evictions, object WRITE, claim + publish).
 bool DittoClient::Set(std::string_view key, std::string_view value, uint64_t ttl_ticks) {
-  SetOp op;
-  StartSet(&op, key, value, ttl_ticks);
-  while (!StepSet(&op)) {
-  }
-  return op.stored;
-}
-
-void DittoClient::StartSet(SetOp* op, std::string_view key, std::string_view value,
-                           uint64_t ttl_ticks) {
   stats_.sets++;
-  op->key = key;
-  op->value = value;
-  op->blocks = ObjectBlocks(key.size(), value.size(), total_ext_words_);
-  if (op->blocks > dm::kMaxRunBlocks) {
-    // Larger than the longest allocatable block run: drop.
-    op->stored = false;
-    op->stage = SetOp::Stage::kRetired;
-    return;
+  const int blocks = ObjectBlocks(key.size(), value.size(), total_ext_words_);
+  if (blocks > dm::kMaxRunBlocks) {
+    return false;  // larger than the longest allocatable block run: drop
   }
-  op->hash = HashKey(key);
-  op->fp = Fingerprint(op->hash);
-  op->bucket = table_.BucketIndexFor(op->hash);
-  op->now = NowTick();
-  op->expiry = ttl_ticks == 0 ? 0 : op->now + ttl_ticks;
-  // Update path first: check whether the key is already cached.
-  op->wr = table_.PostReadBucket(op->bucket, &bucket_buf_);
-  op->stage = SetOp::Stage::kMatchForUpdate;
-}
+  const uint64_t hash = HashKey(key);
+  const uint8_t fp = Fingerprint(hash);
+  const uint64_t bucket = table_.BucketIndexFor(hash);
+  const uint64_t now = NowTick();
+  const uint64_t expiry = ttl_ticks == 0 ? 0 : now + ttl_ticks;
+  uint64_t ext[policy::Metadata::kMaxExtensionWords] = {};
 
-void DittoClient::SetEnterInsert(SetOp* op) {
-  op->wr = verbs_.PostRead(dm::kHistCounterAddr, op->super_raw, sizeof(op->super_raw));
-  op->stage = SetOp::Stage::kInsertReserve;
-}
-
-bool DittoClient::StepSet(SetOp* op) {
-  switch (op->stage) {
-    case SetOp::Stage::kMatchForUpdate: {
-      verbs_.WaitWr(op->wr);
-      op->found_slot = ht::FindObjectSlot(bucket_buf_.data(), 0, table_.slots_per_bucket(),
-                                          op->fp, op->hash);
-      if (op->found_slot >= 0) {
-        const ht::SlotView& slot = bucket_buf_[op->found_slot];
-        op->found_atomic = slot.atomic_word;
-        op->found_pointer = slot.pointer();
-        op->found_blocks = slot.size_blocks();
-      }
-      if (op->found_slot < 0) {
-        SetEnterInsert(op);
-        return false;
-      }
-      std::fill(op->ext, op->ext + policy::Metadata::kMaxExtensionWords, 0);
-      op->have_ext_read = total_ext_words_ > 0;
-      if (op->have_ext_read) {
-        op->wr = verbs_.PostRead(op->found_pointer + kExtWordsOff, op->ext,
-                                 static_cast<size_t>(total_ext_words_) * 8);
-      }
-      op->evict_budget = 128;
-      op->stage = SetOp::Stage::kUpdateAlloc;
-      return false;
+  // A CAS lost to a concurrent client re-reads the bucket and retries.
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    table_.ReadBucket(bucket, &bucket_buf_);
+    const int found =
+        ht::FindObjectSlot(bucket_buf_.data(), 0, table_.slots_per_bucket(), fp, hash);
+    if (found < 0) {
+      break;
     }
-
-    case SetOp::Stage::kUpdateAlloc: {
-      if (op->have_ext_read) {
-        verbs_.WaitWr(op->wr);
-        op->have_ext_read = false;
-      }
-      op->addr = alloc_.AllocBlocks(op->blocks);
-      while (op->addr == 0 && op->evict_budget > 0) {
-        op->evict_budget--;
-        if (!EvictOne()) {
-          break;
-        }
-        op->addr = alloc_.AllocBlocks(op->blocks);
-      }
-      if (op->addr == 0) {
-        op->stored = false;  // pool exhausted beyond recovery; drop the Set
-        op->stage = SetOp::Stage::kRetired;
-        return true;
-      }
-      EncodeObject(op->key, op->value, op->ext, total_ext_words_, &encode_buf_, op->expiry);
-      op->wr = verbs_.PostWrite(op->addr, encode_buf_.data(), encode_buf_.size());
-      op->stage = SetOp::Stage::kUpdatePublish;
-      return false;
+    ht::SlotView slot = bucket_buf_[found];
+    if (total_ext_words_ > 0) {
+      verbs_.Read(slot.pointer() + kExtWordsOff, ext, static_cast<size_t>(total_ext_words_) * 8);
     }
-
-    case SetOp::Stage::kUpdatePublish: {
-      verbs_.WaitWr(op->wr);
-      const uint64_t desired =
-          ht::PackAtomic(op->fp, static_cast<uint8_t>(op->blocks), op->addr);
-      const uint64_t slot_addr = table_.BucketSlotAddr(op->bucket, op->found_slot);
-      if (CasSlot(slot_addr, op->found_atomic, desired)) {
-        alloc_.FreeBlocks(op->found_pointer, op->found_blocks);
-        ht::SlotView updated = bucket_buf_[op->found_slot];
-        updated.atomic_word = desired;
-        // TouchObject reads the object only for its extension words, so the
-        // buffer just encoded is decoded in place, and only when it has any.
-        DecodedObject obj;
-        const bool have_ext =
-            total_ext_words_ > 0 && DecodeObject(encode_buf_.data(), encode_buf_.size(), &obj);
-        TouchObject(slot_addr, updated, have_ext ? &obj : nullptr, op->addr);
-        op->stored = true;
-        op->stage = SetOp::Stage::kRetired;
-        return true;
-      }
-      alloc_.FreeBlocks(op->addr, op->blocks);
-      op->addr = 0;
-      stats_.set_retries++;
-      if (++op->attempt < 4) {
-        // Re-read the bucket and retry the in-place update.
-        op->wr = table_.PostReadBucket(op->bucket, &bucket_buf_);
-        op->stage = SetOp::Stage::kMatchForUpdate;
-      } else {
-        SetEnterInsert(op);
-      }
-      return false;
+    const uint64_t addr = AllocEvicting(blocks);
+    if (addr == 0) {
+      return false;  // pool exhausted beyond recovery; drop the Set
     }
-
-    case SetOp::Stage::kInsertReserve: {
-      verbs_.WaitWr(op->wr);
-      const uint64_t capacity = DecodeSuperblock(op->super_raw).capacity;
-      const uint64_t prior = verbs_.FetchAdd(dm::kObjectCountAddr, 1);
-      op->evict_budget = 0;
-      if (prior + 1 > capacity) {
-        op->evict_budget = static_cast<int>(std::min<uint64_t>(prior + 1 - capacity, 8));
-      }
-      op->stage = SetOp::Stage::kInsertEvict;
-      return false;
-    }
-
-    case SetOp::Stage::kInsertEvict:
-      // One sampled eviction per step until the capacity overshoot is paid.
-      if (op->evict_budget > 0) {
-        op->evict_budget--;
-        if (EvictOne()) {
-          return false;
-        }
-        op->evict_budget = 0;  // nothing evictable: stop paying
-      }
-      op->stage = SetOp::Stage::kInsertAlloc;
-      op->evict_budget = 128;
-      return false;
-
-    case SetOp::Stage::kInsertAlloc: {
-      std::fill(op->ext, op->ext + policy::Metadata::kMaxExtensionWords, 0);
-      if (total_ext_words_ > 0) {
-        policy::Metadata meta;
-        meta.hash = op->hash;
-        meta.insert_ts = op->now;
-        meta.last_ts = op->now;
-        meta.freq = 1;
-        meta.size_bytes = static_cast<uint32_t>(
-            ObjectBytes(op->key.size(), op->value.size(), total_ext_words_));
-        meta.now = op->now;
-        int base = 0;
-        for (const auto& expert : experts_) {
-          const int words = expert->extension_words();
-          if (words == 0) {
-            continue;
-          }
-          policy::Metadata view = meta;
-          expert->OnInsert(view);
-          expert->Update(view);
-          std::copy(view.ext, view.ext + words, op->ext + base);
-          base += words;
-        }
-      }
-      op->addr = alloc_.AllocBlocks(op->blocks);
-      while (op->addr == 0 && op->evict_budget > 0) {
-        op->evict_budget--;
-        if (!EvictOne()) {
-          break;
-        }
-        op->addr = alloc_.AllocBlocks(op->blocks);
-      }
-      if (op->addr == 0) {
-        verbs_.FetchAddAsync(dm::kObjectCountAddr, kMinusOne);
-        op->stored = false;  // drop: memory exhausted and nothing evictable
-        op->stage = SetOp::Stage::kRetired;
-        return true;
-      }
-      EncodeObject(op->key, op->value, op->ext, total_ext_words_, &encode_buf_, op->expiry);
-      op->wr = verbs_.PostWrite(op->addr, encode_buf_.data(), encode_buf_.size());
-      op->stage = SetOp::Stage::kInsertPublish;
-      return false;
-    }
-
-    case SetOp::Stage::kInsertPublish:
-      verbs_.WaitWr(op->wr);
-      if (!ClaimSlotAndPublish(op->bucket, op->hash, op->fp, op->addr, op->blocks, op->now)) {
-        alloc_.FreeBlocks(op->addr, op->blocks);
-        verbs_.FetchAddAsync(dm::kObjectCountAddr, kMinusOne);
-        op->stored = false;
-        op->stage = SetOp::Stage::kRetired;
-        return true;
-      }
-      op->stored = true;
-      op->stage = SetOp::Stage::kRetired;
+    EncodeObject(key, value, ext, total_ext_words_, &encode_buf_, expiry);
+    verbs_.Write(addr, encode_buf_.data(), encode_buf_.size());
+    const uint64_t desired = ht::PackAtomic(fp, static_cast<uint8_t>(blocks), addr);
+    const uint64_t slot_addr = table_.BucketSlotAddr(bucket, found);
+    if (CasSlot(slot_addr, slot.atomic_word, desired)) {
+      alloc_.FreeBlocks(slot.pointer(), slot.size_blocks());
+      slot.atomic_word = desired;
+      // TouchObject reads the object only for its extension words, so the
+      // buffer just encoded is decoded in place, and only when it has any.
+      DecodedObject obj;
+      const bool have_ext =
+          total_ext_words_ > 0 && DecodeObject(encode_buf_.data(), encode_buf_.size(), &obj);
+      TouchObject(slot_addr, slot, have_ext ? &obj : nullptr, addr);
       return true;
+    }
+    alloc_.FreeBlocks(addr, blocks);
+    stats_.set_retries++;
+  }
 
-    case SetOp::Stage::kRetired:
-      return true;
+  // Insert: reserve a capacity slot, paying any overshoot with up to 8
+  // sampled evictions.
+  const uint64_t capacity = ReadSuperblock().capacity;
+  const uint64_t prior = verbs_.FetchAdd(dm::kObjectCountAddr, 1);
+  if (prior + 1 > capacity) {
+    const uint64_t over = std::min<uint64_t>(prior + 1 - capacity, 8);
+    for (uint64_t i = 0; i < over; ++i) {
+      if (!EvictOne()) {
+        break;  // nothing evictable: stop paying
+      }
+    }
+  }
+  if (total_ext_words_ > 0) {
+    policy::Metadata meta;
+    meta.hash = hash;
+    meta.insert_ts = now;
+    meta.last_ts = now;
+    meta.freq = 1;
+    meta.size_bytes =
+        static_cast<uint32_t>(ObjectBytes(key.size(), value.size(), total_ext_words_));
+    meta.now = now;
+    int base = 0;
+    for (const auto& expert : experts_) {
+      const int words = expert->extension_words();
+      if (words == 0) {
+        continue;
+      }
+      policy::Metadata view = meta;
+      expert->OnInsert(view);
+      expert->Update(view);
+      std::copy(view.ext, view.ext + words, ext + base);
+      base += words;
+    }
+  }
+  const uint64_t addr = AllocEvicting(blocks);
+  if (addr == 0) {
+    verbs_.FetchAddAsync(dm::kObjectCountAddr, kMinusOne);
+    return false;  // drop: memory exhausted and nothing evictable
+  }
+  EncodeObject(key, value, ext, total_ext_words_, &encode_buf_, expiry);
+  verbs_.Write(addr, encode_buf_.data(), encode_buf_.size());
+  if (!ClaimSlotAndPublish(bucket, hash, fp, addr, blocks, now)) {
+    alloc_.FreeBlocks(addr, blocks);
+    verbs_.FetchAddAsync(dm::kObjectCountAddr, kMinusOne);
+    return false;
   }
   return true;
 }
+// ditto-lint: hot-path-end(client-set)
 
 bool DittoClient::Delete(std::string_view key) {
   const uint64_t hash = HashKey(key);

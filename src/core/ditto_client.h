@@ -117,83 +117,11 @@ class DittoServer {
   AdaptiveController controller_;
 };
 
-// --- Resumable operation state machines ------------------------------------
-// Get and Set execute as explicit-state operations: every stage posts at most
-// one signalled verb (rdma::Verbs::Post*) and the following stage consumes
-// its completion. The blocking Get/Set entry points drive the machine to
-// retirement inline, reproducing the historical verb order, counts, and
-// virtual-time cost exactly; the pipelined replay engine instead wraps the
-// same drive loop in BeginPipelinedOp/EndPipelinedOp so the waits land on a
-// detached per-op timeline and up to K independent ops overlap in virtual
-// time. Ops still *execute* one at a time per client (they share the client's
-// scratch buffers and the pipeline overlaps time, not execution), which is
-// what keeps cache behaviour — and therefore hit rates — bit-identical
-// across pipeline depths.
-
-// Lookup: post bucket READ -> match slot -> post object READ -> verify
-// checksum/key -> retire (or miss: regret collection against the embedded
-// history, then retire).
-struct GetOp {
-  enum class Stage : uint8_t {
-    kMatchSlot,     // bucket READ in flight; on completion scan for fp/hash
-    kVerifyObject,  // object READ in flight; on completion checksum + key
-    kMissHistory,   // no live copy: collect a regret, account the miss
-    kRetired,
-  };
-  Stage stage = Stage::kMatchSlot;
-  std::string_view key;
-  std::string* value = nullptr;
-  uint64_t hash = 0;
-  uint64_t bucket = 0;
-  uint8_t fp = 0;
-  uint64_t wr = 0;    // completion the next stage consumes
-  int slot = -1;      // slot whose object READ is in flight
-  int scan_from = 0;  // bucket-scan resume point (fp/hash collisions)
-  bool hit = false;
-};
-
-// Store: post bucket READ -> match for in-place update (found: alloc/evict ->
-// post object WRITE -> publish CAS) or insert (post superblock READ ->
-// reserve a capacity slot -> explicit eviction states -> alloc -> post object
-// WRITE -> claim+publish) -> retire.
-struct SetOp {
-  enum class Stage : uint8_t {
-    kMatchForUpdate,  // bucket READ in flight; on completion look for the key
-    kUpdateAlloc,     // (optional ext READ in flight;) allocate, evicting
-    kUpdatePublish,   // object WRITE in flight; on completion CAS the slot
-    kInsertReserve,   // superblock READ in flight; on completion FAA count
-    kInsertEvict,     // one over-capacity eviction per step
-    kInsertAlloc,     // allocate the object run, evicting as needed
-    kInsertPublish,   // object WRITE in flight; on completion claim a slot
-    kRetired,
-  };
-  Stage stage = Stage::kMatchForUpdate;
-  std::string_view key;
-  std::string_view value;
-  uint64_t hash = 0;
-  uint64_t bucket = 0;
-  uint8_t fp = 0;
-  uint64_t now = 0;     // logical tick captured at issue
-  uint64_t expiry = 0;  // 0 = no TTL
-  uint64_t wr = 0;      // completion the next stage consumes
-  int attempt = 0;      // update-path CAS retries (bounded at 4)
-  int blocks = 0;
-  uint64_t addr = 0;            // freshly allocated object run
-  uint64_t found_atomic = 0;    // update path: published word being replaced
-  uint64_t found_pointer = 0;   // update path: old object run
-  int found_blocks = 0;
-  int found_slot = -1;
-  int evict_budget = 0;         // explicit-eviction steps remaining
-  uint64_t ext[policy::Metadata::kMaxExtensionWords] = {};
-  uint64_t super_raw[4] = {0, 0, 0, 0};  // posted superblock READ lands here
-  bool have_ext_read = false;   // an ext-words READ is in flight
-  bool stored = false;
-};
-
 class DittoClient {
  public:
-  // Throws std::invalid_argument if config.experts is empty, names an
-  // unknown caching algorithm, or needs more than
+  // Throws std::invalid_argument if config.experts is empty, lists more
+  // than 64 experts (history entries record their votes in a 64-bit
+  // bitmap), names an unknown caching algorithm, or needs more than
   // policy::Metadata::kMaxExtensionWords extension words in total.
   DittoClient(dm::MemoryPool* pool, rdma::ClientContext* ctx, const DittoConfig& config);
 
@@ -203,17 +131,8 @@ class DittoClient {
   // expiry) and reported as a miss.
   bool Get(std::string_view key, std::string* value);
 
-  // Resumable-op interface. StartGet/StartSet issue the op's first verb;
-  // each StepGet/StepSet consumes one completion and advances one stage,
-  // returning true once the op retired (outcome in op->hit / op->stored).
-  // At most one op may be active per client at a time.
-  void StartGet(GetOp* op, std::string_view key, std::string* value);
-  bool StepGet(GetOp* op);
-  void StartSet(SetOp* op, std::string_view key, std::string_view value, uint64_t ttl_ticks);
-  bool StepSet(SetOp* op);
-
-  // Pipelined-op timeline control (see rdma::Verbs::BeginOp): ops driven
-  // between Begin/End charge their waits to a detached cursor starting at
+  // Pipelined-op timeline control (see rdma::Verbs::BeginOp): ops run
+  // between Begin/End charge their verbs to a detached cursor starting at
   // start_ns; EndPipelinedOp returns the op's completion timestamp. The
   // caller retires ops in issue order with VirtualClock::AdvanceToNs.
   void BeginPipelinedOp(uint64_t start_ns) { verbs_.BeginOp(start_ns); }
@@ -270,19 +189,10 @@ class DittoClient {
     uint64_t hist_size;
   };
 
-  // Single source of the superblock word order (hist_counter, object_count,
-  // capacity, hist_size) for both the blocking read and posted-READ paths.
-  static SuperblockView DecodeSuperblock(const uint64_t raw[4]);
+  // Reads the superblock's first four words (hist_counter, object_count,
+  // capacity, hist_size) with one READ.
   SuperblockView ReadSuperblock();
   uint64_t NowTick();
-
-  // Get state machine: scans the fetched bucket from op->scan_from for the
-  // next fp/hash match, posting its object READ (stage kVerifyObject) or
-  // falling through to the miss path (stage kMissHistory).
-  void GetMatchNext(GetOp* op);
-  // Set state machine: transitions into the insert path by posting the
-  // superblock READ (stage kInsertReserve).
-  void SetEnterInsert(SetOp* op);
 
   // CAS on a slot's atomic word, counting failures (losses to concurrent
   // clients) in stats_.cas_failures.
@@ -306,6 +216,10 @@ class DittoClient {
   // Evicts one cached object chosen by sample-based multi-expert eviction.
   // Returns false if no victim could be evicted (empty cache).
   bool EvictOne();
+
+  // Allocates a run of `blocks` blocks, evicting up to 128 objects while the
+  // heap is exhausted. Returns 0 if the run could not be allocated.
+  uint64_t AllocEvicting(int blocks);
 
   // Finds a slot in the bucket to claim for a new object and CASes it.
   // Returns true on success.

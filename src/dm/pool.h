@@ -39,8 +39,6 @@ inline constexpr uint64_t kObjectCountAddr = 8;    // cached-object count
 inline constexpr uint64_t kCapacityAddr = 16;      // capacity in objects
 inline constexpr uint64_t kHistSizeAddr = 24;      // history length l
 inline constexpr uint64_t kFreeListBase = 64;      // kMaxRunBlocks heads, 8 B each
-inline constexpr uint64_t kExpertWeightBase = 256; // up to kMaxExperts doubles
-inline constexpr int kMaxExperts = 8;
 inline constexpr size_t kSuperblockBytes = 4096;
 
 // RPC handler ids served by the controller.

@@ -5,24 +5,15 @@
 namespace ditto::ht {
 
 bool HashTable::ReadBucket(uint64_t bucket, std::vector<SlotView>* out) {
-  const uint64_t wr = PostReadBucket(bucket, out);
-  if (wr == 0) {
-    return false;
-  }
-  verbs_->WaitWr(wr);
-  return true;
-}
-
-uint64_t HashTable::PostReadBucket(uint64_t bucket, std::vector<SlotView>* out) {
   if (bucket >= num_buckets_) {
     out->clear();
-    return 0;
+    return false;
   }
   // SlotView mirrors the wire layout (asserted in layout.h), so the bucket
   // READ lands straight in the caller's vector: no scratch copy, no decode.
   out->resize(slots_per_bucket_);
-  return verbs_->PostRead(SlotAddr(bucket * slots_per_bucket_), out->data(),
-                          out->size() * kSlotBytes);
+  verbs_->Read(SlotAddr(bucket * slots_per_bucket_), out->data(), out->size() * kSlotBytes);
+  return true;
 }
 
 bool HashTable::ReadSlots(uint64_t start_slot, int count, std::vector<SlotView>* out,

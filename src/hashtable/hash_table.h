@@ -37,15 +37,9 @@ class HashTable {
 
   // Fetches all slots of one bucket with a single READ. Returns false (and
   // clears *out) for an out-of-range bucket instead of silently reading a
-  // neighbouring bucket.
+  // neighbouring bucket. A READ failed by the fault layer leaves *out zeroed
+  // (an empty bucket); the caller checks Verbs::ok().
   bool ReadBucket(uint64_t bucket, std::vector<SlotView>* out);
-
-  // Signalled (completion-queue) variant of ReadBucket: decodes the bucket
-  // into *out at post time and returns the bucket READ's work-request id —
-  // the caller consumes the completion (Verbs::WaitWr) when its state machine
-  // is ready to look at the slots. Returns 0 (no verb issued, *out cleared)
-  // for an out-of-range bucket.
-  uint64_t PostReadBucket(uint64_t bucket, std::vector<SlotView>* out);
 
   // Fetches `count` consecutive slots starting at a global slot index with a
   // single READ (the sampling primitive). The start is clamped down so the

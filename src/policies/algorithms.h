@@ -64,32 +64,56 @@ class SizePolicy : public CachePolicy {
 };
 
 // ---- GreedyDual family (inflation value L kept client-locally) ------------
+// Each access freezes H = L + value into ext[0] (as LFUDA does below), so an
+// object keeps the inflation value of its last access and ages out once L
+// passes it. An object never touched since the policy joined has ext[0] == 0
+// and ranks at the current L + value.
 
 class GdsPolicy : public CachePolicy {
  public:
   std::string name() const override { return "gds"; }
-  double Priority(const Metadata& m) const override {
-    return inflation_ + m.cost / static_cast<double>(m.size_bytes);
+  int extension_words() const override { return 1; }
+
+  void Update(Metadata& m) const override {
+    m.ext[0] = DoubleToBits(inflation_ + m.cost / static_cast<double>(m.size_bytes));
   }
+
+  double Priority(const Metadata& m) const override {
+    const double h = BitsToDouble(m.ext[0]);
+    return h > 0.0 ? h : inflation_ + m.cost / static_cast<double>(m.size_bytes);
+  }
+
   void OnEvict(const Metadata& victim) const override {
     inflation_ = std::max(inflation_, Priority(victim));
   }
 
- protected:
+ private:
   mutable double inflation_ = 0.0;
 };
 
 class GdsfPolicy : public CachePolicy {
  public:
   std::string name() const override { return "gdsf"; }
-  double Priority(const Metadata& m) const override {
-    return inflation_ + static_cast<double>(m.freq) * m.cost / static_cast<double>(m.size_bytes);
+  int extension_words() const override { return 1; }
+
+  void Update(Metadata& m) const override {
+    m.ext[0] = DoubleToBits(inflation_ + Value(m));
   }
+
+  double Priority(const Metadata& m) const override {
+    const double h = BitsToDouble(m.ext[0]);
+    return h > 0.0 ? h : inflation_ + Value(m);
+  }
+
   void OnEvict(const Metadata& victim) const override {
     inflation_ = std::max(inflation_, Priority(victim));
   }
 
  private:
+  static double Value(const Metadata& m) {
+    return static_cast<double>(m.freq) * m.cost / static_cast<double>(m.size_bytes);
+  }
+
   mutable double inflation_ = 0.0;
 };
 

@@ -48,22 +48,6 @@ class MemoryArena {
   // atomic (as with RDMA_READ).
   void Read(uint64_t addr, void* dst, size_t len) const;
 
-  // Host-cache prefetch hint for an upcoming Read of [addr, addr+len):
-  // pulls the backing cells toward the cache one line at a time. Purely a
-  // performance hint — no loads are observed, no memory-model or accounting
-  // side effects (this is not a verb).
-  void PrefetchRead(uint64_t addr, size_t len) const {
-#if defined(__GNUC__) || defined(__clang__)
-    const uint64_t end = addr + len <= size_ ? addr + len : size_;
-    for (uint64_t a = addr & ~uint64_t{7}; a < end; a += 64) {
-      __builtin_prefetch(&cells_[a / 8], /*rw=*/0, /*locality=*/1);
-    }
-#else
-    (void)addr;
-    (void)len;
-#endif
-  }
-
   // Copies len bytes from src into the arena. Word-atomic per cell: whole
   // cells are release stores, partial edge cells a release CAS loop.
   void Write(uint64_t addr, const void* src, size_t len);

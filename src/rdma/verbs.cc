@@ -1,7 +1,6 @@
 #include "rdma/verbs.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,47 +59,10 @@ bool Verbs::FaultFail(double prob, VerbStatus prob_status) {
   return true;
 }
 
-uint64_t Verbs::WaitWr(uint64_t wr_id) {
-  if (wr_id == 0) {
-    // The "no wr" id a fault-failed Post* returns: nothing to wait for.
-    return base_now_ns();
-  }
-  for (size_t i = 0; i < cq_.size(); ++i) {
-    if (cq_[i].wr_id == wr_id) {
-      const uint64_t complete_ns = cq_[i].complete_ns;
-      cq_.erase(cq_.begin() + static_cast<ptrdiff_t>(i));
-      AdvanceBaseToNs(complete_ns);
-      return complete_ns;
-    }
-  }
-  // Waiting on an unknown (or already-consumed) wr_id is a caller bug that
-  // would silently corrupt time accounting; fail loudly in every build.
-  std::fprintf(stderr, "Verbs::WaitWr: wr_id %llu is not pending\n",
-               static_cast<unsigned long long>(wr_id));
-  std::abort();
-}
-
-bool Verbs::PollCq(Completion* out) {
-  if (cq_.empty()) {
-    return false;
-  }
-  size_t best = 0;
-  for (size_t i = 1; i < cq_.size(); ++i) {
-    if (cq_[i].complete_ns < cq_[best].complete_ns ||
-        (cq_[i].complete_ns == cq_[best].complete_ns && cq_[i].wr_id < cq_[best].wr_id)) {
-      best = i;
-    }
-  }
-  *out = cq_[best];
-  cq_.erase(cq_.begin() + static_cast<ptrdiff_t>(best));
-  AdvanceBaseToNs(out->complete_ns);
-  return true;
-}
-
 void Verbs::BeginOp(uint64_t start_ns) {
   if (in_op_) {
     // Nesting would overwrite the outer op's cursor and corrupt time
-    // accounting; like WaitWr on a stale wr_id, fail loudly in every build.
+    // accounting; fail loudly in every build.
     std::fprintf(stderr, "Verbs::BeginOp: pipelined ops must not nest\n");
     std::abort();
   }
@@ -120,21 +82,16 @@ uint64_t Verbs::EndOp() {
 // ditto-lint: hot-path-begin(verb-post)
 // Per-verb NIC accounting: counters go to this QP's tally, and the queue's
 // work counter is the one node-shared write per message.
-uint64_t Verbs::PostSignalled(double rtt_us, double msg_cost, size_t bytes) {
+void Verbs::ChargeSignalled(double rtt_us, double msg_cost, size_t bytes) {
   const CostModel& cost = node_->cost();
   tally_->AddBytes(bytes);
   tally_->AddDoorbell();
   const uint64_t now = base_now_ns();
   const uint64_t queue_ns = node_->nic().ChargeMessage(tally_, now, msg_cost);
-  uint64_t complete_ns = now;
   if (cost.enabled) {
     const double wire_us = static_cast<double>(bytes) / cost.bytes_per_us;
-    complete_ns += queue_ns + static_cast<uint64_t>((rtt_us + wire_us) * 1000.0);
+    AdvanceBaseToNs(now + queue_ns + static_cast<uint64_t>((rtt_us + wire_us) * 1000.0));
   }
-  const uint64_t wr = next_wr_++;
-  // ditto-lint: allow(alloc): erases keep capacity; grows to the deepest window
-  cq_.push_back(Completion{wr, complete_ns});
-  return wr;
 }
 
 void Verbs::ChargeAsync(double msg_cost, size_t bytes) {
@@ -197,36 +154,24 @@ void Verbs::SetBatchOps(size_t max_pending) {
 }
 
 void Verbs::Read(uint64_t addr, void* dst, size_t len) {
-  WaitWr(PostRead(addr, dst, len));
-}
-
-void Verbs::PrefetchRead(uint64_t addr, size_t len) const {
-  node_->arena().PrefetchRead(addr, len);
-}
-
-void Verbs::Write(uint64_t addr, const void* src, size_t len) {
-  WaitWr(PostWrite(addr, src, len));
-}
-
-uint64_t Verbs::PostRead(uint64_t addr, void* dst, size_t len) {
   if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
     // Zero the destination so the caller decodes an empty bucket / rejected
     // object instead of whatever stale bytes the scratch buffer held.
     std::memset(dst, 0, len);
-    return 0;
+    return;
   }
   node_->arena().Read(addr, dst, len);
   ctx_->reads++;
-  return PostSignalled(node_->cost().read_rtt_us, 1.0, len);
+  ChargeSignalled(node_->cost().read_rtt_us, 1.0, len);
 }
 
-uint64_t Verbs::PostWrite(uint64_t addr, const void* src, size_t len) {
+void Verbs::Write(uint64_t addr, const void* src, size_t len) {
   if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
-    return 0;
+    return;
   }
   node_->arena().Write(addr, src, len);
   ctx_->writes++;
-  return PostSignalled(node_->cost().write_rtt_us, 1.0, len);
+  ChargeSignalled(node_->cost().write_rtt_us, 1.0, len);
 }
 
 void Verbs::WriteAsync(uint64_t addr, const void* src, size_t len) {
@@ -243,47 +188,23 @@ void Verbs::WriteAsync(uint64_t addr, const void* src, size_t len) {
 }
 
 uint64_t Verbs::CompareSwap(uint64_t addr, uint64_t expected, uint64_t desired) {
-  uint64_t observed = 0;
-  WaitWr(PostCas(addr, expected, desired, &observed));
+  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
+    return ~expected;  // a failed CAS must read as "lost the race"
+  }
+  const uint64_t observed = node_->arena().CompareSwap(addr, expected, desired);
+  ctx_->atomics++;
+  ChargeSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
   return observed;
 }
 
 uint64_t Verbs::FetchAdd(uint64_t addr, uint64_t delta) {
-  uint64_t prior = 0;
-  WaitWr(PostFaa(addr, delta, &prior));
+  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
+    return 0;
+  }
+  const uint64_t prior = node_->arena().FetchAdd(addr, delta);
+  ctx_->atomics++;
+  ChargeSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
   return prior;
-}
-
-uint64_t Verbs::PostCas(uint64_t addr, uint64_t expected, uint64_t desired,
-                        uint64_t* observed) {
-  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
-    if (observed != nullptr) {
-      // A failed CAS must read as "lost the race": observed != expected.
-      *observed = ~expected;
-    }
-    return 0;
-  }
-  const uint64_t value = node_->arena().CompareSwap(addr, expected, desired);
-  if (observed != nullptr) {
-    *observed = value;
-  }
-  ctx_->atomics++;
-  return PostSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
-}
-
-uint64_t Verbs::PostFaa(uint64_t addr, uint64_t delta, uint64_t* prior) {
-  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
-    if (prior != nullptr) {
-      *prior = 0;
-    }
-    return 0;
-  }
-  const uint64_t value = node_->arena().FetchAdd(addr, delta);
-  if (prior != nullptr) {
-    *prior = value;
-  }
-  ctx_->atomics++;
-  return PostSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
 }
 
 void Verbs::FetchAddAsync(uint64_t addr, uint64_t delta) {

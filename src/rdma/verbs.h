@@ -7,16 +7,15 @@
 // serialization. Async verbs charge only the posting overhead to the client
 // but still consume NIC capacity.
 //
-// Signalled verbs are modelled with a completion queue: PostRead / PostWrite
-// / PostCas / PostFaa apply the memory effect immediately (the simulator's
-// memory operations are instantaneous and execute in program order), charge
-// NIC occupancy at post time, and enqueue a completion whose timestamp is
-//   post time + NIC queueing delay + round-trip latency + wire time.
-// The blocking verbs (Read/Write/CompareSwap/FetchAdd) are exactly
-// post + wait wrappers, so their cost model is unchanged; pipelined clients
-// instead keep several posts in flight and consume completions with
-// PollCq/WaitWr, which is what lets one client overlap K independent
-// operations per QP (the paper's latency-hiding technique).
+// Signalled verbs block: Read / Write / CompareSwap / FetchAdd apply the
+// memory effect immediately (the simulator's memory operations are
+// instantaneous and execute in program order), charge NIC occupancy, and
+// advance the QP's time base to the verb's completion time
+//   issue time + NIC queueing delay + round-trip latency + wire time.
+// Clients overlap independent operations through the detached per-op
+// timeline (BeginOp/EndOp below), not by keeping verbs in flight: each op
+// runs its verbs back to back on its own cursor, so K ops issued from one
+// clock instant overlap in virtual time and drain at the NIC message rate.
 #ifndef DITTO_RDMA_VERBS_H_
 #define DITTO_RDMA_VERBS_H_
 
@@ -28,13 +27,6 @@
 #include "rdma/node.h"
 
 namespace ditto::rdma {
-
-// One completion-queue entry: the work request id returned by a Post* verb
-// and the virtual time at which the verb completes at the client.
-struct Completion {
-  uint64_t wr_id = 0;
-  uint64_t complete_ns = 0;
-};
 
 class Verbs {
  public:
@@ -50,26 +42,20 @@ class Verbs {
   ClientContext& ctx() { return *ctx_; }
 
   // --- Fault status ---------------------------------------------------------
-  // When the node's FaultState is armed, any verb can fail: a failed Post*
-  // returns wr id 0 (WaitWr(0) is a no-op), a failed READ zeroes the
-  // destination buffer (the caller decodes an empty bucket / torn object, not
-  // stale scratch), a failed CAS reports observed != expected, and a failed
-  // RPC clears the response. The status below is STICKY across verbs — it
-  // records the first failure since the last ClearStatus(), so a multi-verb
-  // operation checks ok() once per stage instead of after every verb. Failed
-  // verbs charge plan.timeout_us to the client's time base only; nothing
-  // reaches the NIC or controller models.
+  // When the node's FaultState is armed, any verb can fail: a failed READ
+  // zeroes the destination buffer (the caller decodes an empty bucket / torn
+  // object, not stale scratch), a failed CAS returns ~expected (it reads as a
+  // lost race), a failed FAA returns 0, and a failed RPC clears the
+  // response. The status below is STICKY across verbs — it records the first
+  // failure since the last ClearStatus(), so a multi-verb operation checks
+  // ok() once per stage instead of after every verb. Failed verbs charge
+  // plan.timeout_us to the client's time base only; nothing reaches the NIC
+  // or controller models.
   VerbStatus last_status() const { return last_status_; }
   bool ok() const { return last_status_ == VerbStatus::kOk; }
   void ClearStatus() { last_status_ = VerbStatus::kOk; }
 
   void Read(uint64_t addr, void* dst, size_t len);
-  // Host-cache prefetch of remote memory this client is about to READ (the
-  // simulator analogue of warming DDIO lines while a posted verb is in
-  // flight). Free by construction: posts no verb, charges no virtual time,
-  // counts no NIC message — verb accounting is bit-identical with or
-  // without it.
-  void PrefetchRead(uint64_t addr, size_t len) const;
   void Write(uint64_t addr, const void* src, size_t len);
   // Posted without waiting for completion (unsignalled WRITE).
   void WriteAsync(uint64_t addr, const void* src, size_t len);
@@ -81,41 +67,11 @@ class Verbs {
   // Posted FAA whose result the client does not wait for.
   void FetchAddAsync(uint64_t addr, uint64_t delta);
 
-  // --- Signalled asynchronous verbs (completion-queue model) ---------------
-  // Each Post* performs the memory operation immediately, charges the NIC,
-  // and returns a work-request id whose completion lands on this QP's CQ at
-  //   now + NIC queueing + RTT + wire time.
-  // The result of an atomic (observed/prior value) is written through the
-  // out-pointer at post time; semantically the caller must not read it until
-  // the completion is consumed. Posting itself does not advance the clock —
-  // the blocking wrappers above are literally Post* + WaitWr, so one signalled
-  // verb costs the same whether issued sync or async-then-waited.
-  uint64_t PostRead(uint64_t addr, void* dst, size_t len);
-  uint64_t PostWrite(uint64_t addr, const void* src, size_t len);
-  uint64_t PostCas(uint64_t addr, uint64_t expected, uint64_t desired, uint64_t* observed);
-  uint64_t PostFaa(uint64_t addr, uint64_t delta, uint64_t* prior);
-
-  // Blocks (advances this QP's time base) until wr_id completes, removes it
-  // from the CQ, and returns its completion timestamp. wr_id must be pending.
-  // wr_id 0 — the id a fault-failed Post* returns — is a no-op that returns
-  // the current time base, so resumable state machines can wait on a stored
-  // wr without branching on whether the post succeeded.
-  uint64_t WaitWr(uint64_t wr_id);
-
-  // Pops the earliest-completing pending entry (ties broken by post order)
-  // and advances the time base to its completion. Returns false on an empty
-  // CQ. This is the generic consumption order: completions are delivered in
-  // completion-time order, which for same-cost verbs equals post order.
-  bool PollCq(Completion* out);
-
-  // Pending (posted, not yet consumed) signalled verbs on this QP.
-  size_t cq_depth() const { return cq_.size(); }
-
   // --- Pipelined-op timeline ----------------------------------------------
   // A pipelined client executes each operation on a detached timeline: after
-  // BeginOp(start_ns), every time charge (verb waits, async posting overhead,
-  // RPC service, Sleep) advances the op cursor instead of the client's real
-  // clock, and NIC occupancy is charged at cursor time. EndOp() returns the
+  // BeginOp(start_ns), every time charge (signalled verbs, async posting
+  // overhead, RPC service, Sleep) advances the op cursor instead of the
+  // client's real clock, and NIC occupancy is charged at cursor time. EndOp() returns the
   // op's completion timestamp and re-attaches the QP to the client clock.
   // The caller advances the real clock only when it RETIRES the op
   // (VirtualClock::AdvanceToNs), which is what lets K ops overlap in virtual
@@ -138,7 +94,7 @@ class Verbs {
   // Charges the NIC message rate of one atomic the caller models without
   // posting it (a lock-acquire CAS retry that loses): one message on this
   // QP's tally, counted as an atomic on the context. No doorbell, bytes,
-  // memory effect, completion or client time; the caller charges the wait.
+  // memory effect or client time; the caller charges the wait.
   void ChargeLostAtomic();
 
   // Charges a client-local think/backoff time (e.g. 5us lock backoff or the
@@ -171,9 +127,9 @@ class Verbs {
   void AdvanceBaseNs(uint64_t ns);
   void AdvanceBaseToNs(uint64_t ns);
 
-  // Shared Post* body: charges the NIC at base-now and enqueues the
-  // completion entry. Returns the new wr id.
-  uint64_t PostSignalled(double rtt_us, double msg_cost, size_t bytes);
+  // Shared signalled-verb body: charges the NIC at base-now and advances the
+  // time base to the verb's completion.
+  void ChargeSignalled(double rtt_us, double msg_cost, size_t bytes);
 
   // Returns true (and records *status) if the fault layer fails this verb:
   // the node is crashed at the current time base, or a deterministic draw
@@ -195,8 +151,6 @@ class Verbs {
   uint64_t batch_posts_ = 0;  // raw WQEs in the current chain (pre-merge)
   std::vector<PendingOp> pending_;
 
-  uint64_t next_wr_ = 1;        // 0 is reserved for "no wr"
-  std::vector<Completion> cq_;  // pending completions (unsorted; CQs are short)
   bool in_op_ = false;
   uint64_t op_cursor_ = 0;
   VerbStatus last_status_ = VerbStatus::kOk;

@@ -47,10 +47,10 @@ class DittoAdapterBase : public CacheClient {
     }
   }
 
-  // Pipelined issue: run the op's state machine on a detached timeline (see
+  // Pipelined issue: run the op on a detached timeline (see
   // rdma::Verbs::BeginOp). The op's verbs, allocator traffic, and metadata
-  // updates all execute now — only the waits land on the op cursor — so the
-  // cache's behaviour is bit-identical to blocking execution at any depth.
+  // updates all execute now — only their time lands on the op cursor — so
+  // the cache's behaviour is bit-identical to blocking execution at any depth.
   uint64_t ExecutePipelined(const CacheOp& op, CacheResult* result,
                             uint64_t start_ns) override {
     client_.BeginPipelinedOp(start_ns);

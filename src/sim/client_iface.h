@@ -139,14 +139,14 @@ class CacheClient {
     return hits;
   }
 
-  // Completion-queue pipelined issue, the path of every single op the replay
-  // runner and the RESP front end issue: the op executes immediately (memory
-  // effects in issue order — cache behaviour is identical to ExecuteBatch),
-  // but its virtual-time cost accrues on a detached timeline starting at
+  // Pipelined issue, the path of every single op the replay runner and the
+  // RESP front end issue: the op executes immediately (memory effects in
+  // issue order — cache behaviour is identical to ExecuteBatch), but its
+  // virtual-time cost accrues on a detached per-op timeline starting at
   // start_ns instead of blocking the client clock. Returns the op's
   // completion timestamp; the caller keeps up to K completions in flight and
   // retires them in issue order (sim::PipelineWindow; K = 1 is blocking
-  // issue). Clients without a completion-queue model fall back to blocking
+  // issue). Clients without a per-op timeline fall back to blocking
   // execution and return the clock, so they behave as at depth 1 at any K.
   virtual uint64_t ExecutePipelined(const CacheOp& op, CacheResult* result,
                                     uint64_t start_ns) {

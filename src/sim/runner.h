@@ -53,15 +53,16 @@ struct RunOptions : RequestPolicy {
   // chain of this many posts (duplicate addresses coalesce on the wire).
   size_t batch_ops = 0;
 
-  // Completion-queue verb pipelining: every single-op request is issued
-  // through CacheClient::ExecutePipelined into a per-client window of
+  // Op pipelining: every single-op request is issued through
+  // CacheClient::ExecutePipelined into a per-client window of
   // pipeline_depth in-flight ops (sim::PipelineWindow), retired in issue
   // order; depth 1 (the default) is blocking replay. Ops still *execute*
   // (and mutate cache state) strictly in issue order — pipelining overlaps
-  // only their virtual-time verb latencies via the clients' CQ model — so
-  // hit rates, verb counts, and eviction decisions are bit-identical for
-  // every depth; only throughput/latency change. Clients without a CQ model
-  // degrade to depth-1 behaviour. Fused multi-get runs serialize with the
+  // only their virtual-time verb latencies via the clients' per-op
+  // timelines (rdma::Verbs::BeginOp) — so hit rates, verb counts, and
+  // eviction decisions are bit-identical for every depth; only
+  // throughput/latency change. Clients without a per-op timeline degrade to
+  // depth-1 behaviour. Fused multi-get runs serialize with the
   // pipeline (the window drains before a fused run issues).
   size_t pipeline_depth = 1;
 

@@ -505,7 +505,7 @@ TEST(ClusterCrashTest, RejoinRecoversHitRate) {
 
 // With every node crashed, each op kind reports kUnavailable — never a plain
 // miss/not-found/drop — whichever entry point issues it: the blocking batch
-// path and the completion-queue pipelined path share one dispatch.
+// path and the pipelined (per-op timeline) path share one dispatch.
 TEST(ClusterCrashTest, AllNodesCrashedReportsUnavailableOnEveryPath) {
   core::ClusterConfig config = TestClusterConfig(512);
   config.nodes = 2;

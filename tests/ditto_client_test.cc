@@ -355,5 +355,27 @@ TEST(DittoClientConfigTest, ExtensionWordsBeyondMetadataThrow) {
   EXPECT_THROW((DittoClient(&pool, &ctx, config)), std::invalid_argument);
 }
 
+// History entries record the experts' votes in a 64-bit bitmap: 64 experts
+// fit (and evict, vote and collect regrets through bit 63), 65 are rejected.
+TEST(DittoClientConfigTest, AtMostSixtyFourExperts) {
+  dm::MemoryPool pool(PoolFor(50, 64));
+  DittoConfig config;
+  config.experts.assign(64, "lru");
+  DittoServer server(&pool, config);
+  rdma::ClientContext ctx(0);
+  DittoClient client(&pool, &ctx, config);
+  for (int i = 0; i < 200; ++i) {
+    client.Set("key-" + std::to_string(i), "v");
+  }
+  for (int i = 0; i < 200; ++i) {
+    client.Get("key-" + std::to_string(i), nullptr);
+  }
+  EXPECT_GT(client.stats().evictions, 0u);
+  EXPECT_GT(client.stats().regrets, 0u);
+
+  config.experts.push_back("lru");
+  EXPECT_THROW((DittoClient(&pool, &ctx, config)), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace ditto::core

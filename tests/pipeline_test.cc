@@ -1,12 +1,13 @@
-// Completion-queue verb pipeline tests.
+// Verb pipeline tests.
 //
-// 1. CQ unit tests: Post*/WaitWr/PollCq semantics — completion ordering, the
-//    sync-verb == post+wait cost identity, and NIC-occupancy charging for
-//    overlapping posts. The shared in-flight window retires in issue order.
+// 1. Timeline unit tests: ops on detached per-op timelines charge their
+//    verbs to the op cursor, overlapping ops drain at the NIC message rate,
+//    and the shared in-flight window retires in issue order.
 // 2. Replay equivalence: depth-1 replay is bit-identical (hit rate, verb
 //    counts, virtual time) to a recorded blocking run; hit rate is invariant
 //    across depths 1/4/16; throughput at depth 8 is at least 2x depth 1 at
-//    identical hit rate; a client without a CQ model pays every miss penalty.
+//    identical hit rate; a client without a per-op timeline pays every miss
+//    penalty.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,140 +24,13 @@ namespace ditto {
 namespace {
 
 using rdma::ClientContext;
-using rdma::Completion;
 using rdma::CostModel;
 using rdma::RemoteNode;
 using rdma::Verbs;
 
 // ---------------------------------------------------------------------------
-// Completion-queue unit tests
+// Per-op timeline unit tests
 // ---------------------------------------------------------------------------
-
-TEST(CompletionQueueTest, SyncReadEqualsPostPlusWait) {
-  const CostModel cost;
-  // Two identical nodes so the NIC fluid servers don't couple the QPs.
-  RemoteNode node_a(1 << 20, cost);
-  RemoteNode node_b(1 << 20, cost);
-  ClientContext ctx_a(0);
-  ClientContext ctx_b(1);
-  Verbs sync_verbs(&node_a, &ctx_a);
-  Verbs async_verbs(&node_b, &ctx_b);
-
-  uint64_t dst = 0;
-  sync_verbs.Read(64, &dst, 8);
-  const uint64_t wr = async_verbs.PostRead(64, &dst, 8);
-  EXPECT_EQ(ctx_b.clock().busy_ns(), 0u) << "posting must not advance the clock";
-  async_verbs.WaitWr(wr);
-  EXPECT_EQ(ctx_a.clock().busy_ns(), ctx_b.clock().busy_ns())
-      << "a blocking READ is exactly post + wait";
-  EXPECT_EQ(ctx_a.reads, ctx_b.reads);
-}
-
-TEST(CompletionQueueTest, AtomicResultsAvailableAtPostAndCostMatchesSync) {
-  const CostModel cost;
-  RemoteNode node_a(1 << 20, cost);
-  RemoteNode node_b(1 << 20, cost);
-  ClientContext ctx_a(0);
-  ClientContext ctx_b(1);
-  Verbs sync_verbs(&node_a, &ctx_a);
-  Verbs async_verbs(&node_b, &ctx_b);
-
-  // Same arena state on both nodes.
-  const uint64_t addr = 128;
-  sync_verbs.Write(addr, "\0\0\0\0\0\0\0\0", 8);
-  async_verbs.Write(addr, "\0\0\0\0\0\0\0\0", 8);
-
-  const uint64_t sync_prior = sync_verbs.FetchAdd(addr, 5);
-  uint64_t async_prior = 123;
-  const uint64_t wr_faa = async_verbs.PostFaa(addr, 5, &async_prior);
-  EXPECT_EQ(async_prior, sync_prior) << "FAA result is captured at post";
-  async_verbs.WaitWr(wr_faa);
-
-  const uint64_t sync_obs = sync_verbs.CompareSwap(addr, 5, 9);
-  uint64_t async_obs = 0;
-  const uint64_t wr_cas = async_verbs.PostCas(addr, 5, 9, &async_obs);
-  EXPECT_EQ(async_obs, sync_obs);
-  async_verbs.WaitWr(wr_cas);
-
-  // Serialized post+wait pairs cost exactly what the blocking atomics cost.
-  EXPECT_EQ(ctx_a.clock().busy_ns(), ctx_b.clock().busy_ns());
-  EXPECT_EQ(ctx_a.atomics, ctx_b.atomics);
-}
-
-TEST(CompletionQueueTest, OverlappingPostsChargeNicOccupancy) {
-  const CostModel cost;
-  RemoteNode node(1 << 20, cost);
-  ClientContext ctx(0);
-  Verbs verbs(&node, &ctx);
-
-  constexpr int kPosts = 32;
-  uint64_t dst = 0;
-  for (int i = 0; i < kPosts; ++i) {
-    verbs.PostRead(64, &dst, 8);
-  }
-  ASSERT_EQ(verbs.cq_depth(), static_cast<size_t>(kPosts));
-
-  // All posts were issued at client time 0, so the i-th one observes i
-  // message-slots of NIC backlog: completions are spaced by exactly the NIC
-  // per-message service time — a deep pipeline drains at the NIC rate, not
-  // infinitely fast.
-  const auto service_ns = static_cast<uint64_t>(cost.NicServiceNs(1.0));
-  Completion prev{};
-  ASSERT_TRUE(verbs.PollCq(&prev));
-  for (int i = 1; i < kPosts; ++i) {
-    Completion c{};
-    ASSERT_TRUE(verbs.PollCq(&c));
-    EXPECT_EQ(c.wr_id, prev.wr_id + 1) << "same-cost posts complete in post order";
-    EXPECT_EQ(c.complete_ns - prev.complete_ns, service_ns)
-        << "completion spacing == NIC per-message service time";
-    prev = c;
-  }
-  EXPECT_EQ(verbs.cq_depth(), 0u);
-  EXPECT_EQ(ctx.clock().busy_ns(), prev.complete_ns)
-      << "PollCq advances the clock to the delivered completion";
-}
-
-TEST(CompletionQueueTest, PollCqDeliversInCompletionTimeOrder) {
-  const CostModel cost;
-  RemoteNode node(1 << 20, cost);
-  ClientContext ctx(0);
-  Verbs verbs(&node, &ctx);
-
-  // An atomic posted first (2.5us RTT) completes AFTER a READ posted second
-  // (2.0us RTT): PollCq must deliver the READ first.
-  uint64_t prior = 0;
-  const uint64_t wr_atomic = verbs.PostFaa(256, 1, &prior);
-  uint64_t dst = 0;
-  const uint64_t wr_read = verbs.PostRead(64, &dst, 8);
-
-  Completion first{};
-  Completion second{};
-  ASSERT_TRUE(verbs.PollCq(&first));
-  ASSERT_TRUE(verbs.PollCq(&second));
-  EXPECT_EQ(first.wr_id, wr_read);
-  EXPECT_EQ(second.wr_id, wr_atomic);
-  EXPECT_LE(first.complete_ns, second.complete_ns);
-}
-
-TEST(CompletionQueueTest, WaitWrTargetsASpecificCompletion) {
-  const CostModel cost;
-  RemoteNode node(1 << 20, cost);
-  ClientContext ctx(0);
-  Verbs verbs(&node, &ctx);
-
-  uint64_t dst = 0;
-  const uint64_t wr1 = verbs.PostRead(64, &dst, 8);
-  const uint64_t wr2 = verbs.PostRead(64, &dst, 8);
-  const uint64_t done2 = verbs.WaitWr(wr2);
-  EXPECT_EQ(ctx.clock().busy_ns(), done2);
-  EXPECT_EQ(verbs.cq_depth(), 1u);
-  // wr1 completed earlier than wr2; consuming it now must not rewind or
-  // re-advance the clock.
-  const uint64_t done1 = verbs.WaitWr(wr1);
-  EXPECT_LE(done1, done2);
-  EXPECT_EQ(ctx.clock().busy_ns(), done2);
-  EXPECT_EQ(verbs.cq_depth(), 0u);
-}
 
 TEST(PipelinedOpTest, DetachedTimelineChargesCursorNotClock) {
   const CostModel cost;
@@ -175,6 +49,33 @@ TEST(PipelinedOpTest, DetachedTimelineChargesCursorNotClock) {
   // here) after the op's start cursor.
   EXPECT_EQ(complete_ns, 5000u + static_cast<uint64_t>(cost.read_rtt_us * 1000.0));
   EXPECT_EQ(ctx.clock().busy_ns(), 0u) << "EndOp never touches the real clock";
+}
+
+TEST(PipelinedOpTest, OverlappingOpsChargeNicOccupancy) {
+  const CostModel cost;
+  RemoteNode node(1 << 20, cost);
+  ClientContext ctx(0);
+  Verbs verbs(&node, &ctx);
+
+  // All ops start at client time 0, so the i-th one's READ observes i
+  // message-slots of NIC backlog: completions are spaced by exactly the NIC
+  // per-message service time — a deep pipeline drains at the NIC rate, not
+  // infinitely fast.
+  constexpr int kOps = 32;
+  const auto service_ns = static_cast<uint64_t>(cost.NicServiceNs(1.0));
+  uint64_t prev_ns = 0;
+  for (int i = 0; i < kOps; ++i) {
+    verbs.BeginOp(0);
+    uint64_t dst = 0;
+    verbs.Read(64, &dst, 8);
+    const uint64_t complete_ns = verbs.EndOp();
+    if (i > 0) {
+      EXPECT_EQ(complete_ns - prev_ns, service_ns)
+          << "completion spacing == NIC per-message service time";
+    }
+    prev_ns = complete_ns;
+  }
+  EXPECT_EQ(ctx.clock().busy_ns(), 0u) << "detached ops never touch the real clock";
 }
 
 // The in-flight window retires in issue order: a full window blocks the
@@ -331,7 +232,7 @@ TEST_F(PipelineReplayTest, Depth8AtLeastTwiceDepth1Throughput) {
 }
 
 TEST_F(PipelineReplayTest, BaselineClientsDegradeToDepth1IncludingMissPenalty) {
-  // Baselines have no completion-queue model: at any depth the fallback
+  // Baselines have no per-op timeline: at any depth the fallback
   // ExecutePipelined must reproduce depth-1 behaviour exactly — including
   // the miss penalty, which the issue loop encodes as the chained
   // re-insert's start offset (regression: the fallback used to ignore
@@ -357,7 +258,7 @@ TEST_F(PipelineReplayTest, BaselineClientsDegradeToDepth1IncludingMissPenalty) {
   const sim::RunResult d1 = run(1);
   const sim::RunResult d8 = run(8);
   EXPECT_EQ(d8.hit_rate, d1.hit_rate);
-  EXPECT_EQ(d8.elapsed_s, d1.elapsed_s) << "no CQ model: no overlap, penalties included";
+  EXPECT_EQ(d8.elapsed_s, d1.elapsed_s) << "no per-op timeline: no overlap, penalties included";
   EXPECT_EQ(d8.p99_us, d1.p99_us);
   ASSERT_GT(d1.misses, 0u);
   EXPECT_GE(d1.elapsed_s, static_cast<double>(d1.misses) * 500e-6)

@@ -73,6 +73,34 @@ TEST(GdsTest, InflationRaisesFloorAfterEviction) {
   EXPECT_GT(gds->Priority(victim), before);
 }
 
+// GreedyDual freezes L into an object's priority when it is accessed: a
+// small (valuable) object last touched at L = 0 loses to a large object
+// touched after L rose past the small one's H. Adding the current L to
+// every candidate at eviction time instead ranks them exactly like SIZE.
+TEST(GdsTest, InflationIsFrozenAtAccess) {
+  auto gds = MakePolicy("gds");
+  ASSERT_EQ(gds->extension_words(), 1);
+  Metadata small = Meta(0, 0, 1, 64);
+  gds->Update(small);  // H = 0 + 1/64
+  Metadata victim = Meta(0, 0, 1, 32);
+  gds->OnEvict(victim);  // L = 1/32 > 1/64
+  Metadata large = Meta(0, 0, 1, 1024);
+  gds->Update(large);  // H = 1/32 + 1/1024
+  EXPECT_LT(gds->Priority(small), gds->Priority(large));
+}
+
+TEST(GdsfTest, InflationIsFrozenAtAccess) {
+  auto gdsf = MakePolicy("gdsf");
+  ASSERT_EQ(gdsf->extension_words(), 1);
+  Metadata small = Meta(0, 0, 1, 64);
+  gdsf->Update(small);
+  Metadata victim = Meta(0, 0, 1, 32);
+  gdsf->OnEvict(victim);
+  Metadata large = Meta(0, 0, 1, 1024);
+  gdsf->Update(large);
+  EXPECT_LT(gdsf->Priority(small), gdsf->Priority(large));
+}
+
 TEST(GdsfTest, FrequencyProtectsSmallHotObjects) {
   auto gdsf = MakePolicy("gdsf");
   Metadata hot = Meta(0, 0, 100, 256);

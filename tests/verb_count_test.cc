@@ -21,8 +21,10 @@ struct VerbCounts {
 
 class VerbCountTest : public ::testing::Test {
  protected:
-  VerbCountTest() : pool_(MakePool()), server_(&pool_, Config()), ctx_(0) {
-    client_ = std::make_unique<DittoClient>(&pool_, &ctx_, Config());
+  VerbCountTest() : VerbCountTest(Config()) {}
+  explicit VerbCountTest(const DittoConfig& config)
+      : pool_(MakePool()), server_(&pool_, config), ctx_(0) {
+    client_ = std::make_unique<DittoClient>(&pool_, &ctx_, config);
     // Pre-populate and warm the allocator so steady-state ops are measured.
     for (int i = 0; i < 64; ++i) {
       client_->Set("warm-" + std::to_string(i), "v");
@@ -147,6 +149,55 @@ TEST_F(VerbCountTest, SamplingEvictionUsesOneReadPerSampleBatch) {
   // couple of sample READs on a dense table.
   EXPECT_LE(eviction_reads, 3u + 4u) << "sampling must not scan the table";
   EXPECT_GE(client.stats().evictions, 1u);
+}
+
+// Experts with extension words (LRU-K keeps its last K access timestamps
+// with the object, paper §4.4) add the ext-word traffic to each op.
+class ExtWordVerbCountTest : public VerbCountTest {
+ protected:
+  ExtWordVerbCountTest() : VerbCountTest(ExtConfig()) {}
+
+  static DittoConfig ExtConfig() {
+    DittoConfig config = Config();
+    config.experts = {"lru", "lruk"};
+    return config;
+  }
+};
+
+TEST_F(ExtWordVerbCountTest, SetUpdateReadsExtWordsBeforeWriteAndCas) {
+  client_->Set("key", "value");
+  client_->Get("key", nullptr);
+  const VerbCounts before = Snapshot();
+  EXPECT_TRUE(client_->Set("key", "new-value"));
+  const VerbCounts d = Delta(before);
+  EXPECT_EQ(d.reads, 2u) << "bucket READ + ext-word READ of the old copy";
+  // Object WRITE (sync) + async last_ts write + async ext-word write.
+  EXPECT_EQ(d.writes, 3u);
+  EXPECT_EQ(d.atomics, 1u) << "slot pointer CAS";
+  EXPECT_EQ(d.rpcs, 0u);
+}
+
+TEST_F(ExtWordVerbCountTest, SetInsertInitializesExtWordsWithoutVerbs) {
+  const VerbCounts before = Snapshot();
+  EXPECT_TRUE(client_->Set("brand-new-key", "value"));
+  const VerbCounts d = Delta(before);
+  // Same budget as without extension words: the initial ext words ride in
+  // the object WRITE.
+  EXPECT_EQ(d.reads, 3u);
+  EXPECT_EQ(d.writes, 2u);
+  EXPECT_EQ(d.atomics, 2u);
+  EXPECT_EQ(d.rpcs, 0u);
+}
+
+TEST_F(ExtWordVerbCountTest, GetHitWritesExtWordsAsync) {
+  client_->Set("key", "value");
+  const VerbCounts before = Snapshot();
+  EXPECT_TRUE(client_->Get("key", nullptr));
+  const VerbCounts d = Delta(before);
+  EXPECT_EQ(d.reads, 2u) << "bucket READ + object READ (ext words ride along)";
+  EXPECT_EQ(d.writes, 2u) << "async last_ts write + async ext-word write";
+  EXPECT_EQ(d.atomics, 0u);
+  EXPECT_EQ(d.rpcs, 0u);
 }
 
 }  // namespace
