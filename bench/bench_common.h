@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -306,6 +307,18 @@ inline void Preload(const std::vector<sim::CacheClient*>& clients, const workloa
       clients[i % clients.size()]->Set(workload::KeyString(r.key), value);
       ++i;
     }
+  }
+}
+
+// MakeYcsbTrace for a bench whose --workload flag picks config.workload: an
+// unknown workload prints the error and exits 2 instead of throwing.
+inline workload::Trace MakeYcsbTraceOrExit(const char* bench, const workload::YcsbConfig& config,
+                                           uint64_t count, uint64_t seed) {
+  try {
+    return workload::MakeYcsbTrace(config, count, seed);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", bench, e.what());
+    std::exit(2);
   }
 }
 

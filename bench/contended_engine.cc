@@ -124,7 +124,8 @@ int main(int argc, char** argv) {
   // update-CAS and eviction/victim races busy; that contention is what this
   // bench exists to measure.
   ycsb.zipf_theta = theta;
-  const workload::Trace trace = workload::MakeYcsbTrace(ycsb, requests, seed);
+  const workload::Trace trace =
+      bench::MakeYcsbTraceOrExit("contended_engine", ycsb, requests, seed);
 
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};

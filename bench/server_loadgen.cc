@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
   ycsb.workload = workload_name.empty() ? 'A' : workload_name[0];
   ycsb.num_keys = keys;
   ycsb.zipf_theta = flags.GetDouble("theta", 0.99);
-  const workload::Trace trace = workload::MakeYcsbTrace(ycsb, requests, seed);
+  const workload::Trace trace =
+      bench::MakeYcsbTraceOrExit("server_loadgen", ycsb, requests, seed);
 
   net::LoadgenOptions lg;
   lg.host = flags.GetString("host", "127.0.0.1");

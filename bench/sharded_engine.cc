@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   workload::YcsbConfig ycsb;
   ycsb.workload = workload.empty() ? 'A' : workload[0];
   ycsb.num_keys = keys;
-  const workload::Trace trace = workload::MakeYcsbTrace(ycsb, requests, seed);
+  const workload::Trace trace =
+      bench::MakeYcsbTraceOrExit("sharded_engine", ycsb, requests, seed);
 
   std::printf("# workload=YCSB-%c keys=%llu requests=%llu shards=%d\n", ycsb.workload,
               static_cast<unsigned long long>(keys), static_cast<unsigned long long>(requests),

@@ -12,6 +12,7 @@ ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta, uint64_t /*seed*/)
   alpha_ = 1.0 / (1.0 - theta_);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta_)) /
          (1.0 - zeta2theta_ / zetan_);
+  rank1_limit_ = 1.0 + std::pow(0.5, theta_);
 }
 
 double ZipfianGenerator::ZetaStatic(uint64_t n, double theta) {
@@ -28,7 +29,7 @@ uint64_t ZipfianGenerator::Next(Rng& rng) {
   if (uz < 1.0) {
     return 0;
   }
-  if (uz < 1.0 + std::pow(0.5, theta_)) {
+  if (uz < rank1_limit_) {
     return 1;
   }
   const double x = static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_);

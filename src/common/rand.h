@@ -68,6 +68,7 @@ class ZipfianGenerator {
   double zetan_;
   double eta_;
   double zeta2theta_;
+  double rank1_limit_;  // 1 + 0.5^theta: draws with u * zetan below it are rank <= 1
 };
 
 // Scrambled Zipfian: Zipfian rank mapped through a hash so that hot keys are

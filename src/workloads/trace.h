@@ -8,9 +8,17 @@
 // replay engines may fuse with adjacent kMultiGets of the same shard into one
 // pipelined multi-key request). ApplyOpMix rewrites a deterministic fraction
 // of a trace's Gets into these kinds.
+//
+// A request is one 64-bit word: a 3-bit op and a 61-bit key. The
+// materialized trace is a long replay's largest heap object (a 400k-request
+// churn trace is 3.2 MB), and the dispatch loop streams it, so a request
+// carries no padding. Keys must not exceed kMaxKey = 2^61 - 1 (a Debug assert
+// checks it); every producer stays far below 2^40: the generators emit dense
+// ranks plus a small key_base, and trace_file emits interned ids.
 #ifndef DITTO_WORKLOADS_TRACE_H_
 #define DITTO_WORKLOADS_TRACE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -20,10 +28,22 @@ namespace ditto::workload {
 
 enum class Op : uint8_t { kGet, kUpdate, kInsert, kDelete, kExpire, kMultiGet };
 
+// Bits of a Request's key; keys are in [0, kMaxKey].
+inline constexpr int kKeyBits = 61;
+inline constexpr uint64_t kMaxKey = (uint64_t{1} << kKeyBits) - 1;
+static_assert(static_cast<uint64_t>(Op::kMultiGet) < (uint64_t{1} << (64 - kKeyBits)),
+              "every Op must fit Request's op bit-field");
+
 struct Request {
-  Op op;
-  uint64_t key;
+  Request() = default;
+  // Keeps `{op, key}` brace-init compiling: without it the key would be a
+  // narrowing conversion into the bit-field.
+  Request(Op op_in, uint64_t key_in) : op(op_in), key(key_in) { assert(key_in <= kMaxKey); }
+
+  Op op : 64 - kKeyBits;
+  uint64_t key : kKeyBits;
 };
+static_assert(sizeof(Request) == 8, "a request is one word");
 
 using Trace = std::vector<Request>;
 

@@ -1,14 +1,12 @@
 #include "workloads/ycsb.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ditto::workload {
 
 YcsbGenerator::YcsbGenerator(const YcsbConfig& config, uint64_t seed)
-    : config_(config),
-      rng_(seed),
-      zipf_(config.num_keys, config.zipf_theta, seed),
-      latest_zipf_(config.num_keys, config.zipf_theta, seed) {
+    : config_(config), rng_(seed), zipf_(config.num_keys, config.zipf_theta, seed) {
   switch (config.workload) {
     case 'A':
       update_fraction_ = 0.5;
@@ -21,20 +19,21 @@ YcsbGenerator::YcsbGenerator(const YcsbConfig& config, uint64_t seed)
       break;
     case 'D':
       update_fraction_ = 0.05;
-      insert_mode_ = true;
+      // Only D reads the latest distribution (its zeta sum costs n pow calls).
+      latest_zipf_.emplace(config.num_keys, config.zipf_theta, seed);
       break;
     default:
-      assert(false && "unknown YCSB workload");
-      update_fraction_ = 0.0;
+      throw std::invalid_argument(std::string("unknown YCSB workload '") + config.workload +
+                                  "' (expected A, B, C or D)");
   }
 }
 
 uint64_t YcsbGenerator::NextKey() {
-  if (insert_mode_) {
+  if (latest_zipf_) {
     // Workload D reads the "latest" distribution: rank 0 is the most
     // recently inserted key.
     const uint64_t total = config_.num_keys + inserted_;
-    const uint64_t back = latest_zipf_.Next(rng_);
+    const uint64_t back = latest_zipf_->Next(rng_);
     return total - 1 - (back % total);
   }
   return zipf_.Next(rng_);
@@ -43,7 +42,7 @@ uint64_t YcsbGenerator::NextKey() {
 Request YcsbGenerator::Next() {
   const double roll = rng_.NextDouble();
   if (roll < update_fraction_) {
-    if (insert_mode_) {
+    if (latest_zipf_) {  // D inserts instead of updating
       const uint64_t key = config_.num_keys + inserted_;
       inserted_++;
       return Request{Op::kInsert, key};

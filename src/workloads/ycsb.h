@@ -5,6 +5,7 @@
 #define DITTO_WORKLOADS_YCSB_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/rand.h"
@@ -22,6 +23,7 @@ struct YcsbConfig {
 
 class YcsbGenerator {
  public:
+  // Throws std::invalid_argument unless config.workload is 'A'-'D'.
   YcsbGenerator(const YcsbConfig& config, uint64_t seed);
 
   Request Next();
@@ -35,14 +37,16 @@ class YcsbGenerator {
   YcsbConfig config_;
   Rng rng_;
   ScrambledZipfianGenerator zipf_;
-  ZipfianGenerator latest_zipf_;  // for workload D: skewed toward recent inserts
+  // Workload D only: skewed toward recent inserts; D inserts where the
+  // others update.
+  std::optional<ZipfianGenerator> latest_zipf_;
   uint64_t inserted_ = 0;
   double update_fraction_;
-  bool insert_mode_ = false;      // D inserts instead of updates
 };
 
 // Materializes `count` requests (benches replay materialized traces so that
 // every system under comparison sees the identical request sequence).
+// Throws like YcsbGenerator.
 Trace MakeYcsbTrace(const YcsbConfig& config, uint64_t count, uint64_t seed);
 
 }  // namespace ditto::workload

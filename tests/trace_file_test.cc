@@ -97,6 +97,29 @@ TEST(TraceFileTest, WriteParseRoundTrip) {
   EXPECT_NE(parsed[0].key, parsed[1].key);
 }
 
+TEST(TraceFileTest, WriteParseRoundTripKeepsFullWidthKeys) {
+  // The one-word request keeps 61 key bits: the widest key is written out in
+  // full and parsed back as its own id.
+  const uint64_t k40 = uint64_t{1} << 40;
+  const Trace original = {{Op::kGet, kMaxKey},      {Op::kUpdate, k40}, {Op::kDelete, 0},
+                          {Op::kMultiGet, kMaxKey}, {Op::kExpire, k40}, {Op::kInsert, 0}};
+  std::ostringstream out;
+  WriteTraceFile(original, out);
+  EXPECT_NE(out.str().find("GET,2305843009213693951\n"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("UPDATE,1099511627776\n"), std::string::npos) << out.str();
+  std::istringstream in(out.str());
+  TraceFileStats stats;
+  const Trace parsed = ParseTrace(in, &stats);
+  ASSERT_EQ(parsed.size(), original.size());
+  EXPECT_EQ(stats.distinct_keys, 3u);
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(parsed[i].op, original[i].op) << i;
+    for (size_t j = 0; j < original.size(); ++j) {
+      EXPECT_EQ(parsed[i].key == parsed[j].key, original[i].key == original[j].key) << i << j;
+    }
+  }
+}
+
 TEST(TraceFileTest, MissingFileIsEmpty) {
   TraceFileStats stats;
   const Trace trace = LoadTraceFile("/nonexistent/path/trace.csv", &stats);

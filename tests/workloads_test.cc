@@ -2,7 +2,11 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/hash.h"
 #include "common/rand.h"
 #include "sim/hit_rate.h"
 #include "workloads/synthetic_traces.h"
@@ -70,6 +74,87 @@ TEST(TraceTest, InterleaveChangesOrder) {
   EXPECT_GT(displaced, 500);
 }
 
+// A Mix64 fold over every (op, key) of a trace, so a single changed bit in
+// any request changes the digest.
+uint64_t TraceDigest(const Trace& trace) {
+  uint64_t h = trace.size();
+  for (const Request& r : trace) {
+    h = Mix64(h ^ static_cast<uint64_t>(r.op));
+    h = Mix64(h ^ r.key);
+  }
+  return h;
+}
+
+TEST(TraceTest, GeneratorsMatchRecordedDigests) {
+  // The DeterministicForSeed tests compare two runs of one build; these
+  // digests were recorded once and pin every generator's output across
+  // commits, so a change to a generator, the Zipfian sampler or the request
+  // layout that alters any trace bit fails here. Re-record only for an
+  // intended change of trace content.
+  const auto expect_digest = [](const std::string& name, const Trace& trace, uint64_t digest) {
+    EXPECT_EQ(TraceDigest(trace), digest) << name << ": got 0x" << std::hex << TraceDigest(trace);
+  };
+  const std::map<char, uint64_t> ycsb = {{'A', 0x9c14f5009aee99b7ULL},
+                                         {'B', 0x526d5a28382cdc07ULL},
+                                         {'C', 0xffc10b4d5dc833e1ULL},
+                                         {'D', 0x9a078fd426d3123aULL}};
+  for (const auto& [workload, digest] : ycsb) {
+    YcsbConfig config;
+    config.workload = workload;
+    config.num_keys = 1000;
+    expect_digest(std::string("ycsb-") + workload, MakeYcsbTrace(config, 4000, 7), digest);
+  }
+  expect_digest("changing", MakeChangingWorkload(4, 1000, 1000, 3), 0x23df9a0ffec90096ULL);
+  expect_digest("two-app-mix", MakeTwoAppMix(4000, 1000, 0.25), 0xa838b332ff342a61ULL);
+  expect_digest("stationary-zipf", MakeStationaryZipf(4000, 1000, 0.99, 5, 17),
+                0x431d0922c0d73d5dULL);
+  expect_digest("zipf-with-scans", MakeZipfWithScans(4000, 1000, 0.9, 500, 80, 5),
+                0x8c4c7a2dbfc12e41ULL);
+  const std::map<std::string, uint64_t> families = {
+      {"webmail", 0xf4e81d32fb037a94ULL},         {"twitter-transient", 0x2186632396e16110ULL},
+      {"twitter-storage", 0xd61c05e1b498250cULL}, {"twitter-compute", 0x58e672412c907ca4ULL},
+      {"ibm", 0x12aa0136329c50fcULL},             {"cloudphysics", 0x85bdb1fe3573d7f5ULL}};
+  ASSERT_EQ(families.size(), NamedTraceFamilies().size());
+  for (const std::string& name : NamedTraceFamilies()) {
+    expect_digest(name, MakeNamedTrace(name, 4000, 1000, 11), families.at(name));
+  }
+  expect_digest("suite-3", MakeSuiteWorkload(3, 4000, 1000, 2), 0xece31781eff15167ULL);
+  expect_digest("suite-10", MakeSuiteWorkload(10, 4000, 1000, 2), 0x074bb1d73d69a644ULL);
+}
+
+TEST(TraceTest, RequestPacksEveryOpAndKeyInOneWord) {
+  const Op ops[] = {Op::kGet, Op::kUpdate, Op::kInsert, Op::kDelete, Op::kExpire, Op::kMultiGet};
+  const uint64_t keys[] = {0, uint64_t{1} << 40, kMaxKey};
+  ASSERT_EQ(kMaxKey, (uint64_t{1} << 61) - 1);
+  for (const Op op : ops) {
+    for (const uint64_t key : keys) {
+      const Request r{op, key};
+      const Request copy = r;
+      EXPECT_EQ(r.op, op);
+      EXPECT_EQ(r.key, key);
+      EXPECT_EQ(copy.op, op);
+      EXPECT_EQ(copy.key, key);
+    }
+  }
+  // Rewriting a request's op (what ApplyOpMix does to Gets) leaves its key.
+  Trace gets;
+  for (int i = 0; i < 64; ++i) {
+    gets.push_back({Op::kGet, keys[i % 3]});
+  }
+  OpMix mix;
+  mix.delete_fraction = 0.25;
+  mix.expire_fraction = 0.25;
+  mix.multiget_fraction = 0.25;
+  ApplyOpMix(&gets, mix);
+  std::set<Op> seen;
+  for (size_t i = 0; i < gets.size(); ++i) {
+    EXPECT_EQ(gets[i].op, MixedOpAt(Op::kGet, i, mix)) << i;
+    EXPECT_EQ(gets[i].key, keys[i % 3]) << i;
+    seen.insert(gets[i].op);
+  }
+  EXPECT_EQ(seen.size(), 4u) << "the mix reaches every op it can write";
+}
+
 TEST(TraceTest, InterleaveSingleClientIsIdentity) {
   Trace trace = {{Op::kGet, 1}, {Op::kGet, 2}};
   const Trace same = InterleaveClients(trace, 1);
@@ -134,6 +219,17 @@ TEST(YcsbTest, ZipfSkewConcentratesTraffic) {
     head += static_cast<uint64_t>(sorted[i]);
   }
   EXPECT_GT(static_cast<double>(head) / trace.size(), 0.3);
+}
+
+TEST(YcsbTest, UnknownWorkloadThrows) {
+  for (const char workload : {'Z', 'a', 'E', '\0'}) {
+    YcsbConfig config;
+    config.workload = workload;
+    config.num_keys = 100;
+    EXPECT_THROW(YcsbGenerator(config, 1), std::invalid_argument) << static_cast<int>(workload);
+    EXPECT_THROW(MakeYcsbTrace(config, 10, 1), std::invalid_argument)
+        << static_cast<int>(workload);
+  }
 }
 
 TEST(YcsbTest, DeterministicForSeed) {
