@@ -310,16 +310,20 @@ inline void Preload(const std::vector<sim::CacheClient*>& clients, const workloa
   }
 }
 
-// MakeYcsbTrace for a bench whose --workload flag picks config.workload: an
-// unknown workload prints the error and exits 2 instead of throwing.
-inline workload::Trace MakeYcsbTraceOrExit(const char* bench, const workload::YcsbConfig& config,
-                                           uint64_t count, uint64_t seed) {
-  try {
-    return workload::MakeYcsbTrace(config, count, seed);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s: %s\n", bench, e.what());
-    std::exit(2);
+// MakeYcsbTrace for a bench whose --workload flag names the workload: sets
+// config->workload from the flag, which must be exactly A, B, C or D;
+// anything else prints the error and exits 2.
+inline workload::Trace MakeYcsbTraceOrExit(const char* bench, std::string_view workload_flag,
+                                           workload::YcsbConfig* config, uint64_t count,
+                                           uint64_t seed) {
+  if (workload_flag.size() == 1 && std::string_view("ABCD").find(workload_flag[0]) !=
+                                       std::string_view::npos) {
+    config->workload = workload_flag[0];
+    return workload::MakeYcsbTrace(*config, count, seed);
   }
+  std::fprintf(stderr, "%s: unknown YCSB workload '%.*s' (expected A, B, C or D)\n", bench,
+               static_cast<int>(workload_flag.size()), workload_flag.data());
+  std::exit(2);
 }
 
 // A system a figure compares. ParseSystem accepts:

@@ -118,14 +118,13 @@ int main(int argc, char** argv) {
                      "multi-client replay against ONE shared pool: clients x overlap sweep");
 
   workload::YcsbConfig ycsb;
-  ycsb.workload = workload_name.empty() ? 'A' : workload_name[0];
   ycsb.num_keys = keys;
   // A hot head (theta > 1) plus a 4x-over-subscribed capacity keeps the
   // update-CAS and eviction/victim races busy; that contention is what this
   // bench exists to measure.
   ycsb.zipf_theta = theta;
   const workload::Trace trace =
-      bench::MakeYcsbTraceOrExit("contended_engine", ycsb, requests, seed);
+      bench::MakeYcsbTraceOrExit("contended_engine", workload_name, &ycsb, requests, seed);
 
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};

@@ -48,11 +48,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(capacity));
 
   workload::YcsbConfig ycsb;
-  ycsb.workload = workload_name.empty() ? 'C' : workload_name[0];
   ycsb.num_keys = keys;
   ycsb.zipf_theta = theta;
   const workload::Trace trace =
-      bench::MakeYcsbTraceOrExit("pipelined_engine", ycsb, requests, seed);
+      bench::MakeYcsbTraceOrExit("pipelined_engine", workload_name, &ycsb, requests, seed);
 
   std::vector<size_t> depths = {1, 2, 4, 8, 16, 32};
   if (flags.GetInt("depth", 0) > 0) {

@@ -69,11 +69,10 @@ int main(int argc, char** argv) {
   const size_t value_bytes = static_cast<size_t>(flags.GetInt("value", 232));
 
   workload::YcsbConfig ycsb;
-  ycsb.workload = workload_name.empty() ? 'A' : workload_name[0];
   ycsb.num_keys = keys;
   ycsb.zipf_theta = flags.GetDouble("theta", 0.99);
   const workload::Trace trace =
-      bench::MakeYcsbTraceOrExit("server_loadgen", ycsb, requests, seed);
+      bench::MakeYcsbTraceOrExit("server_loadgen", workload_name, &ycsb, requests, seed);
 
   net::LoadgenOptions lg;
   lg.host = flags.GetString("host", "127.0.0.1");

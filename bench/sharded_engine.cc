@@ -34,10 +34,9 @@ int main(int argc, char** argv) {
   bench::PrintHeader("sharded-engine", "concurrent sharded replay: threads x batching sweep");
 
   workload::YcsbConfig ycsb;
-  ycsb.workload = workload.empty() ? 'A' : workload[0];
   ycsb.num_keys = keys;
   const workload::Trace trace =
-      bench::MakeYcsbTraceOrExit("sharded_engine", ycsb, requests, seed);
+      bench::MakeYcsbTraceOrExit("sharded_engine", workload, &ycsb, requests, seed);
 
   std::printf("# workload=YCSB-%c keys=%llu requests=%llu shards=%d\n", ycsb.workload,
               static_cast<unsigned long long>(keys), static_cast<unsigned long long>(requests),

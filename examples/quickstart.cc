@@ -5,6 +5,7 @@
 //
 //   ./examples/quickstart
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,16 +49,18 @@ int main() {
               static_cast<unsigned long long>(pool.cached_objects()));
 
   // 4b. TTLs and pipelined multi-gets. A Set with ttl_ticks arms lazy expiry
-  //     (the next lookup past the deadline reclaims the object); MultiGet
-  //     chains the metadata verbs of the whole run behind one NIC doorbell.
+  //     (the next lookup past the deadline reclaims the object); a multi-get
+  //     is Gets inside one doorbell chain: an unbounded batching window holds
+  //     the run's async metadata verbs, and closing it rings one doorbell.
   client.Set("session:1", "alive", /*ttl_ticks=*/100000);
   client.Set("user:44", "{\"name\":\"dittwo\"}");
   client.Set("user:45", "{\"name\":\"dittree\"}");
-  const std::string_view mget_keys[] = {"user:44", "user:45", "user:46"};
-  std::string mget_values[3];
-  std::string* mget_out[] = {&mget_values[0], &mget_values[1], &mget_values[2]};
-  bool mget_hits[3];
-  const size_t mget_found = client.MultiGet(3, mget_keys, mget_out, mget_hits);
+  size_t mget_found = 0;
+  client.SetBatchOps(std::numeric_limits<size_t>::max());
+  for (const char* key : {"user:44", "user:45", "user:46"}) {
+    mget_found += client.Get(key, &value) ? 1 : 0;
+  }
+  client.SetBatchOps(0);
   std::printf("mget: %zu/3 hits (user:46 missing as expected)\n", mget_found);
 
   // 4c. The same operations as one typed batch through the CacheOp protocol

@@ -96,163 +96,4 @@ RedisSample RedisModel::Tick(double dt) {
   return RedisSample{time_s_, tput, p50, p99, migrating, active_shards_, target_shards_};
 }
 
-
-
-// ---------------------------------------------------------------------------
-// RedisClusterClient
-// ---------------------------------------------------------------------------
-
-RedisClusterClient::RedisClusterClient(rdma::ClientContext* ctx,
-                                       const RedisClusterConfig& config)
-    : ctx_(ctx),
-      config_(config),
-      shards_(std::max(1, config.shards)),
-      capacity_per_shard_(std::max<uint64_t>(
-          1, config.capacity_objects / static_cast<uint64_t>(std::max(1, config.shards)))) {}
-
-RedisClusterClient::Shard& RedisClusterClient::ShardFor(uint64_t hash) {
-  return shards_[SeededPartition(hash, shards_.size(), config_.partition_seed)];
-}
-
-void RedisClusterClient::ChargeOp(bool pipelined) {
-  ops_issued_++;
-  ctx_->clock().AdvanceUs(config_.service_us + (pipelined ? 0.0 : config_.rtt_us));
-}
-
-bool RedisClusterClient::GetInShard(Shard& shard, uint64_t hash, std::string* value) {
-  counters_.gets++;
-  const auto it = shard.map.find(hash);
-  if (it == shard.map.end()) {
-    counters_.misses++;
-    return false;
-  }
-  if (it->second.expiry_tick != 0 && ops_issued_ >= it->second.expiry_tick) {
-    // Native lazy expiry, as in Redis: the lookup reclaims the dead entry.
-    shard.lru.Erase(hash);
-    shard.map.erase(it);
-    counters_.expired++;
-    counters_.misses++;
-    return false;
-  }
-  if (value != nullptr) {
-    value->assign(it->second.value);
-  }
-  shard.lru.Touch(hash);
-  counters_.hits++;
-  return true;
-}
-
-bool RedisClusterClient::SetInShard(Shard& shard, uint64_t hash, std::string_view value,
-                                    uint64_t ttl_ticks) {
-  counters_.sets++;
-  const uint64_t expiry = ttl_ticks == 0 ? 0 : ops_issued_ + ttl_ticks;
-  const auto it = shard.map.find(hash);
-  if (it != shard.map.end()) {
-    it->second.value.assign(value);
-    it->second.expiry_tick = expiry;
-    shard.lru.Touch(hash);
-    return true;
-  }
-  while (shard.map.size() >= capacity_per_shard_ && shard.lru.size() > 0) {
-    shard.map.erase(shard.lru.EvictVictim());
-    counters_.evictions++;
-  }
-  shard.map.emplace(hash, Entry{std::string(value), expiry});
-  shard.lru.Touch(hash);
-  return true;
-}
-
-bool RedisClusterClient::DeleteInShard(Shard& shard, uint64_t hash) {
-  if (shard.map.erase(hash) == 0) {
-    return false;
-  }
-  shard.lru.Erase(hash);
-  counters_.deletes++;
-  return true;
-}
-
-bool RedisClusterClient::ExpireInShard(Shard& shard, uint64_t hash, uint64_t ttl_ticks) {
-  const auto it = shard.map.find(hash);
-  if (it == shard.map.end()) {
-    return false;
-  }
-  it->second.expiry_tick = ttl_ticks == 0 ? 0 : ops_issued_ + ttl_ticks;
-  return true;
-}
-
-void RedisClusterClient::ExecuteBatch(std::span<const sim::CacheOp> ops,
-                                      sim::CacheResult* results) {
-  size_t i = 0;
-  while (i < ops.size()) {
-    // A run of kMultiGets is one pipelined MGET: one round trip for the run.
-    size_t run_end = i + 1;
-    if (ops[i].kind == sim::OpKind::kMultiGet) {
-      while (run_end < ops.size() && ops[run_end].kind == sim::OpKind::kMultiGet) {
-        ++run_end;
-      }
-    }
-    for (size_t j = i; j < run_end; ++j) {
-      const bool pipelined = j > i;  // first op of a run pays the round trip
-      sim::DispatchSingleOp(
-          *ctx_, ops[j], &results[j],
-          [this, pipelined](std::string_view key, std::string* value) {
-            const uint64_t hash = HashKey(key);
-            Shard& shard = ShardFor(hash);
-            ChargeOp(pipelined);
-            return GetInShard(shard, hash, value);
-          },
-          [this](std::string_view key, std::string_view value, uint64_t ttl) {
-            const uint64_t hash = HashKey(key);
-            Shard& shard = ShardFor(hash);
-            ChargeOp(/*pipelined=*/false);
-            return SetInShard(shard, hash, value, ttl);
-          },
-          [this](std::string_view key) {
-            const uint64_t hash = HashKey(key);
-            Shard& shard = ShardFor(hash);
-            ChargeOp(/*pipelined=*/false);
-            return DeleteInShard(shard, hash);
-          },
-          [this](std::string_view key, uint64_t ttl) {
-            const uint64_t hash = HashKey(key);
-            Shard& shard = ShardFor(hash);
-            ChargeOp(/*pipelined=*/false);
-            return ExpireInShard(shard, hash, ttl);
-          });
-    }
-    i = run_end;
-  }
-}
-
-bool RedisClusterClient::ResizeCapacity(uint64_t capacity_objects) {
-  if (capacity_objects == 0) {
-    return false;
-  }
-  config_.capacity_objects = capacity_objects;
-  capacity_per_shard_ = std::max<uint64_t>(
-      1, capacity_objects / static_cast<uint64_t>(shards_.size()));
-  // One admin command round trip; the per-shard evictions run server-side.
-  ctx_->clock().AdvanceUs(config_.rtt_us + config_.service_us);
-  for (Shard& shard : shards_) {
-    while (shard.map.size() > capacity_per_shard_ && shard.lru.size() > 0) {
-      shard.map.erase(shard.lru.EvictVictim());
-      counters_.evictions++;
-    }
-  }
-  return true;
-}
-
-void RedisClusterClient::ResetForMeasurement() {
-  counters_ = sim::ClientCounters{};
-  ctx_->op_hist().Reset();
-}
-
-uint64_t RedisClusterClient::cached_objects() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.map.size();
-  }
-  return total;
-}
-
 }  // namespace ditto::baselines

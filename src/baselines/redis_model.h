@@ -14,12 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
-
-#include "policies/precise.h"
-#include "sim/client_iface.h"
 
 namespace ditto::baselines {
 
@@ -84,69 +79,6 @@ class RedisModel {
   double time_s_ = 0.0;
   std::vector<double> top_key_weights_;  // zipf weights of the hottest keys
   double tail_weight_;                   // aggregate weight of all other keys
-};
-
-// ---------------------------------------------------------------------------
-// RedisClusterClient: a functional client for the sharded monolithic-server
-// cluster the analytic RedisModel above describes. Keys hash to single-core
-// shards, each shard keeps an exact LRU over its resident keys, and every
-// command pays one network round trip plus the shard CPU's per-op service
-// time. kMultiGet runs are pipelined the way redis clients pipeline MGET:
-// the whole run shares one round trip and pays only per-op service — the
-// monolithic-server analogue of Ditto's doorbell-chained multi-get. TTLs are
-// native (Redis EXPIRE): entries carry an expiry tick in the client's
-// logical op counter and are reclaimed lazily on lookup.
-// ---------------------------------------------------------------------------
-
-struct RedisClusterConfig {
-  int shards = 16;
-  uint64_t capacity_objects = 10000;  // aggregate across the cluster
-  double rtt_us = 100.0;              // client <-> cluster network round trip
-  double service_us = 6.25;           // per-op shard CPU time (0.16 Mops/core)
-  uint64_t partition_seed = 1;        // key -> shard routing seed
-};
-
-class RedisClusterClient : public sim::CacheClient {
- public:
-  RedisClusterClient(rdma::ClientContext* ctx, const RedisClusterConfig& config);
-
-  void ExecuteBatch(std::span<const sim::CacheOp> ops, sim::CacheResult* results) override;
-
-  rdma::ClientContext& ctx() override { return *ctx_; }
-  sim::ClientCounters counters() const override { return counters_; }
-  void ResetForMeasurement() override;
-
-  // Elastic scaling: re-splits the aggregate capacity over the fixed shard
-  // set and evicts each shard's LRU tail on shrink. One admin round trip is
-  // charged; evictions surface in counters().
-  bool ResizeCapacity(uint64_t capacity_objects) override;
-
-  uint64_t cached_objects() const;
-
- private:
-  struct Entry {
-    std::string value;
-    uint64_t expiry_tick;  // in ops_issued_ ticks; 0 = never
-  };
-  struct Shard {
-    std::unordered_map<uint64_t, Entry> map;
-    policy::PreciseLru lru;
-  };
-
-  Shard& ShardFor(uint64_t hash);
-  // One command's network + CPU charge. Pipelined ops skip the round trip.
-  void ChargeOp(bool pipelined);
-  bool GetInShard(Shard& shard, uint64_t hash, std::string* value);
-  bool SetInShard(Shard& shard, uint64_t hash, std::string_view value, uint64_t ttl_ticks);
-  bool DeleteInShard(Shard& shard, uint64_t hash);
-  bool ExpireInShard(Shard& shard, uint64_t hash, uint64_t ttl_ticks);
-
-  rdma::ClientContext* ctx_;
-  RedisClusterConfig config_;
-  std::vector<Shard> shards_;
-  uint64_t capacity_per_shard_;
-  uint64_t ops_issued_ = 0;  // the TTL tick domain
-  sim::ClientCounters counters_;
 };
 
 }  // namespace ditto::baselines

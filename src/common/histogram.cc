@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace ditto {
 
@@ -104,15 +103,6 @@ double Histogram::PercentileNs(double p) const {
     }
   }
   return static_cast<double>(max_ns_);
-}
-
-std::string Histogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "n=%llu mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus",
-                static_cast<unsigned long long>(count_), MeanNs() / 1000.0,
-                PercentileNs(50) / 1000.0, PercentileNs(99) / 1000.0,
-                static_cast<double>(max_ns_) / 1000.0);
-  return buf;
 }
 
 }  // namespace ditto

@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 namespace ditto {
 
@@ -24,8 +23,6 @@ class Histogram {
   // p in [0, 100]. Returns the bucket-upper-bound latency in nanoseconds.
   double PercentileNs(double p) const;
   double PercentileUs(double p) const { return PercentileNs(p) / 1000.0; }
-
-  std::string Summary() const;
 
  private:
   static int BucketFor(uint64_t ns);

@@ -184,77 +184,6 @@ bool ClusterClient::Expire(std::string_view key, uint64_t ttl_ticks) {
                    [&](DittoClient* c) { return c->Expire(key, ttl_ticks); });
 }
 
-size_t ClusterClient::MultiGet(size_t n, const std::string_view* keys,
-                               std::string* const* values, bool* hits) {
-  const size_t num_nodes = static_cast<size_t>(pool_->num_nodes());
-  mg_by_node_.resize(num_nodes);
-  for (std::vector<size_t>& idxs : mg_by_node_) {
-    idxs.clear();
-  }
-  mg_unavail_.assign(n, 0);
-  const RingEpoch* ring = pool_->ring().current();
-  for (size_t i = 0; i < n; ++i) {
-    const int node = ring->NodeFor(HashKey(keys[i]));
-    if (node < 0) {
-      mg_unavail_[i] = 1;
-      if (hits != nullptr) {
-        hits[i] = false;
-      }
-      continue;
-    }
-    mg_by_node_[static_cast<size_t>(node)].push_back(i);
-  }
-  if (mg_hits_cap_ < n) {
-    mg_hits_cap_ = std::max(n, mg_hits_cap_ * 2);
-    mg_hits_ = std::make_unique<bool[]>(mg_hits_cap_);
-  }
-  size_t hit_count = 0;
-  for (size_t node = 0; node < num_nodes; ++node) {
-    const std::vector<size_t>& idxs = mg_by_node_[node];
-    if (idxs.empty()) {
-      continue;
-    }
-    mg_keys_.clear();
-    mg_values_.clear();
-    for (const size_t i : idxs) {
-      mg_keys_.push_back(keys[i]);
-      mg_values_.push_back(values == nullptr ? nullptr : values[i]);
-    }
-    DittoClient* client = ClientFor(static_cast<int>(node));
-    client->verbs().ClearStatus();
-    const size_t run_hits =
-        client->MultiGet(idxs.size(), mg_keys_.data(),
-                         values == nullptr ? nullptr : mg_values_.data(), mg_hits_.get());
-    if (client->verbs().ok()) {
-      hit_count += run_hits;
-      if (hits != nullptr) {
-        for (size_t j = 0; j < idxs.size(); ++j) {
-          hits[idxs[j]] = mg_hits_[j];
-        }
-      }
-      continue;
-    }
-    // The chained run hit a fault: fall back to per-key retried Gets so each
-    // key gets the full retry/re-route policy.
-    for (const size_t i : idxs) {
-      std::string* out = values == nullptr ? nullptr : values[i];
-      const bool hit =
-          RetryLoop(HashKey(keys[i]), [&](DittoClient* c) { return c->Get(keys[i], out); });
-      if (last_unavailable_) {
-        mg_unavail_[i] = 1;
-      }
-      if (hits != nullptr) {
-        hits[i] = hit;
-      }
-      hit_count += hit ? 1 : 0;
-    }
-  }
-  ops_.gets += n;
-  ops_.hits += hit_count;
-  ops_.misses += n - hit_count;
-  return hit_count;
-}
-
 bool ClusterClient::ResizeCapacity(uint64_t total_capacity_objects) {
   last_total_capacity_ = total_capacity_objects;
   const RingEpoch* ring = pool_->ring().current();

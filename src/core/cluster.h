@@ -11,7 +11,10 @@
 // share one ClientContext (one virtual clock per client thread, one NIC/CPU
 // model per memory node), so adding memory nodes scales the pool's aggregate
 // NIC message rate — the resource that bounds Ditto's throughput on a single
-// MN. On top of key routing it adds:
+// MN. Every op, each key of a multi-get included, is routed on its own; a
+// multi-get is Gets inside one doorbell chain (sim::DittoAdapterBase), and
+// SetBatchOps reaches every per-node client, so each node a run touches rings
+// one doorbell. On top of key routing it adds:
 //   * per-op retry with exponential backoff charged to virtual time: each
 //     attempt clears the QP's sticky fault status, re-routes through the
 //     current ring epoch, and backs off before re-issuing; Set republish is
@@ -138,21 +141,10 @@ class ClusterClient {
   bool Set(std::string_view key, std::string_view value, uint64_t ttl_ticks = 0);
   bool Delete(std::string_view key);
   bool Expire(std::string_view key, uint64_t ttl_ticks);
-  // Pipelined lookup of keys[0..n): keys are grouped by owning node and each
-  // node's run chains its metadata verbs behind one doorbell (same contract
-  // as DittoClient::MultiGet). Returns the number of hits. Keys whose node
-  // run failed are retried individually through the Get path.
-  size_t MultiGet(size_t n, const std::string_view* keys, std::string* const* values,
-                  bool* hits);
-
   // True iff the LAST single-key op exhausted its retries (or no node was
   // live); the op reported a miss/drop, and a front end should answer
   // -UNAVAILABLE rather than a silent miss.
   bool last_op_unavailable() const { return last_unavailable_; }
-  // Per-key unavailability of the last MultiGet run (index into that run).
-  bool mg_unavailable(size_t i) const {
-    return i < mg_unavail_.size() && mg_unavail_[i] != 0;
-  }
 
   // Splits an aggregate capacity over the LIVE nodes with dm::CapacityShare
   // and resizes each through its controller. Remembered and re-applied after
@@ -172,6 +164,8 @@ class ClusterClient {
   void ApplyJoin(uint32_t node);
 
   void FlushBuffers();
+  // Sets the doorbell-batching window of every per-node client (0 disables),
+  // including clients recreated after a node wipe.
   void SetBatchOps(size_t ops);
   void BeginPipelinedOp(uint64_t start_ns);
   uint64_t EndPipelinedOp();
@@ -226,14 +220,6 @@ class ClusterClient {
   // by node wipes.
   DittoStats ops_;
   DittoStats retired_;
-
-  // MultiGet scatter/gather scratch, reused across runs.
-  std::vector<std::vector<size_t>> mg_by_node_;
-  std::vector<std::string_view> mg_keys_;
-  std::vector<std::string*> mg_values_;
-  std::unique_ptr<bool[]> mg_hits_;
-  size_t mg_hits_cap_ = 0;
-  std::vector<uint8_t> mg_unavail_;
 
   // Migration scratch, preallocated so the copy loop stays allocation-free.
   std::vector<uint8_t> mig_buf_;

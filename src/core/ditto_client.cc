@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -679,29 +678,6 @@ bool DittoClient::ResizeCapacity(uint64_t capacity_objects) {
       }
     }
   }
-}
-
-size_t DittoClient::MultiGet(size_t n, const std::string_view* keys,
-                             std::string* const* values, bool* hits) {
-  // Chain the whole run's async metadata verbs behind one doorbell. When the
-  // caller already enabled windowed batching, keep its window; otherwise open
-  // an unbounded chain for the duration of the run and flush it once.
-  const size_t saved = verbs_.batch_ops();
-  if (saved == 0) {
-    verbs_.SetBatchOps(std::numeric_limits<size_t>::max());
-  }
-  size_t hit_count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const bool hit = Get(keys[i], values == nullptr ? nullptr : values[i]);
-    if (hits != nullptr) {
-      hits[i] = hit;
-    }
-    hit_count += hit ? 1 : 0;
-  }
-  if (saved == 0) {
-    verbs_.SetBatchOps(0);  // flushes the chain: one doorbell for the run
-  }
-  return hit_count;
 }
 
 void DittoClient::FlushBuffers() {

@@ -159,14 +159,6 @@ class DittoClient {
   // Returns false if the controller rejected the resize or eviction stalled.
   bool ResizeCapacity(uint64_t capacity_objects);
 
-  // Pipelined lookup of keys[0..n): per-key semantics of Get, but the whole
-  // run's async metadata verbs are chained behind a single NIC doorbell.
-  // hits[i] receives the per-key outcome; values may be nullptr, or an array
-  // of n string pointers (each possibly nullptr) filled on hit. Returns the
-  // number of hits.
-  size_t MultiGet(size_t n, const std::string_view* keys, std::string* const* values,
-                  bool* hits);
-
   // Flushes client-side buffers (FC cache deltas, pending penalties, the
   // doorbell-batched verb chain).
   void FlushBuffers();

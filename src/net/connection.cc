@@ -256,9 +256,9 @@ bool Connection::ExecuteCommand(const PendingCmd& cmd) {
     }
 
     case Verb::kMget: {
-      // A run of kMultiGet ops in one batch is the client protocol's fused
-      // multi-get: batching-capable clients chain the whole run's metadata
-      // verbs behind one NIC doorbell.
+      // A run of kMultiGet ops in one batch is the client protocol's
+      // multi-get: per-key Gets whose async metadata verbs batching-capable
+      // clients chain behind one NIC doorbell per memory node.
       ops_.clear();
       for (size_t i = 1; i < argc; ++i) {
         ops_.push_back(sim::CacheOp::MultiGet(args[i], /*want_value=*/true));

@@ -36,7 +36,7 @@
 // (DEL/MGET) answer -UNAVAILABLE when ANY of their keys was unrouteable.
 //   DEL k [k...]     -> kDelete xN  -> :deleted_count
 //   EXPIRE k t       -> kExpire     -> :1 | :0
-//   MGET k [k...]    -> kMultiGet run (doorbell-fused by the client) -> array
+//   MGET k [k...]    -> kMultiGet run (Gets in one doorbell chain) -> array
 //   TTL k            -> kGet probe  -> :-1 (cached; ticks not readable) | :-2
 //   PING [msg]       -> no op       -> +PONG | $msg
 //   INFO             -> no op       -> $<stats text>

@@ -2,16 +2,15 @@
 // experiment runner through the typed CacheOp protocol.
 //
 // Both adapters share DittoAdapterBase, which implements the whole
-// CacheClient surface once: typed batch dispatch (including fusing
-// consecutive kMultiGet ops into one chained multi-get), the
+// CacheClient surface once: typed batch dispatch (a run of consecutive
+// kMultiGet ops is Gets inside one doorbell chain), the
 // DittoStats -> ClientCounters mapping, and the measurement-boundary reset.
 // The cluster adapter adds unavailability reporting and lifecycle steps.
 #ifndef DITTO_SIM_ADAPTERS_H_
 #define DITTO_SIM_ADAPTERS_H_
 
-#include <memory>
+#include <limits>
 #include <type_traits>
-#include <vector>
 
 #include "core/cluster.h"
 #include "core/ditto_client.h"
@@ -33,17 +32,24 @@ class DittoAdapterBase : public CacheClient {
   void ExecuteBatch(std::span<const CacheOp> ops, CacheResult* results) override {
     size_t i = 0;
     while (i < ops.size()) {
-      if (ops[i].kind == OpKind::kMultiGet) {
-        size_t run_end = i;
-        while (run_end < ops.size() && ops[run_end].kind == OpKind::kMultiGet) {
-          ++run_end;
-        }
-        ExecuteMultiGetRun(ops, i, run_end, results);
-        i = run_end;
+      if (ops[i].kind != OpKind::kMultiGet) {
+        ExecuteSingle(ops[i], &results[i]);
+        ++i;
         continue;
       }
-      ExecuteSingle(ops[i], &results[i]);
-      ++i;
+      // A run of kMultiGets is Gets inside one doorbell chain: each node the
+      // run touches rings one doorbell for its async metadata verbs. When
+      // the caller already enabled windowed batching, its window stands.
+      const bool chain = batch_ops_ == 0;
+      if (chain) {
+        client_.SetBatchOps(std::numeric_limits<size_t>::max());
+      }
+      for (; i < ops.size() && ops[i].kind == OpKind::kMultiGet; ++i) {
+        ExecuteSingle(ops[i], &results[i]);
+      }
+      if (chain) {
+        client_.SetBatchOps(0);  // flushes the chain
+      }
     }
   }
 
@@ -71,7 +77,10 @@ class DittoAdapterBase : public CacheClient {
     ctx_->op_hist().Reset();
   }
 
-  void SetBatchOps(size_t ops) override { client_.SetBatchOps(ops); }
+  void SetBatchOps(size_t ops) override {
+    batch_ops_ = ops;
+    client_.SetBatchOps(ops);
+  }
 
   bool ResizeCapacity(uint64_t capacity_objects) override {
     return client_.ResizeCapacity(capacity_objects);
@@ -109,42 +118,7 @@ class DittoAdapterBase : public CacheClient {
     }
   }
 
-  void ExecuteMultiGetRun(std::span<const CacheOp> ops, size_t begin, size_t end,
-                          CacheResult* results) {
-    const size_t n = end - begin;
-    mg_keys_.clear();
-    mg_values_.clear();
-    for (size_t i = begin; i < end; ++i) {
-      mg_keys_.push_back(ops[i].key);
-      mg_values_.push_back(ops[i].want_value ? &results[i].value : nullptr);
-    }
-    if (mg_hits_cap_ < n) {
-      mg_hits_cap_ = std::max(n, mg_hits_cap_ * 2);
-      mg_hits_ = std::make_unique<bool[]>(mg_hits_cap_);
-    }
-    const uint64_t begin_ns = ctx_->clock().busy_ns();
-    client_.MultiGet(n, mg_keys_.data(), mg_values_.data(), mg_hits_.get());
-    // Per-op attribution of a pipelined run: the run's mean cost.
-    const double per_op_us =
-        static_cast<double>(ctx_->clock().busy_ns() - begin_ns) / 1000.0 /
-        static_cast<double>(n);
-    for (size_t j = 0; j < n; ++j) {
-      results[begin + j].status = mg_hits_[j] ? OpStatus::kHit : OpStatus::kMiss;
-      if constexpr (kReportsUnavailable) {
-        if (client_.mg_unavailable(j)) {
-          results[begin + j].status = OpStatus::kUnavailable;
-        }
-      }
-      results[begin + j].latency_us = per_op_us;
-    }
-  }
-
-  // Multi-get gather scratch, reused across runs (adapters are
-  // single-threaded like the clients they wrap).
-  std::vector<std::string_view> mg_keys_;
-  std::vector<std::string*> mg_values_;
-  std::unique_ptr<bool[]> mg_hits_;
-  size_t mg_hits_cap_ = 0;
+  size_t batch_ops_ = 0;  // the value SetBatchOps last received
 };
 
 class DittoCacheClient : public DittoAdapterBase<core::DittoClient> {

@@ -5,9 +5,10 @@
 // the blocking Get/Set/Delete/Expire calls are thin wrappers over a
 // one-element batch.
 //
-// A run of consecutive kMultiGet ops in one batch is treated as a single
-// pipelined multi-get: clients that support doorbell batching issue the whole
-// run's metadata verbs behind one doorbell.
+// A run of consecutive kMultiGet ops in one batch is a pipelined multi-get:
+// each key is a Get with Get's own status and latency, and clients that
+// support doorbell batching chain the whole run's async metadata verbs
+// behind one doorbell per memory node.
 #ifndef DITTO_SIM_CACHE_OP_H_
 #define DITTO_SIM_CACHE_OP_H_
 
@@ -21,7 +22,7 @@ enum class OpKind : uint8_t {
   kGet,       // point lookup
   kSet,       // insert or update (ttl_ticks > 0 arms expiry)
   kDelete,    // remove the key
-  kMultiGet,  // one key of a pipelined multi-key lookup
+  kMultiGet,  // one key of a pipelined multi-key lookup (a Get in a doorbell chain)
   kExpire,    // (re)arm the TTL of a cached key (ttl_ticks == 0 clears it)
 };
 

@@ -3,10 +3,11 @@
 // identical trace against all systems.
 //
 // The primary entry point is ExecuteBatch over typed CacheOps (see
-// cache_op.h): implementations see whole batches, which lets them chain the
-// metadata verbs of a pipelined kMultiGet run into one NIC doorbell. The
-// blocking Get/Set/Delete/Expire members are convenience wrappers over a
-// one-element batch, retained so pre-protocol call sites keep compiling.
+// cache_op.h): implementations see whole batches, which lets them run a
+// kMultiGet run as Gets inside one NIC doorbell chain. The blocking
+// Get/Set/Delete/Expire/MultiGet members are the convenience API over
+// ExecuteBatch that tests, examples and bench::Preload use: each builds the
+// batch, runs it, and unpacks the typed statuses.
 #ifndef DITTO_SIM_CLIENT_IFACE_H_
 #define DITTO_SIM_CLIENT_IFACE_H_
 
@@ -88,11 +89,12 @@ class CacheClient {
   virtual ~CacheClient() = default;
 
   // Executes `ops` in order, writing ops.size() results to `results`.
-  // Consecutive kMultiGet ops form one pipelined multi-key lookup whose
-  // metadata verbs batching-capable clients chain behind a single doorbell.
+  // Consecutive kMultiGet ops form one pipelined multi-key lookup: per-key
+  // Gets whose async metadata verbs batching-capable clients chain behind a
+  // single doorbell per memory node.
   virtual void ExecuteBatch(std::span<const CacheOp> ops, CacheResult* results) = 0;
 
-  // --- Blocking wrappers over a one-element batch --------------------------
+  // --- Blocking convenience API over ExecuteBatch ---------------------------
   bool Get(std::string_view key, std::string* value) {
     const CacheOp op = CacheOp::Get(key, /*want_value=*/value != nullptr);
     CacheResult r;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -140,7 +139,7 @@ class OpDispatcher {
       window_.RetireAll(client_->ctx().clock());
       // Every pending index was enqueued in the current phase (AdvancePhase
       // flushes before the capacity changes), so the run is attributed whole.
-      ExecuteMultiGetRun();
+      ExecuteFusedRun();
       pending_.clear();
     }
     if (retire_pipeline) {
@@ -184,7 +183,7 @@ class OpDispatcher {
   // steady state: keys render into a reused KeyBuf array, ops into a reused
   // vector, and results come from the small-vector buffer (inline storage for
   // runs up to its capacity — fused runs are bounded by multiget_batch).
-  void ExecuteMultiGetRun() {
+  void ExecuteFusedRun() {
     const std::vector<uint32_t>& idxs = pending_;
     rdma::ClientContext& ctx = client_->ctx();
     const uint64_t begin_ns = ctx.clock().busy_ns();
@@ -630,15 +629,6 @@ RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
                         /*split_capacity=*/false, [&](size_t i) { return (i - begin) % n; });
       },
       per_client);
-}
-
-std::string FormatResult(const std::string& label, const RunResult& r) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%-24s ops=%-9llu tput=%7.2f Mops  hit=%6.2f%%  p50=%7.1fus  p99=%7.1fus",
-                label.c_str(), static_cast<unsigned long long>(r.ops), r.throughput_mops,
-                r.hit_rate * 100.0, r.p50_us, r.p99_us);
-  return buf;
 }
 
 }  // namespace ditto::sim

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "rdma/node.h"
@@ -245,9 +244,6 @@ RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
                             const std::vector<rdma::RemoteNode*>& nodes,
                             const RunOptions& options,
                             std::vector<RunResult>* per_client = nullptr);
-
-// Convenience: formats a result row.
-std::string FormatResult(const std::string& label, const RunResult& r);
 
 }  // namespace ditto::sim
 

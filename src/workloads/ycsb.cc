@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/hash.h"
+
 namespace ditto::workload {
 
 YcsbGenerator::YcsbGenerator(const YcsbConfig& config, uint64_t seed)
@@ -19,8 +21,7 @@ YcsbGenerator::YcsbGenerator(const YcsbConfig& config, uint64_t seed)
       break;
     case 'D':
       update_fraction_ = 0.05;
-      // Only D reads the latest distribution (its zeta sum costs n pow calls).
-      latest_zipf_.emplace(config.num_keys, config.zipf_theta, seed);
+      latest_ = true;
       break;
     default:
       throw std::invalid_argument(std::string("unknown YCSB workload '") + config.workload +
@@ -29,20 +30,20 @@ YcsbGenerator::YcsbGenerator(const YcsbConfig& config, uint64_t seed)
 }
 
 uint64_t YcsbGenerator::NextKey() {
-  if (latest_zipf_) {
+  const uint64_t rank = zipf_.Next(rng_);
+  if (latest_) {
     // Workload D reads the "latest" distribution: rank 0 is the most
     // recently inserted key.
     const uint64_t total = config_.num_keys + inserted_;
-    const uint64_t back = latest_zipf_->Next(rng_);
-    return total - 1 - (back % total);
+    return total - 1 - (rank % total);
   }
-  return zipf_.Next(rng_);
+  return Mix64(rank) % config_.num_keys;
 }
 
 Request YcsbGenerator::Next() {
   const double roll = rng_.NextDouble();
   if (roll < update_fraction_) {
-    if (latest_zipf_) {  // D inserts instead of updating
+    if (latest_) {  // D inserts instead of updating
       const uint64_t key = config_.num_keys + inserted_;
       inserted_++;
       return Request{Op::kInsert, key};

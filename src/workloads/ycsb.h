@@ -5,7 +5,6 @@
 #define DITTO_WORKLOADS_YCSB_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "common/rand.h"
@@ -36,10 +35,11 @@ class YcsbGenerator {
 
   YcsbConfig config_;
   Rng rng_;
-  ScrambledZipfianGenerator zipf_;
-  // Workload D only: skewed toward recent inserts; D inserts where the
-  // others update.
-  std::optional<ZipfianGenerator> latest_zipf_;
+  // One Zipfian rank per key draw. A-C scramble it over the key space (as
+  // ScrambledZipfianGenerator does); D reads it through the "latest"
+  // transform, skewed toward recent inserts.
+  ZipfianGenerator zipf_;
+  bool latest_ = false;  // workload D: inserts where the others update
   uint64_t inserted_ = 0;
   double update_fraction_;
 };

@@ -4,9 +4,10 @@
 // The load-bearing guarantees:
 //   * Keys spread over every node of the ring (up to kMaxRingNodes), and a
 //     membership swap moves only the affected node's keys.
-//   * The cluster client routes single-key ops and multi-gets to the owning
-//     node, enforces per-node capacity, aggregates per-node statistics, and
-//     scales throughput with the pool's aggregate NIC message rate.
+//   * The cluster client routes single-key ops and each key of a multi-get to
+//     the owning node, enforces per-node capacity, aggregates per-node
+//     statistics, and scales throughput with the pool's aggregate NIC
+//     message rate.
 //   * With an empty FaultPlan and stable membership, a cluster run is
 //     BIT-IDENTICAL to a recorded fault-free run — same hits, verb counts,
 //     NIC messages, and virtual-time accounting — so the fault layer is free
@@ -530,6 +531,55 @@ TEST(ClusterCrashTest, AllNodesCrashedReportsUnavailableOnEveryPath) {
         << "ExecutePipelined, op kind " << static_cast<int>(op.kind);
     client->ctx().clock().AdvanceToNs(complete_ns);
   }
+
+  // A multi-key run: every key is a Get with its own retry budget, so every
+  // key reports the outage.
+  const sim::CacheOp mget[] = {sim::CacheOp::MultiGet("k"), sim::CacheOp::MultiGet("k2"),
+                               sim::CacheOp::MultiGet("k3")};
+  sim::CacheResult mget_results[3];
+  client->ExecuteBatch(mget, mget_results);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(mget_results[i].status, sim::OpStatus::kUnavailable) << "MGET key " << i;
+  }
+}
+
+// A node inside a FaultPlan crash window that is still in the ring fails
+// only its own keys of a multi-get: they exhaust Get's retries and report
+// kUnavailable, while the other node's keys hit.
+TEST(ClusterCrashTest, MultiGetReportsUnavailableOnlyForTheCrashedNodesKeys) {
+  constexpr uint64_t kCrashAtNs = 1'000'000'000;  // 1 s of virtual time
+  core::ClusterConfig config = TestClusterConfig(512);
+  config.nodes = 2;
+  bench::ClusterDeployment d = bench::MakeCluster(config, 1);
+  rdma::FaultPlan plan;
+  plan.crash_windows.push_back({kCrashAtNs, ~uint64_t{0}});
+  d.pool->ConfigureNodeFault(0, plan);
+  sim::CacheClient* client = d.raw[0];
+
+  std::vector<std::string> keys;
+  std::vector<sim::CacheOp> mget;
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back("mg-" + std::to_string(i));
+  }
+  size_t on_node0 = 0;
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(client->Set(key, "v"));
+    mget.push_back(sim::CacheOp::MultiGet(key));
+    on_node0 += d.pool->ring().NodeFor(HashKey(key)) == 0 ? 1 : 0;
+  }
+  ASSERT_GT(on_node0, 0u);
+  ASSERT_LT(on_node0, keys.size());
+
+  ASSERT_LT(client->ctx().clock().busy_ns(), kCrashAtNs) << "preload ends before the crash";
+  client->ctx().clock().AdvanceToNs(kCrashAtNs);
+  std::vector<sim::CacheResult> results(mget.size());
+  client->ExecuteBatch(mget, results.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const bool node0 = d.pool->ring().NodeFor(HashKey(keys[i])) == 0;
+    EXPECT_EQ(results[i].status, node0 ? sim::OpStatus::kUnavailable : sim::OpStatus::kHit)
+        << keys[i] << " on node " << (node0 ? 0 : 1);
+  }
+  EXPECT_TRUE(d.pool->IsLive(0)) << "a crash window does not change the ring";
 }
 
 // Live migration racing 8 genuinely concurrent clients (TSan-checked in CI):

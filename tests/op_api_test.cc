@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "baselines/cliquemap.h"
-#include "baselines/redis_model.h"
 #include "baselines/shard_lru.h"
 #include "bench_common.h"
 #include "core/cluster.h"
@@ -159,18 +158,6 @@ TEST(OpApiTest, CliqueMapBaselineSupportsTypedOps) {
   });
 }
 
-TEST(OpApiTest, RedisClusterClientSupportsTypedOps) {
-  baselines::RedisClusterConfig config;
-  rdma::ClientContext ctx(0);
-  baselines::RedisClusterClient client(&ctx, config);
-  // The Redis client's TTL domain is its own op counter: issue filler Gets.
-  ExerciseOpContract(&client, [&](uint64_t n) {
-    for (uint64_t i = 0; i < n; ++i) {
-      client.Get("tick-filler", nullptr);
-    }
-  });
-}
-
 // Regression: baseline op paths must advance the pool's logical clock
 // themselves — a TTL armed through a baseline client has to fire in a run
 // where no Ditto client (the only other Tick caller) shares the pool.
@@ -223,56 +210,69 @@ TEST(OpApiTest, DroppedStoresReportKDropped) {
   EXPECT_EQ(last, sim::OpStatus::kDropped) << "a full bucket with no eviction drops stores";
 }
 
-TEST(OpApiTest, RedisClusterEvictsAtCapacity) {
-  baselines::RedisClusterConfig config;
-  config.shards = 4;
-  config.capacity_objects = 100;
-  rdma::ClientContext ctx(0);
-  baselines::RedisClusterClient client(&ctx, config);
-  for (int i = 0; i < 1000; ++i) {
-    client.Set("rk-" + std::to_string(i), "v");
+// Doorbells rung on every memory node of a deployment's pool.
+uint64_t Doorbells(dm::MemoryPool& pool) { return pool.node().nic().doorbells(); }
+uint64_t Doorbells(core::ClusterPool& pool) {
+  uint64_t total = 0;
+  for (int i = 0; i < pool.num_nodes(); ++i) {
+    total += Doorbells(pool.node(i));
   }
-  EXPECT_LE(client.cached_objects(), 100u);
-  EXPECT_GE(client.counters().evictions, 900u);
+  return total;
 }
 
 // The acceptance invariant of the batched path: a kMultiGet over n keys puts
-// strictly fewer doorbells on the NIC than the same n keys fetched with
+// strictly fewer doorbells on the NICs than the same n keys fetched with
 // single Gets, because the whole run's async metadata verbs chain behind one
-// doorbell.
+// doorbell per memory node. Checked on one node and on a 2-node cluster.
 TEST(OpApiTest, MultiGetIssuesFewerDoorbellsThanSingleGets) {
   constexpr int kKeys = 16;
   std::vector<std::string> key_storage;
   for (int i = 0; i < kKeys; ++i) {
     key_storage.push_back("mgk-" + std::to_string(i));
   }
-  auto preloaded = [&] {
-    bench::DittoDeployment d = bench::MakeDitto(SmallPool(), DittoCfg(), 1);
+  const auto expect_fewer_doorbells = [&](auto make) {
+    auto preloaded = [&] {
+      auto d = make();
+      for (const std::string& key : key_storage) {
+        d.raw[0]->Set(key, "value");
+      }
+      return d;
+    };
+    auto singly = preloaded();
+    auto batched = preloaded();
+
+    const uint64_t singly_before = Doorbells(*singly.pool);
+    size_t single_hits = 0;
     for (const std::string& key : key_storage) {
-      d.raw[0]->Set(key, "value");
+      single_hits += singly.raw[0]->Get(key, nullptr) ? 1 : 0;
     }
-    return d;
+    const uint64_t singly_doorbells = Doorbells(*singly.pool) - singly_before;
+
+    std::vector<std::string_view> keys(key_storage.begin(), key_storage.end());
+    std::vector<sim::CacheResult> results;
+    const uint64_t batched_before = Doorbells(*batched.pool);
+    const size_t batched_hits = batched.raw[0]->MultiGet(keys, &results);
+    const uint64_t batched_doorbells = Doorbells(*batched.pool) - batched_before;
+
+    EXPECT_EQ(single_hits, static_cast<size_t>(kKeys));
+    EXPECT_EQ(batched_hits, static_cast<size_t>(kKeys)) << "batching must not change behaviour";
+    EXPECT_LT(batched_doorbells, singly_doorbells)
+        << "chained multi-get metadata verbs must share doorbells";
   };
-  bench::DittoDeployment singly = preloaded();
-  bench::DittoDeployment batched = preloaded();
-
-  const uint64_t singly_before = singly.pool->node().nic().doorbells();
-  size_t single_hits = 0;
-  for (const std::string& key : key_storage) {
-    single_hits += singly.raw[0]->Get(key, nullptr) ? 1 : 0;
+  {
+    SCOPED_TRACE("one memory node");
+    expect_fewer_doorbells([] { return bench::MakeDitto(SmallPool(), DittoCfg(), 1); });
   }
-  const uint64_t singly_doorbells = singly.pool->node().nic().doorbells() - singly_before;
-
-  std::vector<std::string_view> keys(key_storage.begin(), key_storage.end());
-  std::vector<sim::CacheResult> results;
-  const uint64_t batched_before = batched.pool->node().nic().doorbells();
-  const size_t batched_hits = batched.raw[0]->MultiGet(keys, &results);
-  const uint64_t batched_doorbells = batched.pool->node().nic().doorbells() - batched_before;
-
-  EXPECT_EQ(single_hits, static_cast<size_t>(kKeys));
-  EXPECT_EQ(batched_hits, static_cast<size_t>(kKeys)) << "batching must not change behaviour";
-  EXPECT_LT(batched_doorbells, singly_doorbells)
-      << "chained multi-get metadata verbs must share doorbells";
+  {
+    SCOPED_TRACE("2-node cluster");
+    expect_fewer_doorbells([] {
+      core::ClusterConfig config;
+      config.nodes = 2;
+      config.pool = SmallPool();
+      config.ditto = DittoCfg();
+      return bench::MakeCluster(config, 1);
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
