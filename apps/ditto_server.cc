@@ -40,7 +40,9 @@ void PrintUsage() {
 int main(int argc, char** argv) {
   using namespace ditto;
 
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv,
+                    {"capacity", "help", "host", "max_conns", "port", "reactors", "shards",
+                     "shed_watermark"});
   if (flags.Has("help")) {
     PrintUsage();
     return 0;

@@ -29,11 +29,11 @@
 #define DITTO_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -74,50 +74,28 @@ inline std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-// Host wall-clock stopwatch for bench-local sections that do not go through
-// a replay engine (preload phases, legacy comparison loops). Engine runs
-// carry their own measurement in RunResult::wall_mops.
-class WallTimer {
- public:
-  WallTimer() : begin_(std::chrono::steady_clock::now()) {}
-  void Reset() { begin_ = std::chrono::steady_clock::now(); }
-  double Seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - begin_).count();
-  }
-  double Mops(uint64_t ops) const {
-    const double s = Seconds();
-    return s > 0.0 ? static_cast<double>(ops) / (s * 1e6) : 0.0;
-  }
-
- private:
-  std::chrono::steady_clock::time_point begin_;
-};
-
-// Machine-readable result row: scripts/run_benches.sh collects every
-// BENCH_JSON line of a bench's stdout into bench/out/BENCH_<name>.json
-// (grouped by each row's own "bench" field), so CI and future PRs can diff
-// ops / hit rate / nearest-rank p50/p99 without parsing the human tables.
-// wall_mops is the measured host wall-clock replay rate — the number that
-// moves when the replay hot path itself gets faster (the virtual-time
-// throughput_mops only reflects the modeled network). It defaults to the
-// engine's own measurement (RunResult::wall_mops); pass wall_mops >= 0 only
-// when the bench timed a wider section itself (e.g. with WallTimer).
+// Machine-readable result row of the modelled columns only: virtual-time
+// throughput, hit rate, nearest-rank virtual p50/p99, contention and NIC
+// counts (plus recovery_ops for the cluster lifecycle rows). Each is exact
+// for a seed and a build, so `scripts/bench_report.py check` compares fresh
+// rows to the committed BENCH_<bench>.json files value for value; host wall
+// rates come from perfbench/ only.
 inline void EmitBenchJson(const char* bench, const char* label, const sim::RunResult& r,
-                          double wall_mops = -1.0) {
-  const std::string bench_esc = JsonEscape(bench);
-  const std::string label_esc = JsonEscape(label);
-  const double wall = wall_mops >= 0.0 ? wall_mops : r.wall_mops;
-  const int threads = r.threads > 0 ? r.threads : 1;
+                          std::optional<uint64_t> recovery_ops = std::nullopt) {
   std::printf("BENCH_JSON {\"bench\": \"%s\", \"label\": \"%s\", \"ops\": %llu, "
               "\"throughput_mops\": %.6f, \"hit_rate\": %.6f, \"p50_us\": %.3f, "
               "\"p99_us\": %.3f, \"cas_failures\": %llu, \"insert_retries\": %llu, "
-              "\"wall_mops\": %.6f, \"threads\": %d, \"ops_per_core_mops\": %.6f}\n",
-              bench_esc.c_str(), label_esc.c_str(),
-              static_cast<unsigned long long>(r.ops), r.throughput_mops,
-              r.hit_rate, r.p50_us, r.p99_us,
-              static_cast<unsigned long long>(r.cas_failures),
+              "\"nic_messages\": %llu, \"nic_doorbells\": %llu",
+              JsonEscape(bench).c_str(), JsonEscape(label).c_str(),
+              static_cast<unsigned long long>(r.ops), r.throughput_mops, r.hit_rate, r.p50_us,
+              r.p99_us, static_cast<unsigned long long>(r.cas_failures),
               static_cast<unsigned long long>(r.insert_retries),
-              wall, threads, wall / static_cast<double>(threads));
+              static_cast<unsigned long long>(r.nic_messages),
+              static_cast<unsigned long long>(r.nic_doorbells));
+  if (recovery_ops.has_value()) {
+    std::printf(", \"recovery_ops\": %llu", static_cast<unsigned long long>(*recovery_ops));
+  }
+  std::printf("}\n");
 }
 
 inline dm::PoolConfig MakePoolConfig(uint64_t capacity_objects, int controller_cores = 1,

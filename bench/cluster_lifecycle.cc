@@ -59,30 +59,11 @@ uint64_t RecoveryOps(const std::vector<RecoverySample>& windows, size_t fault_wi
   return ops;
 }
 
-// EmitBenchJson plus the recovery_ops field (scripts/bench_report.py tracks it
-// in the trend table for this bench). The rows' bench field is "cluster", so
-// run_benches.sh collects them into BENCH_cluster.json.
-void EmitClusterJson(const char* label, const ditto::sim::RunResult& r,
-                     uint64_t recovery_ops) {
-  const int threads = r.threads > 0 ? r.threads : 1;
-  std::printf("BENCH_JSON {\"bench\": \"cluster\", \"label\": \"%s\", "
-              "\"ops\": %llu, \"throughput_mops\": %.6f, \"hit_rate\": %.6f, "
-              "\"p50_us\": %.3f, \"p99_us\": %.3f, \"cas_failures\": %llu, "
-              "\"insert_retries\": %llu, \"wall_mops\": %.6f, \"threads\": %d, "
-              "\"ops_per_core_mops\": %.6f, \"recovery_ops\": %llu}\n",
-              ditto::bench::JsonEscape(label).c_str(),
-              static_cast<unsigned long long>(r.ops), r.throughput_mops, r.hit_rate,
-              r.p50_us, r.p99_us, static_cast<unsigned long long>(r.cas_failures),
-              static_cast<unsigned long long>(r.insert_retries), r.wall_mops, threads,
-              r.wall_mops / static_cast<double>(threads),
-              static_cast<unsigned long long>(recovery_ops));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"capacity", "clients", "keys", "nodes", "requests", "scale", "window"});
   const uint64_t keys = flags.GetInt("keys", 20000);
   const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
   const uint64_t capacity = flags.GetInt("capacity", 5000);
@@ -220,14 +201,14 @@ int main(int argc, char** argv) {
               cm_leave_s, nodes - 1, redis_leave_s,
               redis_config.migration_keys_per_s_per_shard);
 
-  EmitClusterJson("ditto-crash", crash_r, rec_ditto);
+  bench::EmitBenchJson("cluster", "ditto-crash", crash_r, rec_ditto);
   {
     sim::RunResult oracle_row;
     oracle_row.ops = crash_r.ops;
     oracle_row.hit_rate = post_cold;
-    EmitClusterJson("oracle-cold", oracle_row, rec_cold);
+    bench::EmitBenchJson("cluster", "oracle-cold", oracle_row, rec_cold);
   }
-  EmitClusterJson("ditto-rejoin", rejoin_r, rec_rejoin);
+  bench::EmitBenchJson("cluster", "ditto-rejoin", rejoin_r, rec_rejoin);
   {
     sim::RunResult mig_row;
     mig_row.ops = moved_leave + moved_join;
@@ -235,7 +216,7 @@ int main(int argc, char** argv) {
         leave_s + join_s > 0.0
             ? static_cast<double>(moved_leave + moved_join) / ((leave_s + join_s) * 1e6)
             : 0.0;
-    EmitClusterJson("migrate-leave-join", mig_row, 0);
+    bench::EmitBenchJson("cluster", "migrate-leave-join", mig_row, 0);
   }
 
   std::printf("\n# expected shape: ditto's post-crash windows dip then climb back while "

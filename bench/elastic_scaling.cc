@@ -24,7 +24,8 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"capacity", "clients", "keys", "requests", "scale", "shrink_den", "shrink_num"});
   const uint64_t keys = flags.GetInt("keys", 20000);
   const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
   const uint64_t capacity = flags.GetInt("capacity", 5000);

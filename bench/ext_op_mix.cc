@@ -36,7 +36,9 @@ struct MixRow {
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"batch", "clients", "delete", "expire", "keys", "multiget", "requests", "scale",
+               "seed", "ttl"});
   const uint64_t keys = flags.GetInt("keys", 20000);
   const uint64_t requests = flags.GetInt("requests", 100000) * flags.GetInt("scale", 1);
   const int clients = static_cast<int>(flags.GetInt("clients", 4));
@@ -45,11 +47,6 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader("ext-op-mix",
                      "typed op mix (GET/SET/DELETE/EXPIRE/MULTIGET) x multi-get batch sweep");
-
-  workload::YcsbConfig ycsb;
-  ycsb.workload = 'B';  // 95% reads: a realistic cache mix to rewrite
-  ycsb.num_keys = keys;
-  const workload::Trace trace = workload::MakeYcsbTrace(ycsb, requests, seed);
 
   std::vector<MixRow> mixes;
   if (flags.Has("delete") || flags.Has("expire") || flags.Has("multiget")) {
@@ -69,6 +66,11 @@ int main(int argc, char** argv) {
   if (flags.Has("batch")) {
     batch_sweep = {static_cast<size_t>(flags.GetInt("batch", 8))};
   }
+
+  workload::YcsbConfig ycsb;
+  ycsb.workload = 'B';  // 95% reads: a realistic cache mix to rewrite
+  ycsb.num_keys = keys;
+  const workload::Trace trace = workload::MakeYcsbTrace(ycsb, requests, seed);
 
   std::printf("# workload=YCSB-%c keys=%llu requests=%llu clients=%d ttl=%llu\n", ycsb.workload,
               static_cast<unsigned long long>(keys),

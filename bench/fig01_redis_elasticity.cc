@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"keys", "shards"});
 
   baselines::RedisModelConfig config;
   config.initial_shards = static_cast<int>(flags.GetInt("shards", 32));

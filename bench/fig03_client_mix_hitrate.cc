@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"footprint", "requests", "scale"});
   const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
   const uint64_t footprint = flags.GetInt("footprint", 20000);
   const size_t capacity = footprint / 10;

@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"footprint", "requests", "scale"});
   const uint64_t requests = flags.GetInt("requests", 300000) * flags.GetInt("scale", 1);
   const uint64_t footprint = flags.GetInt("footprint", 20000);
 

@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"footprint", "requests", "scale", "workloads"});
   const int num_workloads = static_cast<int>(flags.GetInt("workloads", 74));
   const uint64_t requests = flags.GetInt("requests", 80000) * flags.GetInt("scale", 1);
   const uint64_t footprint = flags.GetInt("footprint", 8000);

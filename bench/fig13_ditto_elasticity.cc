@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"keys", "requests", "scale"});
   const uint64_t keys = flags.GetInt("keys", 50000);
   const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
 

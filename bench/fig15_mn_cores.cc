@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"clients", "keys", "requests", "scale"});
   const uint64_t keys = flags.GetInt("keys", 50000);
   const uint64_t requests = flags.GetInt("requests", 120000) * flags.GetInt("scale", 1);
   const int clients = static_cast<int>(flags.GetInt("clients", 128));

@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"cache_frac", "clients", "footprint", "requests", "scale"});
   const uint64_t requests = flags.GetInt("requests", 150000) * flags.GetInt("scale", 1);
   const uint64_t footprint = flags.GetInt("footprint", 20000);
   // The paper uses 64 clients and sets cache sizes where hit rates are high;

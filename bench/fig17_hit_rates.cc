@@ -6,7 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"clients", "footprint", "requests", "scale"});
   const uint64_t requests = flags.GetInt("requests", 150000) * flags.GetInt("scale", 1);
   const uint64_t footprint = flags.GetInt("footprint", 20000);
   const int clients = static_cast<int>(flags.GetInt("clients", 16));

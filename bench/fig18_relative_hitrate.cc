@@ -30,7 +30,7 @@ void PrintBox(const char* label, const Box& b) {
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"clients", "footprint", "requests", "scale", "workloads"});
   const int num_workloads = static_cast<int>(flags.GetInt("workloads", 33));
   const uint64_t requests = flags.GetInt("requests", 60000) * flags.GetInt("scale", 1);
   const uint64_t footprint = flags.GetInt("footprint", 8000);

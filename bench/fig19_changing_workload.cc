@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"clients", "footprint", "phase_len", "scale"});
   const uint64_t phase_len = flags.GetInt("phase_len", 120000) * flags.GetInt("scale", 1);
   const uint64_t footprint = flags.GetInt("footprint", 10000);
   const int clients = static_cast<int>(flags.GetInt("clients", 16));

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"cache_frac", "clients", "footprint", "requests", "scale"});
   const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
   const uint64_t footprint = flags.GetInt("footprint", 40000);
   const int clients = static_cast<int>(flags.GetInt("clients", 16));

@@ -30,7 +30,9 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"clients", "depth", "keys", "penalty", "requests", "scale", "seed", "theta",
+               "workload"});
   const uint64_t keys = flags.GetInt("keys", 16384);
   const uint64_t requests = flags.GetInt("requests", 400000) * flags.GetInt("scale", 1);
   const int clients = static_cast<int>(flags.GetInt("clients", 4));
@@ -39,6 +41,11 @@ int main(int argc, char** argv) {
   const double theta = flags.GetDouble("theta", 0.99);
   const double penalty_us = flags.GetDouble("penalty", 0.0);
   const uint64_t capacity = std::max<uint64_t>(1, keys / 4);
+
+  std::vector<size_t> depths = {1, 2, 4, 8, 16, 32};
+  if (flags.GetInt("depth", 0) > 0) {
+    depths = {static_cast<size_t>(flags.GetInt("depth", 0))};
+  }
 
   bench::PrintHeader("pipelined_engine",
                      "op pipeline: K in-flight ops per client");
@@ -52,11 +59,6 @@ int main(int argc, char** argv) {
   ycsb.zipf_theta = theta;
   const workload::Trace trace =
       bench::MakeYcsbTraceOrExit("pipelined_engine", workload_name, &ycsb, requests, seed);
-
-  std::vector<size_t> depths = {1, 2, 4, 8, 16, 32};
-  if (flags.GetInt("depth", 0) > 0) {
-    depths = {static_cast<size_t>(flags.GetInt("depth", 0))};
-  }
 
   std::printf("%-8s %10s %9s %10s %8s %9s %9s %12s\n", "depth", "tput_mops", "speedup",
               "wall_mops", "hit_pct", "p50_us", "p99_us", "nic_msgs");

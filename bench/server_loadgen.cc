@@ -4,8 +4,10 @@
 //   (default)      self-hosted sweep: starts a net::Server in-process on an
 //                  ephemeral port (fresh deployment per point) and replays a
 //                  YCSB trace through net::RunLoadgen at each connection
-//                  count, emitting BENCH_JSON rows with bench="server" —
-//                  served wall-clock QPS, hit rate, and wire-level p50/p99.
+//                  count, printing served wall-clock QPS, hit rate, and
+//                  wire-level p50/p99. These are host-time numbers, so the
+//                  bench emits no BENCH_JSON rows; perfbench's wire-ycsb-a
+//                  workload measures served QPS with repetitions.
 //   --connect=PORT replay against an already-running ditto_server on that
 //                  port (CI's smoke job). Prints the summary and exits
 //                  nonzero on any transport/protocol error.
@@ -31,34 +33,11 @@
 #include "net/loadgen.h"
 #include "net/server.h"
 
-namespace {
-
-using namespace ditto;
-
-// Shapes a served replay's wire-level measurements as a RunResult row so the
-// BENCH_JSON stream (and bench_report floors) treat served QPS like every
-// engine's wall_mops.
-sim::RunResult ToRunResult(const net::LoadgenResult& lr, int threads) {
-  sim::RunResult r;
-  r.ops = lr.ops;
-  r.gets = lr.gets;
-  r.hits = lr.hits;
-  r.misses = lr.misses;
-  r.sets = lr.sets;
-  r.deletes = lr.deletes;
-  r.hit_rate = lr.hit_rate();
-  r.p50_us = lr.p50_us;
-  r.p99_us = lr.p99_us;
-  r.wall_s = lr.wall_s;
-  r.wall_mops = lr.qps / 1e6;
-  r.threads = threads;
-  return r;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  using namespace ditto;
+  Flags flags(argc, argv,
+              {"capacity", "connect", "conns", "depth", "host", "keys", "reactors", "requests",
+               "scale", "seed", "theta", "value", "workload"});
   const uint64_t keys = flags.GetInt("keys", 16384);
   const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
   const uint64_t seed = flags.GetInt("seed", 42);
@@ -67,6 +46,13 @@ int main(int argc, char** argv) {
   const int reactors = static_cast<int>(flags.GetInt("reactors", 2));
   const uint64_t capacity = flags.GetInt("capacity", std::max<uint64_t>(1, keys / 4));
   const size_t value_bytes = static_cast<size_t>(flags.GetInt("value", 232));
+  const bool external = flags.Has("connect");
+  const auto connect_port = static_cast<uint16_t>(flags.GetInt("connect", 0));
+  const int external_conns = static_cast<int>(flags.GetInt("conns", 8));
+  std::vector<int> conn_counts = {1, 8, 64};
+  if (flags.Has("conns")) {
+    conn_counts = {static_cast<int>(flags.GetInt("conns", 1))};
+  }
 
   workload::YcsbConfig ycsb;
   ycsb.num_keys = keys;
@@ -79,10 +65,10 @@ int main(int argc, char** argv) {
   lg.depth = depth;
   lg.value_bytes = value_bytes;
 
-  if (flags.Has("connect")) {
+  if (external) {
     // External mode: one replay against a running server, pass/fail result.
-    lg.port = static_cast<uint16_t>(flags.GetInt("connect", 0));
-    lg.connections = static_cast<int>(flags.GetInt("conns", 8));
+    lg.port = connect_port;
+    lg.connections = external_conns;
     const net::LoadgenResult r = net::RunLoadgen(trace, lg);
     std::printf("served %llu ops in %.3fs: %.0f qps, hit %.2f%%, p50 %.1fus, p99 %.1fus, "
                 "shed %llu, errors %llu\n",
@@ -112,11 +98,6 @@ int main(int argc, char** argv) {
   std::printf("%-8s %12s %10s %10s %10s %8s %8s\n", "conns", "qps", "hit_pct", "p50_us",
               "p99_us", "shed", "errors");
 
-  std::vector<int> conn_counts = {1, 8, 64};
-  if (flags.Has("conns")) {
-    conn_counts = {static_cast<int>(flags.GetInt("conns", 1))};
-  }
-
   core::DittoConfig config;
   config.experts = {"lru", "lfu"};
   config.validate_inserts = reactors > 1;  // reactors share one pool
@@ -145,12 +126,7 @@ int main(int argc, char** argv) {
     if (!r.ok) {
       std::fprintf(stderr, "server_loadgen: conns=%d: %s\n", conns, r.error.c_str());
       ++failures;
-      continue;
     }
-    char label[64];
-    std::snprintf(label, sizeof(label), "conns=%d,depth=%d,reactors=%d", conns, depth,
-                  reactors);
-    bench::EmitBenchJson("server", label, ToRunResult(r, reactors));
   }
   std::printf("\n# expected shape: served qps grows with connection count until the\n"
               "# reactor threads saturate; p99 grows with pipeline depth.\n");

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"clients", "phase_len", "phases"});
   const int phases = static_cast<int>(flags.GetInt("phases", 4));
   const uint64_t phase_len = flags.GetInt("phase_len", 60000);
   const int num_clients = static_cast<int>(flags.GetInt("clients", 8));

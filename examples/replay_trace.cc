@@ -41,7 +41,7 @@ std::vector<std::string> SplitExperts(const std::string& list) {
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"cache_frac", "clients", "experts", "penalty_us", "trace", "warmup"});
   const std::string path = flags.GetString("trace", "");
   const double cache_frac = flags.GetDouble("cache_frac", 0.1);
   const int num_clients = static_cast<int>(flags.GetInt("clients", 16));

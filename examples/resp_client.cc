@@ -132,7 +132,7 @@ class BlockingClient {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"host", "port"});
   const std::string host = flags.GetString("host", "127.0.0.1");
   const auto port = static_cast<uint16_t>(flags.GetInt("port", 6399));
 

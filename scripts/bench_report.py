@@ -1,32 +1,34 @@
 #!/usr/bin/env python3
-"""Bench harness: collect BENCH_JSON rows, merge them, and track the trajectory.
+"""Bench rows: collect BENCH_JSON rows and check them against the committed ones.
 
-Every bench that prints machine-readable "BENCH_JSON {...}" rows (see
-bench::EmitBenchJson) participates in the repo's cross-PR performance
-trajectory. Three subcommands:
+Benches that print machine-readable "BENCH_JSON {...}" rows (see
+bench::EmitBenchJson) carry only modelled columns: virtual-time throughput,
+hit rate, virtual p50/p99, contention and NIC counts. They are exact for a
+seed and a build, so the committed root-level BENCH_*.json files are compared
+value for value; any difference is a behaviour change. Host wall rates come
+from perfbench/ only. Two subcommands:
 
-  collect <stdout.txt> --out-dir DIR [--fallback-name NAME]
-      Extract the BENCH_JSON rows from one bench's captured stdout and write
-      them to DIR/BENCH_<bench>.json, grouping rows by each row's OWN "bench"
-      field (a binary emitting rows for several benches produces several
-      files). Exits non-zero on an unparseable row — corruption is an error,
-      never a silent skip.
+  collect <stdout.txt> --out-dir DIR
+      Extract the BENCH_JSON rows from captured bench stdout and write them to
+      DIR/BENCH_<bench>.json, grouping rows by each row's OWN "bench" field (a
+      file holding rows of several benches produces several files). Exits
+      non-zero on an unparseable row or a row without a "bench" field —
+      corruption is an error, never a silent skip.
 
-  report [--out-dir DIR] [--baseline-dir DIR]
-      Merge DIR/BENCH_*.json into DIR/report.json (flat array) and
-      DIR/report.md (markdown tables). When --baseline-dir holds committed
-      BENCH_*.json from the previous PR (default: the repo root), report.md
-      also gets a per-bench trend table with wall_mops / throughput deltas.
-      Hardware-counter files (DIR/perf_*.txt, written by run_benches.sh
-      --native when `perf` exists) are appended verbatim as a section.
-      Exits non-zero when a BENCH_*.json fails to parse.
+  check --out-dir DIR [--baseline-dir DIR]
+      Compare the fresh rows in --out-dir to the committed rows in
+      --baseline-dir (default: the repo root), matched by (bench, label).
+      Exits 1 and names bench, label and column for every changed value, for
+      every committed row the fresh run lacks, and for every fresh row that
+      no committed row matches.
 
-  floor --out-dir DIR --min-wall-mops X [--bench NAME]
-      Assert the best wall_mops row in DIR (optionally restricted to one
-      bench) sustains at least X Mops — the CI wall-clock floor for the
-      native Release build.
+The committed rows are the default-flag rows of sharded_engine,
+pipelined_engine, elastic_scaling and cluster_lifecycle. Re-record them,
+from a Release build in build/, with the one command:
 
-Invoking with no subcommand behaves as `report` (back-compat).
+  (cd build && for b in sharded_engine pipelined_engine elastic_scaling \\
+     cluster_lifecycle; do ./$b; done) > bench/out/rows.txt &&
+  python3 scripts/bench_report.py collect bench/out/rows.txt --out-dir .
 """
 
 import argparse
@@ -34,35 +36,6 @@ import glob
 import json
 import os
 import sys
-
-COLUMNS = [
-    ("bench", "bench"),
-    ("label", "label"),
-    ("ops", "ops"),
-    ("throughput_mops", "tput_mops"),
-    ("hit_rate", "hit_rate"),
-    ("p50_us", "p50_us"),
-    ("p99_us", "p99_us"),
-    ("wall_mops", "wall_mops"),
-    ("threads", "threads"),
-    ("ops_per_core_mops", "wall/core"),
-    # Fault-recovery metric (cluster lifecycle rows only): ops after the fault
-    # until the windowed hit rate is back at 99% of the pre-fault mean. Lower
-    # is better; rows without faults show "-".
-    ("recovery_ops", "recovery_ops"),
-]
-
-TREND_COLUMNS = ["bench", "label", "wall_mops", "base_wall", "wall Δ%",
-                 "tput_mops", "base_tput", "tput Δ%",
-                 "recovery", "base_rec", "rec Δ%"]
-
-
-def format_cell(value):
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
 
 
 def load_rows(out_dir):
@@ -77,9 +50,19 @@ def load_rows(out_dir):
         for row in data:
             if not isinstance(row, dict):
                 raise ValueError(f"{path}: expected every row to be an object")
-            row["source"] = os.path.basename(path)
             rows.append(row)
     return rows, paths
+
+
+def index_rows(rows, where):
+    """Rows keyed by (bench, label). Raises on a duplicate key."""
+    by_key = {}
+    for row in rows:
+        key = (row.get("bench"), row.get("label"))
+        if key in by_key:
+            raise ValueError(f"{where}: duplicate row bench '{key[0]}' label '{key[1]}'")
+        by_key[key] = row
+    return by_key
 
 
 def cmd_collect(args):
@@ -97,10 +80,10 @@ def cmd_collect(args):
             print(f"bench_report: malformed BENCH_JSON row {i} in "
                   f"{args.stdout_file}: {e}\n  {line.rstrip()}", file=sys.stderr)
             return 1
-        name = row.get("bench") or args.fallback_name
+        name = row.get("bench")
         if not name:
             print(f"bench_report: row {i} in {args.stdout_file} has no "
-                  "\"bench\" field and no --fallback-name given", file=sys.stderr)
+                  "\"bench\" field", file=sys.stderr)
             return 1
         groups.setdefault(name, []).append(row)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -113,147 +96,62 @@ def cmd_collect(args):
     return 0
 
 
-def trend_table(rows, baseline_dir):
-    """Rows of (current, baseline) matched by (bench, label)."""
+def cmd_check(args):
     try:
-        base_rows, base_paths = load_rows(baseline_dir)
+        fresh_rows, _ = load_rows(args.out_dir)
+        committed_rows, committed_paths = load_rows(args.baseline_dir)
+        fresh = index_rows(fresh_rows, args.out_dir)
+        committed = index_rows(committed_rows, args.baseline_dir)
     except (OSError, ValueError, json.JSONDecodeError) as e:
-        return None, f"baseline unreadable: {e}"
-    if not base_paths:
-        return None, f"no committed BENCH_*.json under {baseline_dir}"
-    base = {(r.get("bench"), r.get("label")): r for r in base_rows}
-    matched = []
-    for row in rows:
-        b = base.get((row.get("bench"), row.get("label")))
-        if b is not None:
-            matched.append((row, b))
-    return matched, None
-
-
-def delta_pct(cur, base):
-    if cur is None or base is None or not base:
-        return None
-    return (cur - base) / base * 100.0
-
-
-def cmd_report(args):
-    try:
-        rows, paths = load_rows(args.out_dir)
-    except (ValueError, json.JSONDecodeError) as e:
         print(f"bench_report: malformed bench results: {e}", file=sys.stderr)
         return 1
-    if not paths:
-        print(f"bench_report: no BENCH_*.json under {args.out_dir}", file=sys.stderr)
-        return 1
-
-    report_json = os.path.join(args.out_dir, "report.json")
-    with open(report_json, "w", encoding="utf-8") as f:
-        json.dump(rows, f, indent=2)
-        f.write("\n")
-
-    report_md = os.path.join(args.out_dir, "report.md")
-    with open(report_md, "w", encoding="utf-8") as f:
-        f.write("# Bench trajectory\n\n")
-        f.write(f"{len(rows)} rows from {len(paths)} bench result files.\n\n")
-        f.write("| " + " | ".join(header for _, header in COLUMNS) + " |\n")
-        f.write("|" + "|".join("---" for _ in COLUMNS) + "|\n")
-        for row in rows:
-            f.write("| " + " | ".join(format_cell(row.get(key))
-                                      for key, _ in COLUMNS) + " |\n")
-
-        matched, why_not = trend_table(rows, args.baseline_dir)
-        f.write(f"\n## Trend vs committed baseline ({args.baseline_dir})\n\n")
-        if matched is None:
-            f.write(f"No trend: {why_not}.\n")
-        elif not matched:
-            f.write("No (bench, label) pairs matched the baseline.\n")
-        else:
-            f.write(f"{len(matched)}/{len(rows)} rows matched a baseline row.\n\n")
-            f.write("| " + " | ".join(TREND_COLUMNS) + " |\n")
-            f.write("|" + "|".join("---" for _ in TREND_COLUMNS) + "|\n")
-            for cur, base in matched:
-                wall_d = delta_pct(cur.get("wall_mops"), base.get("wall_mops"))
-                tput_d = delta_pct(cur.get("throughput_mops"),
-                                   base.get("throughput_mops"))
-                rec_d = delta_pct(cur.get("recovery_ops"), base.get("recovery_ops"))
-                cells = [
-                    format_cell(cur.get("bench")), format_cell(cur.get("label")),
-                    format_cell(cur.get("wall_mops")),
-                    format_cell(base.get("wall_mops")),
-                    "-" if wall_d is None else f"{wall_d:+.1f}",
-                    format_cell(cur.get("throughput_mops")),
-                    format_cell(base.get("throughput_mops")),
-                    "-" if tput_d is None else f"{tput_d:+.1f}",
-                    format_cell(cur.get("recovery_ops")),
-                    format_cell(base.get("recovery_ops")),
-                    "-" if rec_d is None else f"{rec_d:+.1f}",
-                ]
-                f.write("| " + " | ".join(cells) + " |\n")
-
-        perf_files = sorted(glob.glob(os.path.join(args.out_dir, "perf_*.txt")))
-        if perf_files:
-            f.write("\n## Hardware counters (perf stat)\n")
-            for path in perf_files:
-                name = os.path.basename(path)[len("perf_"):-len(".txt")]
-                f.write(f"\n### {name}\n\n```\n")
-                with open(path, encoding="utf-8") as pf:
-                    f.write(pf.read())
-                f.write("```\n")
-
-    print(f"bench_report: wrote {report_md} and {report_json} ({len(rows)} rows)")
-    return 0
-
-
-def cmd_floor(args):
-    try:
-        rows, paths = load_rows(args.out_dir)
-    except (ValueError, json.JSONDecodeError) as e:
-        print(f"bench_report: malformed bench results: {e}", file=sys.stderr)
-        return 1
-    if args.bench:
-        rows = [r for r in rows if r.get("bench") == args.bench]
-    walls = [r.get("wall_mops") for r in rows
-             if isinstance(r.get("wall_mops"), (int, float)) and r.get("wall_mops") > 0]
-    what = f"bench '{args.bench}'" if args.bench else f"{len(paths)} result files"
-    if not walls:
-        print(f"bench_report: floor check failed: no wall_mops rows for {what}",
+    if not committed_paths:
+        print(f"bench_report: no committed BENCH_*.json under {args.baseline_dir}",
               file=sys.stderr)
         return 1
-    best = max(walls)
-    if best < args.min_wall_mops:
-        print(f"bench_report: floor check FAILED: best wall_mops {best:.3f} < "
-              f"floor {args.min_wall_mops:.3f} ({what})", file=sys.stderr)
+
+    absent = "<absent>"
+    problems = []
+    for (bench, label), base in committed.items():
+        where = f"bench '{bench}' label '{label}'"
+        cur = fresh.get((bench, label))
+        if cur is None:
+            problems.append(f"{where}: committed row missing from the fresh run")
+            continue
+        for column in sorted(set(base) | set(cur)):
+            want = base.get(column, absent)
+            got = cur.get(column, absent)
+            if want != got:
+                problems.append(f"{where} column '{column}': committed {want}, fresh {got}")
+    for bench, label in fresh:
+        if (bench, label) not in committed:
+            problems.append(f"bench '{bench}' label '{label}': fresh row matches no "
+                            "committed row")
+
+    if problems:
+        for problem in problems:
+            print(f"bench_report: check FAILED: {problem}", file=sys.stderr)
         return 1
-    print(f"bench_report: floor check ok: best wall_mops {best:.3f} >= "
-          f"{args.min_wall_mops:.3f} ({what})")
+    print(f"bench_report: check ok: {len(committed)} committed rows match exactly")
     return 0
 
 
 def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_collect = sub.add_parser("collect", help="extract BENCH_JSON rows from bench stdout")
     p_collect.add_argument("stdout_file")
     p_collect.add_argument("--out-dir", default="bench/out")
-    p_collect.add_argument("--fallback-name", default=None,
-                           help="bench name for rows missing the field")
 
-    p_report = sub.add_parser("report", help="merge BENCH_*.json into report.md/json")
-    p_report.add_argument("--out-dir", default="bench/out")
-    p_report.add_argument("--baseline-dir", default=".",
-                          help="dir of committed baseline BENCH_*.json (default: repo root)")
+    p_check = sub.add_parser("check", help="compare fresh rows to the committed ones")
+    p_check.add_argument("--out-dir", default="bench/out")
+    p_check.add_argument("--baseline-dir", default=".",
+                         help="dir of the committed BENCH_*.json (default: repo root)")
 
-    p_floor = sub.add_parser("floor", help="assert a minimum wall_mops")
-    p_floor.add_argument("--out-dir", default="bench/out")
-    p_floor.add_argument("--bench", default=None)
-    p_floor.add_argument("--min-wall-mops", type=float, required=True)
-
-    # Back-compat: `bench_report.py --out-dir X` still means `report`.
-    if not argv or argv[0] not in ("collect", "report", "floor", "-h", "--help"):
-        argv = ["report"] + argv
     args = parser.parse_args(argv)
-    return {"collect": cmd_collect, "report": cmd_report, "floor": cmd_floor}[args.command](args)
+    return {"collect": cmd_collect, "check": cmd_check}[args.command](args)
 
 
 if __name__ == "__main__":

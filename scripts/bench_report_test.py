@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Tests for scripts/bench_report.py: row collection/grouping, strict
-failure on malformed input, trend deltas against a committed baseline, and
-the CI wall-clock floor check. Run directly or via ctest (bench_report_test).
+failure on malformed input, and the exact check of fresh rows against the
+committed ones. Run directly or via ctest (bench_report_test).
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import sys
@@ -23,11 +25,11 @@ def write(path, text):
         f.write(text)
 
 
-def row(bench, label, wall_mops, throughput_mops=1.0, ops=1000):
+def row(bench, label, hit_rate=0.9, throughput_mops=1.0, ops=1000):
     return {"bench": bench, "label": label, "ops": ops,
-            "throughput_mops": throughput_mops, "hit_rate": 0.9,
-            "p50_us": 2.0, "p99_us": 9.0, "wall_mops": wall_mops,
-            "threads": 1, "ops_per_core_mops": wall_mops}
+            "throughput_mops": throughput_mops, "hit_rate": hit_rate,
+            "p50_us": 2.0, "p99_us": 9.0, "cas_failures": 0, "insert_retries": 0,
+            "nic_messages": 5000, "nic_doorbells": 4000}
 
 
 class CollectTest(unittest.TestCase):
@@ -39,9 +41,9 @@ class CollectTest(unittest.TestCase):
             stdout_file = os.path.join(tmp, "stdout.txt")
             write(stdout_file, "\n".join([
                 "some banner line",
-                "BENCH_JSON " + json.dumps(row("alpha", "a1", 1.0)),
-                "BENCH_JSON " + json.dumps(row("beta", "b1", 2.0)),
-                "BENCH_JSON " + json.dumps(row("alpha", "a2", 3.0)),
+                "BENCH_JSON " + json.dumps(row("alpha", "a1")),
+                "BENCH_JSON " + json.dumps(row("beta", "b1")),
+                "BENCH_JSON " + json.dumps(row("alpha", "a2")),
                 "trailing non-JSON line",
             ]) + "\n")
             self.assertEqual(
@@ -53,14 +55,13 @@ class CollectTest(unittest.TestCase):
             self.assertEqual([r["label"] for r in alpha], ["a1", "a2"])
             self.assertEqual([r["label"] for r in beta], ["b1"])
 
-    def test_fallback_name_used_when_bench_field_missing(self):
+    def test_row_without_bench_field_is_a_hard_failure(self):
         with tempfile.TemporaryDirectory() as tmp:
             stdout_file = os.path.join(tmp, "stdout.txt")
             write(stdout_file, "BENCH_JSON " + json.dumps({"label": "x", "ops": 1}) + "\n")
             self.assertEqual(
-                bench_report.main(["collect", stdout_file, "--out-dir", tmp,
-                                   "--fallback-name", "orphan"]), 0)
-            self.assertTrue(os.path.exists(os.path.join(tmp, "BENCH_orphan.json")))
+                bench_report.main(["collect", stdout_file, "--out-dir", tmp]), 1)
+            self.assertEqual([f for f in os.listdir(tmp) if f.startswith("BENCH_")], [])
 
     def test_malformed_row_is_a_hard_failure(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -72,105 +73,59 @@ class CollectTest(unittest.TestCase):
                 bench_report.main(["collect", stdout_file, "--out-dir", tmp]), 1)
 
 
-class ReportTest(unittest.TestCase):
-    def test_trend_delta_against_fixture_baseline(self):
+class CheckTest(unittest.TestCase):
+    def check(self, fresh_rows, committed_rows):
+        """Runs `check` on the two row sets; returns (exit code, stderr)."""
         with tempfile.TemporaryDirectory() as tmp:
             out_dir = os.path.join(tmp, "out")
             base_dir = os.path.join(tmp, "base")
             os.makedirs(out_dir)
             os.makedirs(base_dir)
-            # Current run: 3.0 wall Mops; previous PR's committed baseline: 2.0
-            # -> the trend row must report +50.0% on wall and -20.0% on tput.
-            write(os.path.join(out_dir, "BENCH_demo.json"),
-                  json.dumps([row("demo", "hot", 3.0, throughput_mops=4.0)]))
-            write(os.path.join(base_dir, "BENCH_demo.json"),
-                  json.dumps([row("demo", "hot", 2.0, throughput_mops=5.0),
-                              row("demo", "unmatched", 9.0)]))
-            self.assertEqual(
-                bench_report.main(["report", "--out-dir", out_dir,
-                                   "--baseline-dir", base_dir]), 0)
-            with open(os.path.join(out_dir, "report.md"), encoding="utf-8") as f:
-                md = f.read()
-            self.assertIn("+50.0", md)
-            self.assertIn("-20.0", md)
-            self.assertIn("1/1 rows matched a baseline row", md)
-            with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as f:
-                merged = json.load(f)
-            self.assertEqual(len(merged), 1)
-            self.assertEqual(merged[0]["wall_mops"], 3.0)
+            write(os.path.join(out_dir, "BENCH_demo.json"), json.dumps(fresh_rows))
+            write(os.path.join(base_dir, "BENCH_demo.json"), json.dumps(committed_rows))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = bench_report.main(["check", "--out-dir", out_dir,
+                                          "--baseline-dir", base_dir])
+            return code, err.getvalue()
 
-    def test_recovery_metric_in_trend_table(self):
-        # Cluster lifecycle rows carry recovery_ops (ops until the windowed
-        # hit rate is back at 99% of the pre-fault mean). The trend table must
-        # report its delta — recovering in 4000 ops against a 16000-op
-        # baseline is -75%. Rows without the field show "-" and never break
-        # the table.
-        with tempfile.TemporaryDirectory() as tmp:
-            out_dir = os.path.join(tmp, "out")
-            base_dir = os.path.join(tmp, "base")
-            os.makedirs(out_dir)
-            os.makedirs(base_dir)
-            cur = row("cluster", "ditto-crash", 1.5)
-            cur["recovery_ops"] = 4000
-            base = row("cluster", "ditto-crash", 1.5)
-            base["recovery_ops"] = 16000
-            write(os.path.join(out_dir, "BENCH_cluster.json"),
-                  json.dumps([cur, row("demo", "no-faults", 1.0)]))
-            write(os.path.join(base_dir, "BENCH_cluster.json"),
-                  json.dumps([base, row("demo", "no-faults", 1.0)]))
-            self.assertEqual(
-                bench_report.main(["report", "--out-dir", out_dir,
-                                   "--baseline-dir", base_dir]), 0)
-            with open(os.path.join(out_dir, "report.md"), encoding="utf-8") as f:
-                md = f.read()
-            self.assertIn("| recovery_ops |", md)
-            self.assertIn("| recovery |", md)
-            self.assertIn("4000", md)
-            self.assertIn("16000", md)
-            self.assertIn("-75.0", md)
+    def test_identical_rows_pass(self):
+        rows = [row("demo", "hot"), row("demo", "cold", hit_rate=0.25)]
+        self.assertEqual(self.check(rows, rows), (0, ""))
 
-    def test_every_row_keeps_wall_mops_in_the_table(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            write(os.path.join(tmp, "BENCH_demo.json"),
-                  json.dumps([row("demo", "r1", 1.25), row("demo", "r2", 2.5)]))
-            self.assertEqual(bench_report.main(
-                ["report", "--out-dir", tmp, "--baseline-dir", tmp]), 0)
-            with open(os.path.join(tmp, "report.md"), encoding="utf-8") as f:
-                md = f.read()
-            self.assertIn("| wall_mops |", md)
-            self.assertIn("1.2500", md)
-            self.assertIn("2.5000", md)
+    def test_changed_hit_rate_fails_and_names_the_column(self):
+        code, err = self.check([row("demo", "hot", hit_rate=0.900001)],
+                               [row("demo", "hot", hit_rate=0.9)])
+        self.assertEqual(code, 1)
+        self.assertIn("bench 'demo' label 'hot' column 'hit_rate'", err)
+        self.assertIn("committed 0.9, fresh 0.900001", err)
+        self.assertNotIn("throughput_mops", err)
+
+    def test_missing_committed_row_fails(self):
+        code, err = self.check([row("demo", "hot")],
+                               [row("demo", "hot"), row("demo", "gone")])
+        self.assertEqual(code, 1)
+        self.assertIn("bench 'demo' label 'gone': committed row missing", err)
+
+    def test_unmatched_fresh_row_fails(self):
+        code, err = self.check([row("demo", "hot"), row("demo", "new")],
+                               [row("demo", "hot")])
+        self.assertEqual(code, 1)
+        self.assertIn("bench 'demo' label 'new': fresh row matches no committed row", err)
+
+    def test_added_column_fails(self):
+        fresh = row("demo", "hot")
+        fresh["wall_mops"] = 1.5
+        code, err = self.check([fresh], [row("demo", "hot")])
+        self.assertEqual(code, 1)
+        self.assertIn("column 'wall_mops': committed <absent>, fresh 1.5", err)
 
     def test_malformed_result_file_is_a_hard_failure(self):
         with tempfile.TemporaryDirectory() as tmp:
             write(os.path.join(tmp, "BENCH_demo.json"), "{not json")
-            self.assertEqual(bench_report.main(
-                ["report", "--out-dir", tmp, "--baseline-dir", tmp]), 1)
-
-
-class FloorTest(unittest.TestCase):
-    def _dir_with_wall(self, tmp, wall):
-        write(os.path.join(tmp, "BENCH_demo.json"),
-              json.dumps([row("demo", "hot", wall)]))
-
-    def test_floor_passes_at_or_above(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            self._dir_with_wall(tmp, 2.0)
-            self.assertEqual(bench_report.main(
-                ["floor", "--out-dir", tmp, "--min-wall-mops", "1.5"]), 0)
-
-    def test_floor_fails_below(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            self._dir_with_wall(tmp, 1.0)
-            self.assertEqual(bench_report.main(
-                ["floor", "--out-dir", tmp, "--min-wall-mops", "1.5"]), 1)
-
-    def test_floor_fails_when_bench_filter_matches_nothing(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            self._dir_with_wall(tmp, 5.0)
-            self.assertEqual(bench_report.main(
-                ["floor", "--out-dir", tmp, "--bench", "absent",
-                 "--min-wall-mops", "0.1"]), 1)
+            with contextlib.redirect_stderr(io.StringIO()):
+                self.assertEqual(bench_report.main(
+                    ["check", "--out-dir", tmp, "--baseline-dir", tmp]), 1)
 
 
 if __name__ == "__main__":

@@ -1,64 +1,29 @@
 #!/usr/bin/env bash
 # Builds Release and runs every fig* bench plus the sharded-engine, elastic-
-# scaling, contended-engine, pipelined-engine and server-loadgen (RESP front
-# end over loopback sockets) sweeps, capturing each
-# bench's stdout under bench/out/ and writing a JSON manifest (name, exit
-# code, wall seconds, output path) to bench/out/summary.json.
+# scaling, contended-engine, pipelined-engine, server-loadgen (RESP front end
+# over loopback sockets) and cluster-lifecycle benches at default flags,
+# capturing each bench's stdout under bench/out/ and writing a JSON manifest
+# (name, exit code, wall seconds, output path) to bench/out/summary.json.
 #
-# Benches that print machine-readable "BENCH_JSON {...}" lines (see
-# bench::EmitBenchJson: ops, throughput, hit rate, nearest-rank p50/p99,
-# wall_mops) get those rows collected — grouped by each row's own "bench"
-# field — into bench/out/BENCH_<bench>.json by `bench_report.py collect`.
-# The report step then diffs the fresh rows against the committed root-level
-# BENCH_*.json (the previous PR's numbers) and writes bench/out/report.md.
+# Benches that print machine-readable "BENCH_JSON {...}" rows (see
+# bench::EmitBenchJson: modelled columns only) get those rows collected —
+# grouped by each row's own "bench" field — into bench/out/BENCH_<bench>.json
+# by `bench_report.py collect`. The script then runs `bench_report.py check`,
+# which compares them exactly to the committed root-level BENCH_*.json and
+# exits 1 on any difference. Host wall rates come from perfbench/ only.
 #
-# Portable (non --native) runs finish by PROMOTING bench/out/BENCH_*.json to
-# the repo root; committing those files is what gives the next PR a baseline,
-# i.e. the cross-PR performance trajectory.
-#
-# Usage: scripts/run_benches.sh [--native] [--no-promote] [--scale=N]
-#   --native      builds with DITTO_NATIVE=ON (-O3 -march=native) in a
-#                 separate build dir and output dir (bench/out-native), so
-#                 host-tuned wall-clock numbers never mix into the portable
-#                 trajectory. When `perf` is available, each bench also gets
-#                 hardware counters captured to bench/out-native/perf_<x>.txt.
-#   --no-promote  skip the root-level BENCH_*.json promotion step.
-# Extra args are forwarded to every bench binary.
+# Usage: scripts/run_benches.sh
 set -euo pipefail
+[ $# -eq 0 ] || { echo "usage: scripts/run_benches.sh" >&2; exit 2; }
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-bench"
 out_dir="${repo_root}/bench/out"
-native=OFF
-promote=1
-args=()
-for arg in "$@"; do
-  if [ "${arg}" = "--native" ]; then
-    native=ON
-    build_dir="${repo_root}/build-bench-native"
-    # Keep host-tuned numbers out of the portable perf trajectory: native
-    # runs get their own output dir, so BENCH_*.json rows never mix flavors.
-    out_dir="${repo_root}/bench/out-native"
-  elif [ "${arg}" = "--no-promote" ]; then
-    promote=0
-  else
-    args+=("${arg}")
-  fi
-done
-set -- ${args[@]+"${args[@]}"}
-out_rel="${out_dir#${repo_root}/}"
 mkdir -p "${out_dir}"
-
-# Hardware counters only make sense for host-tuned builds, and only when the
-# container actually has perf (it often does not).
-perf_cmd=()
-if [ "${native}" = ON ] && command -v perf >/dev/null 2>&1; then
-  perf_cmd=(perf stat)
-  echo ">> perf found: capturing hardware counters per bench"
-fi
+rm -f "${out_dir}"/BENCH_*.json
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release \
-      -DDITTO_NATIVE="${native}" -DDITTO_BUILD_TESTS=OFF >/dev/null
+      -DDITTO_BUILD_TESTS=OFF >/dev/null
 cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
 
 summary="${out_dir}/summary.json"
@@ -74,47 +39,24 @@ for bench in "${build_dir}"/fig* "${build_dir}"/sharded_engine "${build_dir}"/el
   echo ">> ${name}"
   start="$(date +%s.%N)"
   status=0
-  if [ "${#perf_cmd[@]}" -gt 0 ]; then
-    "${perf_cmd[@]}" -o "${out_dir}/perf_${name}.txt" -- \
-      "${bench}" "$@" > "${out_file}" 2>&1 || status=$?
-  else
-    "${bench}" "$@" > "${out_file}" 2>&1 || status=$?
-  fi
+  "${bench}" > "${out_file}" 2>&1 || status=$?
   end="$(date +%s.%N)"
   seconds="$(echo "${end} ${start}" | awk '{printf "%.2f", $1 - $2}')"
   [ "${first}" -eq 1 ] || echo "," >> "${summary}"
   first=0
-  printf '  {"bench": "%s", "exit_code": %d, "seconds": %s, "output": "%s/%s.txt"}' \
-         "${name}" "${status}" "${seconds}" "${out_rel}" "${name}" >> "${summary}"
+  printf '  {"bench": "%s", "exit_code": %d, "seconds": %s, "output": "bench/out/%s.txt"}' \
+         "${name}" "${status}" "${seconds}" "${name}" >> "${summary}"
   if [ "${status}" -ne 0 ]; then
     echo "   FAILED (exit ${status}) — see ${out_file}"
   fi
-  # Collect the bench's machine-readable rows (if any) into one JSON array
-  # per DISTINCT "bench" field the rows carry — a binary emitting rows for
-  # several benches produces several BENCH_<x>.json files. A malformed row
-  # is a hard error: corrupt trajectory files must never be written.
+  # A malformed row is a hard error: corrupt result files are never written.
   python3 "${repo_root}/scripts/bench_report.py" collect "${out_file}" \
-          --out-dir "${out_dir}" --fallback-name "${name}"
+          --out-dir "${out_dir}"
 done
 
 echo >> "${summary}"
 echo "]" >> "${summary}"
 echo "wrote ${summary}"
 
-# Merge every BENCH_*.json into the trajectory table, diffing against the
-# committed root-level baseline from the previous PR. Individual bench
-# failures are tolerated above, so an empty collection is a warning, not a
-# script failure — but a MALFORMED collection fails the script.
-python3 "${repo_root}/scripts/bench_report.py" report --out-dir "${out_dir}" \
-        --baseline-dir "${repo_root}" ||
-  echo "bench_report: no machine-readable rows collected"
-
-# Promote portable results to the repo root so this PR can commit them as
-# the next PR's baseline. Runs after the report step: the report must diff
-# against the PREVIOUS baseline before it is overwritten. Native numbers are
-# host-specific and never promoted.
-if [ "${native}" = OFF ] && [ "${promote}" -eq 1 ] &&
-   ls "${out_dir}"/BENCH_*.json >/dev/null 2>&1; then
-  cp "${out_dir}"/BENCH_*.json "${repo_root}/"
-  echo "promoted $(ls "${out_dir}"/BENCH_*.json | wc -l) BENCH_*.json to repo root (commit them)"
-fi
+python3 "${repo_root}/scripts/bench_report.py" check --out-dir "${out_dir}" \
+        --baseline-dir "${repo_root}"

@@ -24,6 +24,7 @@
 #include "core/adaptive.h"
 #include "core/fc_cache.h"
 #include "core/object.h"
+#include "core/stats.h"
 #include "dm/allocator.h"
 #include "dm/pool.h"
 #include "hashtable/hash_table.h"
@@ -66,42 +67,6 @@ struct DittoConfig {
   bool validate_inserts = false;
 
   bool adaptive() const { return experts.size() > 1; }
-};
-
-struct DittoStats {
-  uint64_t gets = 0;
-  uint64_t sets = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t deletes = 0;
-  uint64_t evictions = 0;
-  uint64_t expired = 0;  // objects reclaimed by lazy TTL expiry on lookup
-  uint64_t regrets = 0;
-  uint64_t set_retries = 0;
-  // Contention counters (nonzero only when clients race on one pool).
-  uint64_t cas_failures = 0;    // slot CASes lost to a concurrent client
-  uint64_t insert_retries = 0;  // claim-phase rounds repeated after a race
-  uint64_t dup_resolved = 0;    // duplicate copies reclaimed after insert races
-
-  double HitRate() const {
-    return gets == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(gets);
-  }
-
-  DittoStats& operator+=(const DittoStats& o) {
-    gets += o.gets;
-    sets += o.sets;
-    hits += o.hits;
-    misses += o.misses;
-    deletes += o.deletes;
-    evictions += o.evictions;
-    expired += o.expired;
-    regrets += o.regrets;
-    set_retries += o.set_retries;
-    cas_failures += o.cas_failures;
-    insert_retries += o.insert_retries;
-    dup_resolved += o.dup_resolved;
-    return *this;
-  }
 };
 
 // Host-side server state shared by all clients of one pool: installs the

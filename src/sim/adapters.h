@@ -3,8 +3,8 @@
 //
 // Both adapters share DittoAdapterBase, which implements the whole
 // CacheClient surface once: typed batch dispatch (a run of consecutive
-// kMultiGet ops is Gets inside one doorbell chain), the
-// DittoStats -> ClientCounters mapping, and the measurement-boundary reset.
+// kMultiGet ops is Gets inside one doorbell chain), the counters, and the
+// measurement-boundary reset.
 // The cluster adapter adds unavailability reporting and lifecycle steps.
 #ifndef DITTO_SIM_ADAPTERS_H_
 #define DITTO_SIM_ADAPTERS_H_
@@ -17,14 +17,6 @@
 #include "sim/client_iface.h"
 
 namespace ditto::sim {
-
-// Single mapping from core statistics to runner counters; keep the two in
-// sync when either side grows a field.
-inline ClientCounters CountersFromStats(const core::DittoStats& s) {
-  return ClientCounters{s.gets,      s.hits,    s.misses,       s.sets,
-                        s.deletes,   s.evictions, s.expired,
-                        s.cas_failures, s.insert_retries};
-}
 
 template <typename ClientT>
 class DittoAdapterBase : public CacheClient {
@@ -68,7 +60,7 @@ class DittoAdapterBase : public CacheClient {
 
   rdma::ClientContext& ctx() override { return *ctx_; }
 
-  ClientCounters counters() const override { return CountersFromStats(client_.stats()); }
+  ClientCounters counters() const override { return client_.stats(); }
 
   void Finish() override { client_.FlushBuffers(); }
 

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/stats.h"
 #include "rdma/node.h"
 #include "sim/cache_op.h"
 
@@ -39,21 +40,8 @@ struct LifecycleStep {
   uint32_t node = 0;
 };
 
-struct ClientCounters {
-  uint64_t gets = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t sets = 0;
-  uint64_t deletes = 0;
-  uint64_t evictions = 0;
-  uint64_t expired = 0;  // objects reclaimed by lazy TTL expiry on lookup
-  // Contention counters: CASes lost to concurrent clients of one shared pool
-  // and insert claim rounds repeated after such races. Zero for clients that
-  // never share mutable state (the key-partitioned sharded engine) and for
-  // baselines without a CAS-based insert path.
-  uint64_t cas_failures = 0;
-  uint64_t insert_retries = 0;
-};
+// The runner's per-client counters are the clients' own stats struct.
+using ClientCounters = core::DittoStats;
 
 // Shared single-op dispatch for implementations that map a CacheOp onto
 // blocking per-kind primitives: runs the right callable, fills the typed

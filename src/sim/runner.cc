@@ -385,24 +385,6 @@ MeasureBaseline BeginMeasurement(const std::vector<CacheClient*>& clients,
   return base;
 }
 
-// Adds one client's counters into `result`: the one ClientCounters ->
-// RunResult mapping (aggregate and per-client rows alike).
-void AddCounters(const ClientCounters& counters, RunResult* result) {
-  result->gets += counters.gets;
-  result->hits += counters.hits;
-  result->misses += counters.misses;
-  result->sets += counters.sets;
-  result->deletes += counters.deletes;
-  result->evictions += counters.evictions;
-  result->expired += counters.expired;
-  result->cas_failures += counters.cas_failures;
-  result->insert_retries += counters.insert_retries;
-}
-
-double HitRate(const RunResult& r) {
-  return r.gets == 0 ? 0.0 : static_cast<double>(r.hits) / static_cast<double>(r.gets);
-}
-
 // Aggregate result of the measured region. When `per_client` is non-null it
 // also receives one row per client: that client's counters, its share of
 // the strided request split, and its own busy time and latency percentiles.
@@ -418,18 +400,18 @@ RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
   }
   for (size_t c = 0; c < clients.size(); ++c) {
     const ClientCounters counters = clients[c]->counters();
-    AddCounters(counters, &result);
+    result += counters;
     const Histogram& hist = clients[c]->ctx().op_hist();
     merged.Merge(hist);
     const uint64_t busy_delta = clients[c]->ctx().clock().busy_ns() - base.busy_before[c];
     sum_busy_delta += busy_delta;
     if (per_client != nullptr) {
       RunResult& r = (*per_client)[c];
-      AddCounters(counters, &r);
+      r += counters;
       r.ops = measured_ops / clients.size() + (c < measured_ops % clients.size() ? 1 : 0);
       r.elapsed_s = static_cast<double>(std::max(busy_delta, uint64_t{1})) / 1e9;
       r.throughput_mops = static_cast<double>(r.ops) / (r.elapsed_s * 1e6);
-      r.hit_rate = HitRate(r);
+      r.hit_rate = r.HitRate();
       r.p50_us = hist.PercentileUs(50);
       r.p99_us = hist.PercentileUs(99);
     }
@@ -454,7 +436,7 @@ RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
   }
   result.elapsed_s = static_cast<double>(elapsed_ns) / 1e9;
   result.throughput_mops = static_cast<double>(result.ops) / (result.elapsed_s * 1e6);
-  result.hit_rate = HitRate(result);
+  result.hit_rate = result.HitRate();
   result.p50_us = merged.PercentileUs(50);
   result.p99_us = merged.PercentileUs(99);
   result.nic_messages = nic_msgs_after - base.nic_msgs_before;
@@ -474,7 +456,6 @@ void FillWall(RunResult* result, std::chrono::steady_clock::time_point begin, in
   result->wall_mops =
       wall_s > 0.0 ? static_cast<double>(result->ops) / (wall_s * 1e6) : 0.0;
   result->threads = std::max(threads, 1);
-  result->ops_per_core_mops = result->wall_mops / static_cast<double>(result->threads);
 }
 
 // One phase (warmup or measurement) of the threaded engines. clients[o] is

@@ -120,39 +120,27 @@ struct PhaseResult {
   double hit_rate = 0.0;
 };
 
-struct RunResult {
+// The counter fields (gets, hits, ..., cas_failures) are the clients' own
+// ClientCounters, summed over the measured region.
+struct RunResult : ClientCounters {
   uint64_t ops = 0;  // trace requests replayed (a miss's re-insert Set is not an extra op)
   double elapsed_s = 0.0;
   double throughput_mops = 0.0;
   double hit_rate = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t gets = 0;
-  uint64_t sets = 0;
-  uint64_t deletes = 0;
-  uint64_t evictions = 0;
-  uint64_t expired = 0;
   uint64_t nic_messages = 0;
   uint64_t nic_doorbells = 0;
   uint64_t rpc_ops = 0;
-  // Contention counters (see ClientCounters): nonzero only when clients race
-  // on shared slots, i.e. under RunTraceContended or multi-client RunTrace
-  // deployments sharing one pool.
-  uint64_t cas_failures = 0;
-  uint64_t insert_retries = 0;
   // Host wall-clock view of the measured region. The virtual-time fields
-  // above model the simulated network and are bit-deterministic; these four
-  // measure how fast the replay loop itself runs on the host, which is the
-  // number that moves when the hot path gets faster. wall_s covers the
-  // measured replay plus the Finish() drain; threads is the number of host
-  // threads that drove it (1 for RunTrace, the worker count for
+  // above model the simulated network and are bit-deterministic; these three
+  // measure how fast the replay loop itself runs on the host. wall_s covers
+  // the measured replay plus the Finish() drain; threads is the number of
+  // host threads that drove it (1 for RunTrace, the worker count for
   // RunTraceSharded, the client count for RunTraceContended).
   double wall_s = 0.0;
   double wall_mops = 0.0;
   int threads = 1;
-  double ops_per_core_mops = 0.0;  // wall_mops / threads
   // Hit-rate trajectory across the resize schedule (resize_schedule.size()+1
   // entries; a single entry covering the whole run when no schedule is set).
   // Deterministic: identical for any RunTraceSharded thread count.

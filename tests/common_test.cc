@@ -288,13 +288,30 @@ TEST(SmallBufTest, WorksWithNonTrivialElementTypes) {
 
 TEST(FlagsTest, ParsesAllForms) {
   const char* argv[] = {"prog", "--alpha=3", "--beta", "2.5", "--gamma", "--name=x"};
-  Flags flags(6, const_cast<char**>(argv));
+  Flags flags(6, const_cast<char**>(argv), {"alpha", "beta", "gamma", "name"});
   EXPECT_EQ(flags.GetInt("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(flags.GetDouble("beta", 0.0), 2.5);
-  EXPECT_TRUE(flags.GetBool("gamma", false));
+  EXPECT_EQ(flags.GetString("gamma", ""), "true");
   EXPECT_EQ(flags.GetString("name", ""), "x");
   EXPECT_EQ(flags.GetInt("missing", 7), 7);
   EXPECT_FALSE(flags.Has("missing"));
+}
+
+TEST(FlagsDeathTest, UnknownNameExitsTwo) {
+  // A misspelt flag must not silently run the defaults.
+  const char* argv[] = {"prog", "--workloadd=B"};
+  EXPECT_EXIT(Flags(2, const_cast<char**>(argv), {"workload"}), ::testing::ExitedWithCode(2),
+              "unknown flag --workloadd");
+}
+
+TEST(FlagsDeathTest, MalformedNumberExitsTwo) {
+  const char* keys[] = {"prog", "--keys=abc"};
+  const Flags int_flags(2, const_cast<char**>(keys), {"keys"});
+  EXPECT_EXIT(int_flags.GetInt("keys", 1), ::testing::ExitedWithCode(2), "not an integer");
+  const char* theta[] = {"prog", "--theta=0.9x"};
+  const Flags double_flags(2, const_cast<char**>(theta), {"theta"});
+  EXPECT_EXIT(double_flags.GetDouble("theta", 1.0), ::testing::ExitedWithCode(2),
+              "not a number");
 }
 
 }  // namespace
