@@ -27,12 +27,12 @@ void PrintUsage() {
       "ditto_server: RESP2 front end for the Ditto cache\n"
       "  --host=ADDR        bind address (default 127.0.0.1)\n"
       "  --port=N           TCP port, 0 = kernel-assigned (default 6399)\n"
-      "  --reactors=N       event-loop threads, one cache client each (default 1)\n"
-      "  --shards=N         memory nodes in the pool, 1-%u (default 1)\n"
+      "  --reactors=N       event-loop threads, one cache client each, 1-%d (default 1)\n"
+      "  --shards=N         memory nodes in the pool, 1-%d (default 1)\n"
       "  --capacity=N       cache capacity in objects, per node (default 65536)\n"
       "  --max_conns=N      live-connection cap (default 1024)\n"
       "  --shed_watermark=N in-flight op cap before -LOADSHED, 0 = off (default 65536)\n",
-      ditto::core::kMaxRingNodes);
+      ditto::bench::kMaxThreads, ditto::bench::kMaxNodes);
 }
 
 }  // namespace
@@ -47,23 +47,15 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 0;
   }
-  const int reactors = static_cast<int>(flags.GetInt("reactors", 1));
-  const int shards = static_cast<int>(flags.GetInt("shards", 1));
-  const uint64_t capacity = static_cast<uint64_t>(flags.GetInt("capacity", 64 << 10));
-  if (reactors < 1 || shards < 1 || capacity == 0) {
-    std::fprintf(stderr, "ditto_server: --reactors, --shards, --capacity must be >= 1\n");
-    return 2;
-  }
-  if (shards > static_cast<int>(core::kMaxRingNodes)) {
-    std::fprintf(stderr, "ditto_server: --shards must be <= %u\n", core::kMaxRingNodes);
-    return 2;
-  }
+  const int reactors = flags.GetInt<int>("reactors", 1, 1, bench::kMaxThreads);
+  const int shards = flags.GetInt<int>("shards", 1, 1, bench::kMaxNodes);
+  const uint64_t capacity = flags.GetInt<uint64_t>("capacity", 64 << 10, 1, bench::kMaxCount);
 
   net::ServerOptions options;
   options.host = flags.GetString("host", "127.0.0.1");
-  options.port = static_cast<uint16_t>(flags.GetInt("port", 6399));
-  options.max_conns = static_cast<size_t>(flags.GetInt("max_conns", 1024));
-  options.shed_watermark = static_cast<size_t>(flags.GetInt("shed_watermark", 64 << 10));
+  options.port = flags.GetInt<uint16_t>("port", 6399, 0, UINT16_MAX);
+  options.max_conns = flags.GetInt<size_t>("max_conns", 1024, 1, 1 << 20);
+  options.shed_watermark = flags.GetInt<size_t>("shed_watermark", 64 << 10, 0, bench::kMaxCount);
 
   core::DittoConfig config;
   config.validate_inserts = reactors > 1;

@@ -4,8 +4,7 @@
 // Every bench prints a header naming the paper figure it regenerates, the
 // cost-model parameters, and tab-separated data rows suitable for plotting.
 // Request counts are scaled down from the paper's 10M-request runs so the
-// full suite finishes in minutes; pass --scale=N (default 1) to multiply all
-// workload sizes.
+// full suite finishes in minutes; pass a larger --requests to run longer.
 //
 // Adding a figure: build the trace, then run one cell per system and size:
 //
@@ -32,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -53,6 +53,20 @@
 #include "workloads/ycsb.h"
 
 namespace ditto::bench {
+
+// Ranges of the integer flags the benches share; every Flags::GetInt read
+// states its range. Replays index a trace with 32 bits, so trace lengths and
+// the key, footprint and capacity counts sized with them stay below 2^32.
+inline constexpr uint64_t kMaxCount = std::numeric_limits<uint32_t>::max();
+// Simulated clients of one replay (the figures sweep up to 512).
+inline constexpr int kMaxClients = 1024;
+// Memory nodes of one deployment: the ring's live-node mask has 64 bits.
+inline constexpr int kMaxNodes = static_cast<int>(core::kMaxRingNodes);
+// Doorbell chain lengths, multi-get widths and pipeline depths.
+inline constexpr int kMaxBatch = 1024;
+// Host threads one binary starts (engine workers, contending clients,
+// server reactors).
+inline constexpr int kMaxThreads = 64;
 
 inline void PrintHeader(const char* figure, const char* what) {
   std::printf("# %s\n# %s\n", figure, what);

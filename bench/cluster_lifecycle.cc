@@ -22,8 +22,8 @@
 // (0 = recovered within the fault window itself; the full post-fault op count
 // when the run never recovers).
 //
-// Flags: --keys=N --requests=N --capacity=N --nodes=N --clients=N
-//        --window=N --scale=N
+// Flags: --keys=N --requests=N --capacity=N --nodes=N (2-64) --clients=N
+//        --window=N
 #include <cstdio>
 
 #include "baselines/cliquemap.h"
@@ -63,18 +63,14 @@ uint64_t RecoveryOps(const std::vector<RecoverySample>& windows, size_t fault_wi
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"capacity", "clients", "keys", "nodes", "requests", "scale", "window"});
-  const uint64_t keys = flags.GetInt("keys", 20000);
-  const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
-  const uint64_t capacity = flags.GetInt("capacity", 5000);
-  const int nodes = static_cast<int>(flags.GetInt("nodes", 4));
-  if (nodes < 2 || nodes > static_cast<int>(core::kMaxRingNodes)) {
-    std::fprintf(stderr, "cluster_lifecycle: --nodes must be in [2, %u] (one node crashes)\n",
-                 core::kMaxRingNodes);
-    return 2;
-  }
-  const int clients = static_cast<int>(flags.GetInt("clients", 4));
-  const size_t window = static_cast<size_t>(flags.GetInt("window", 2000));
+  Flags flags(argc, argv, {"capacity", "clients", "keys", "nodes", "requests", "window"});
+  const uint64_t keys = flags.GetInt<uint64_t>("keys", 20000, 1, bench::kMaxCount);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 200000, 1, bench::kMaxCount);
+  const uint64_t capacity = flags.GetInt<uint64_t>("capacity", 5000, 1, bench::kMaxCount);
+  // At least two nodes: one of them crashes.
+  const int nodes = flags.GetInt<int>("nodes", 4, 2, bench::kMaxNodes);
+  const int clients = flags.GetInt<int>("clients", 4, 1, bench::kMaxClients);
+  const size_t window = flags.GetInt<size_t>("window", 2000, 1, bench::kMaxCount);
   const uint32_t victim = static_cast<uint32_t>(nodes - 1);
 
   bench::PrintHeader("cluster-lifecycle",

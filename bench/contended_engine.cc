@@ -12,7 +12,7 @@
 //
 // Flags:
 //   --keys=N        shared-universe key count          (default 8192)
-//   --requests=N    trace length (x --scale)           (default 300000)
+//   --requests=N    trace length                       (default 300000)
 //   --clients=N     fix the client sweep to one value  (default 1,2,4,8)
 //   --overlap=F     fix the overlap sweep to one value (default 0,0.5,1)
 //   --workload=X    YCSB core workload                 (default A)
@@ -55,16 +55,16 @@ workload::Trace RemapForOverlap(const workload::Trace& trace, uint64_t keys, int
 int main(int argc, char** argv) {
   using namespace ditto;
   Flags flags(argc, argv,
-              {"clients", "keys", "overlap", "requests", "scale", "seed", "theta", "workload"});
-  const uint64_t keys = flags.GetInt("keys", 8192);
-  const uint64_t requests = flags.GetInt("requests", 300000) * flags.GetInt("scale", 1);
-  const uint64_t seed = flags.GetInt("seed", 42);
+              {"clients", "keys", "overlap", "requests", "seed", "theta", "workload"});
+  const uint64_t keys = flags.GetInt<uint64_t>("keys", 8192, 1, bench::kMaxCount);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 300000, 1, bench::kMaxCount);
+  const uint64_t seed = flags.GetInt<uint64_t>("seed", 42, 0, UINT64_MAX);
   const std::string workload_name = flags.GetString("workload", "A");
   const double theta = flags.GetDouble("theta", 1.1);
   const uint64_t capacity = std::max<uint64_t>(1, keys / 4);
   std::vector<int> client_counts = {1, 2, 4, 8};
   if (flags.Has("clients")) {
-    client_counts = {static_cast<int>(flags.GetInt("clients", 1))};
+    client_counts = {flags.GetInt<int>("clients", 1, 1, bench::kMaxThreads)};
   }
   std::vector<double> overlaps = {0.0, 0.5, 1.0};
   if (flags.Has("overlap")) {
@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
               ycsb.workload, static_cast<unsigned long long>(keys),
               static_cast<unsigned long long>(requests),
               static_cast<unsigned long long>(capacity));
-  std::printf("%-8s %8s %12s %12s %8s %14s %14s\n", "clients", "overlap", "wall_mops",
-              "tput_mops", "hit_pct", "cas_failures", "insert_retries");
+  std::printf("%-8s %8s %12s %8s %14s %14s\n", "clients", "overlap", "tput_mops", "hit_pct",
+              "cas_failures", "insert_retries");
   for (const int clients : client_counts) {
     for (const double overlap : overlaps) {
       const workload::Trace contended = RemapForOverlap(trace, keys, clients, overlap);
@@ -101,11 +101,9 @@ int main(int argc, char** argv) {
       sim::RunOptions options;
       options.value_bytes = 128;
       options.warmup_fraction = 0.2;
-      // The engine measures wall time over the measured region only (warmup
-      // excluded), consistent with every other bench's wall_mops.
       const sim::RunResult r = sim::RunTraceContended(d.raw, contended, d.nodes, options);
-      std::printf("%-8d %8.2f %12.3f %12.3f %8.2f %14llu %14llu\n", clients, overlap,
-                  r.wall_mops, r.throughput_mops, r.hit_rate * 100.0,
+      std::printf("%-8d %8.2f %12.3f %8.2f %14llu %14llu\n", clients, overlap,
+                  r.throughput_mops, r.hit_rate * 100.0,
                   static_cast<unsigned long long>(r.cas_failures),
                   static_cast<unsigned long long>(r.insert_retries));
     }

@@ -15,7 +15,7 @@
 // capacity takes effect, with a throughput dip and p99 bump meanwhile.
 //
 // Flags: --keys=N --requests=N --capacity=N --shrink_num=N/--shrink_den=N
-//        --clients=N --scale=N
+//        --clients=N
 #include <cstdio>
 
 #include "baselines/redis_model.h"
@@ -25,13 +25,13 @@
 int main(int argc, char** argv) {
   using namespace ditto;
   Flags flags(argc, argv,
-              {"capacity", "clients", "keys", "requests", "scale", "shrink_den", "shrink_num"});
-  const uint64_t keys = flags.GetInt("keys", 20000);
-  const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
-  const uint64_t capacity = flags.GetInt("capacity", 5000);
-  const uint64_t shrunk =
-      capacity * flags.GetInt("shrink_num", 1) / std::max<int64_t>(1, flags.GetInt("shrink_den", 3));
-  const int clients = static_cast<int>(flags.GetInt("clients", 8));
+              {"capacity", "clients", "keys", "requests", "shrink_den", "shrink_num"});
+  const uint64_t keys = flags.GetInt<uint64_t>("keys", 20000, 1, bench::kMaxCount);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 200000, 1, bench::kMaxCount);
+  const uint64_t capacity = flags.GetInt<uint64_t>("capacity", 5000, 1, bench::kMaxCount);
+  const uint64_t shrunk = capacity * flags.GetInt<uint64_t>("shrink_num", 1, 1, 1024) /
+                          flags.GetInt<uint64_t>("shrink_den", 3, 1, 1024);
+  const int clients = flags.GetInt<int>("clients", 8, 1, bench::kMaxClients);
 
   bench::PrintHeader("elastic-scaling",
                      "hit-rate trajectory under a shrink -> hold -> expand capacity schedule");

@@ -10,10 +10,10 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"clients", "keys", "requests", "scale"});
-  const uint64_t keys = flags.GetInt("keys", 50000);
-  const uint64_t requests = flags.GetInt("requests", 150000) * flags.GetInt("scale", 1);
-  const int clients = static_cast<int>(flags.GetInt("clients", 128));
+  Flags flags(argc, argv, {"clients", "keys", "requests"});
+  const uint64_t keys = flags.GetInt<uint64_t>("keys", 50000, 1, bench::kMaxCount);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 150000, 1, bench::kMaxCount);
+  const int clients = flags.GetInt<int>("clients", 128, 1, bench::kMaxClients);
 
   workload::YcsbConfig ycsb;
   ycsb.workload = 'C';

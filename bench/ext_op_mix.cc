@@ -11,7 +11,7 @@
 //
 // Flags:
 //   --keys=N          key-space size                  (default 20000)
-//   --requests=N      trace length (x --scale)        (default 100000)
+//   --requests=N      trace length                    (default 100000)
 //   --clients=N       concurrent clients              (default 4)
 //   --delete=F        DELETE fraction of Gets         (default sweep)
 //   --expire=F        EXPIRE fraction of Gets         (default sweep)
@@ -37,13 +37,13 @@ struct MixRow {
 int main(int argc, char** argv) {
   using namespace ditto;
   Flags flags(argc, argv,
-              {"batch", "clients", "delete", "expire", "keys", "multiget", "requests", "scale",
-               "seed", "ttl"});
-  const uint64_t keys = flags.GetInt("keys", 20000);
-  const uint64_t requests = flags.GetInt("requests", 100000) * flags.GetInt("scale", 1);
-  const int clients = static_cast<int>(flags.GetInt("clients", 4));
-  const uint64_t seed = flags.GetInt("seed", 42);
-  const uint64_t ttl = flags.GetInt("ttl", 256);
+              {"batch", "clients", "delete", "expire", "keys", "multiget", "requests", "seed",
+               "ttl"});
+  const uint64_t keys = flags.GetInt<uint64_t>("keys", 20000, 1, bench::kMaxCount);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 100000, 1, bench::kMaxCount);
+  const int clients = flags.GetInt<int>("clients", 4, 1, bench::kMaxClients);
+  const uint64_t seed = flags.GetInt<uint64_t>("seed", 42, 0, UINT64_MAX);
+  const uint64_t ttl = flags.GetInt<uint64_t>("ttl", 256, 1, bench::kMaxCount);
 
   bench::PrintHeader("ext-op-mix",
                      "typed op mix (GET/SET/DELETE/EXPIRE/MULTIGET) x multi-get batch sweep");
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   }
   std::vector<size_t> batch_sweep = {1, 8, 32};
   if (flags.Has("batch")) {
-    batch_sweep = {static_cast<size_t>(flags.GetInt("batch", 8))};
+    batch_sweep = {flags.GetInt<size_t>("batch", 8, 1, bench::kMaxBatch)};
   }
 
   workload::YcsbConfig ycsb;

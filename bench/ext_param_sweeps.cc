@@ -26,10 +26,10 @@ sim::RunResult Run(const workload::Trace& trace, uint64_t capacity, int clients,
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"clients", "footprint", "requests", "scale"});
-  const uint64_t requests = flags.GetInt("requests", 150000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 16000);
-  const int clients = static_cast<int>(flags.GetInt("clients", 16));
+  Flags flags(argc, argv, {"clients", "footprint", "requests"});
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 150000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 16000, 1, bench::kMaxCount);
+  const int clients = flags.GetInt<int>("clients", 16, 1, bench::kMaxClients);
 
   const workload::Trace trace = workload::MakeNamedTrace("webmail", requests, footprint, 31);
   const uint64_t capacity = workload::Footprint(trace) / 10;

@@ -7,15 +7,15 @@
 #include <cstdio>
 
 #include "baselines/redis_model.h"
-#include "common/flags.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
   Flags flags(argc, argv, {"keys", "shards"});
 
   baselines::RedisModelConfig config;
-  config.initial_shards = static_cast<int>(flags.GetInt("shards", 32));
-  config.num_keys = flags.GetInt("keys", 10'000'000);
+  config.initial_shards = flags.GetInt<int>("shards", 32, 1, bench::kMaxNodes);
+  config.num_keys = flags.GetInt<uint64_t>("keys", 10'000'000, 1, bench::kMaxCount);
   baselines::RedisModel model(config);
 
   std::printf("# Figure 1: Redis elasticity under YCSB-C (%llu keys, 256B)\n",

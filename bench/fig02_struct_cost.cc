@@ -9,9 +9,9 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"keys", "requests", "scale"});
-  const uint64_t keys = flags.GetInt("keys", 20000);
-  const uint64_t requests = flags.GetInt("requests", 60000) * flags.GetInt("scale", 1);
+  Flags flags(argc, argv, {"keys", "requests"});
+  const uint64_t keys = flags.GetInt<uint64_t>("keys", 20000, 1, bench::kMaxCount);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 60000, 1, bench::kMaxCount);
 
   workload::YcsbConfig ycsb;
   ycsb.workload = 'C';

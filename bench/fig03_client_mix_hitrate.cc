@@ -4,15 +4,15 @@
 // the mixture, so the best algorithm flips with the compute allocation.
 #include <cstdio>
 
-#include "common/flags.h"
+#include "bench_common.h"
 #include "sim/hit_rate.h"
 #include "workloads/synthetic_traces.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"footprint", "requests", "scale"});
-  const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 20000);
+  Flags flags(argc, argv, {"footprint", "requests"});
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 200000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 20000, 1, bench::kMaxCount);
   const size_t capacity = footprint / 10;
   const int total_clients = 16;
 

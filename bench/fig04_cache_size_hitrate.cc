@@ -3,15 +3,15 @@
 // why memory elasticity on DM demands adaptive caching.
 #include <cstdio>
 
-#include "common/flags.h"
+#include "bench_common.h"
 #include "sim/hit_rate.h"
 #include "workloads/synthetic_traces.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"footprint", "requests", "scale"});
-  const uint64_t requests = flags.GetInt("requests", 300000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 20000);
+  Flags flags(argc, argv, {"footprint", "requests"});
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 300000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 20000, 1, bench::kMaxCount);
 
   const workload::Trace trace = workload::MakeNamedTrace("webmail", requests, footprint, 1);
   const uint64_t actual_footprint = workload::Footprint(trace);

@@ -7,16 +7,16 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/flags.h"
+#include "bench_common.h"
 #include "sim/hit_rate.h"
 #include "workloads/synthetic_traces.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"footprint", "requests", "scale", "workloads"});
-  const int num_workloads = static_cast<int>(flags.GetInt("workloads", 74));
-  const uint64_t requests = flags.GetInt("requests", 80000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 8000);
+  Flags flags(argc, argv, {"footprint", "requests", "workloads"});
+  const int num_workloads = flags.GetInt<int>("workloads", 74, 1, 1024);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 80000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 8000, 1, bench::kMaxCount);
   const std::vector<int> client_counts = {1, 8, 64, 512};
 
   std::printf("# Figure 5a: CDF of relative hit-rate change across %d workloads\n",

@@ -12,9 +12,9 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"keys", "requests", "scale"});
-  const uint64_t keys = flags.GetInt("keys", 50000);
-  const uint64_t requests = flags.GetInt("requests", 120000) * flags.GetInt("scale", 1);
+  Flags flags(argc, argv, {"keys", "requests"});
+  const uint64_t keys = flags.GetInt<uint64_t>("keys", 50000, 1, bench::kMaxCount);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 120000, 1, bench::kMaxCount);
 
   bench::PrintHeader("Figure 14", "YCSB A-D throughput/p99 vs clients (no misses)");
   sim::RunOptions options;

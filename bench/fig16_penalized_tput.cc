@@ -7,12 +7,12 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"cache_frac", "clients", "footprint", "requests", "scale"});
-  const uint64_t requests = flags.GetInt("requests", 150000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 20000);
+  Flags flags(argc, argv, {"cache_frac", "clients", "footprint", "requests"});
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 150000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 20000, 1, bench::kMaxCount);
   // The paper uses 64 clients and sets cache sizes where hit rates are high;
   // that is where CliqueMap's MN-CPU ceiling binds and Ditto pulls ahead.
-  const int clients = static_cast<int>(flags.GetInt("clients", 64));
+  const int clients = flags.GetInt<int>("clients", 64, 1, bench::kMaxClients);
   const double cache_frac = flags.GetDouble("cache_frac", 0.3);
 
   bench::PrintHeader("Figure 16",

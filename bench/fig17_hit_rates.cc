@@ -6,10 +6,10 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"clients", "footprint", "requests", "scale"});
-  const uint64_t requests = flags.GetInt("requests", 150000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 20000);
-  const int clients = static_cast<int>(flags.GetInt("clients", 16));
+  Flags flags(argc, argv, {"clients", "footprint", "requests"});
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 150000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 20000, 1, bench::kMaxCount);
+  const int clients = flags.GetInt<int>("clients", 16, 1, bench::kMaxClients);
 
   bench::PrintHeader("Figure 17", "hit rates on real-world-like workloads vs cache size");
   std::printf("%-20s %-8s %10s %10s %10s %10s %10s\n", "workload", "frac", "ditto",

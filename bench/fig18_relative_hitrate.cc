@@ -30,11 +30,11 @@ void PrintBox(const char* label, const Box& b) {
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"clients", "footprint", "requests", "scale", "workloads"});
-  const int num_workloads = static_cast<int>(flags.GetInt("workloads", 33));
-  const uint64_t requests = flags.GetInt("requests", 60000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 8000);
-  const int clients = static_cast<int>(flags.GetInt("clients", 8));
+  Flags flags(argc, argv, {"clients", "footprint", "requests", "workloads"});
+  const int num_workloads = flags.GetInt<int>("workloads", 33, 1, 1024);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 60000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 8000, 1, bench::kMaxCount);
+  const int clients = flags.GetInt<int>("clients", 8, 1, bench::kMaxClients);
 
   bench::PrintHeader("Figure 18",
                      "relative hit rates (normalized over random eviction), 33 workloads");

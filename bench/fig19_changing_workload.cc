@@ -10,10 +10,10 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"clients", "footprint", "phase_len", "scale"});
-  const uint64_t phase_len = flags.GetInt("phase_len", 120000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 10000);
-  const int clients = static_cast<int>(flags.GetInt("clients", 16));
+  Flags flags(argc, argv, {"clients", "footprint", "phase_len"});
+  const uint64_t phase_len = flags.GetInt<uint64_t>("phase_len", 120000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 10000, 1, bench::kMaxCount);
+  const int clients = flags.GetInt<int>("clients", 16, 1, bench::kMaxClients);
   constexpr int kPhases = 4;
 
   const workload::Trace trace =

@@ -7,9 +7,9 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"footprint", "requests", "scale"});
-  const uint64_t requests = flags.GetInt("requests", 120000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 16000);
+  Flags flags(argc, argv, {"footprint", "requests"});
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 120000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 16000, 1, bench::kMaxCount);
 
   const workload::Trace trace = workload::MakeNamedTrace("webmail", requests, footprint, 21);
   const uint64_t capacity = workload::Footprint(trace) / 10;

@@ -11,10 +11,10 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"cache_frac", "clients", "footprint", "requests", "scale"});
-  const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 40000);
-  const int clients = static_cast<int>(flags.GetInt("clients", 16));
+  Flags flags(argc, argv, {"cache_frac", "clients", "footprint", "requests"});
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 200000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 40000, 1, bench::kMaxCount);
+  const int clients = flags.GetInt<int>("clients", 16, 1, bench::kMaxClients);
   const double cache_frac = flags.GetDouble("cache_frac", 0.15);
 
   const workload::Trace trace = workload::MakeNamedTrace("webmail", requests, footprint, 23);

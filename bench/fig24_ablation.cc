@@ -10,12 +10,12 @@
 
 int main(int argc, char** argv) {
   using namespace ditto;
-  Flags flags(argc, argv, {"clients", "footprint", "requests", "scale"});
-  const uint64_t requests = flags.GetInt("requests", 150000) * flags.GetInt("scale", 1);
-  const uint64_t footprint = flags.GetInt("footprint", 16000);
+  Flags flags(argc, argv, {"clients", "footprint", "requests"});
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 150000, 1, bench::kMaxCount);
+  const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 16000, 1, bench::kMaxCount);
   // Enough clients to put the MN RNIC near saturation: the techniques save
   // messages, so their contribution shows when the message rate binds.
-  const int clients = static_cast<int>(flags.GetInt("clients", 128));
+  const int clients = flags.GetInt<int>("clients", 128, 1, bench::kMaxClients);
 
   const workload::Trace trace = workload::MakeNamedTrace("webmail", requests, footprint, 24);
   const uint64_t capacity = workload::Footprint(trace) / 10;

@@ -13,7 +13,7 @@
 //
 // Flags:
 //   --keys=N       key-space size                       (default 16384)
-//   --requests=N   trace length (x --scale)             (default 400000)
+//   --requests=N   trace length                         (default 400000)
 //   --clients=N    concurrent clients on one pool       (default 4)
 //   --depth=N      fix the sweep to one depth           (default 1,2,4,8,16,32)
 //   --workload=X   YCSB core workload                   (default C)
@@ -31,20 +31,19 @@
 int main(int argc, char** argv) {
   using namespace ditto;
   Flags flags(argc, argv,
-              {"clients", "depth", "keys", "penalty", "requests", "scale", "seed", "theta",
-               "workload"});
-  const uint64_t keys = flags.GetInt("keys", 16384);
-  const uint64_t requests = flags.GetInt("requests", 400000) * flags.GetInt("scale", 1);
-  const int clients = static_cast<int>(flags.GetInt("clients", 4));
-  const uint64_t seed = flags.GetInt("seed", 42);
+              {"clients", "depth", "keys", "penalty", "requests", "seed", "theta", "workload"});
+  const uint64_t keys = flags.GetInt<uint64_t>("keys", 16384, 1, bench::kMaxCount);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 400000, 1, bench::kMaxCount);
+  const int clients = flags.GetInt<int>("clients", 4, 1, bench::kMaxClients);
+  const uint64_t seed = flags.GetInt<uint64_t>("seed", 42, 0, UINT64_MAX);
   const std::string workload_name = flags.GetString("workload", "C");
   const double theta = flags.GetDouble("theta", 0.99);
   const double penalty_us = flags.GetDouble("penalty", 0.0);
   const uint64_t capacity = std::max<uint64_t>(1, keys / 4);
 
   std::vector<size_t> depths = {1, 2, 4, 8, 16, 32};
-  if (flags.GetInt("depth", 0) > 0) {
-    depths = {static_cast<size_t>(flags.GetInt("depth", 0))};
+  if (flags.Has("depth")) {
+    depths = {flags.GetInt<size_t>("depth", 1, 1, bench::kMaxBatch)};
   }
 
   bench::PrintHeader("pipelined_engine",
@@ -60,8 +59,8 @@ int main(int argc, char** argv) {
   const workload::Trace trace =
       bench::MakeYcsbTraceOrExit("pipelined_engine", workload_name, &ycsb, requests, seed);
 
-  std::printf("%-8s %10s %9s %10s %8s %9s %9s %12s\n", "depth", "tput_mops", "speedup",
-              "wall_mops", "hit_pct", "p50_us", "p99_us", "nic_msgs");
+  std::printf("%-8s %10s %9s %8s %9s %9s %12s\n", "depth", "tput_mops", "speedup", "hit_pct",
+              "p50_us", "p99_us", "nic_msgs");
   double base_tput = 0.0;
   double base_hit = -1.0;
   bool hit_invariant = true;
@@ -86,9 +85,9 @@ int main(int argc, char** argv) {
       hit_invariant = false;
     }
     const double speedup = base_tput > 0.0 ? r.throughput_mops / base_tput : 0.0;
-    std::printf("%-8zu %10.3f %8.2fx %10.3f %8.3f %9.2f %9.2f %12llu\n", depth,
-                r.throughput_mops, speedup, r.wall_mops, r.hit_rate * 100.0, r.p50_us,
-                r.p99_us, static_cast<unsigned long long>(r.nic_messages));
+    std::printf("%-8zu %10.3f %8.2fx %8.3f %9.2f %9.2f %12llu\n", depth, r.throughput_mops,
+                speedup, r.hit_rate * 100.0, r.p50_us, r.p99_us,
+                static_cast<unsigned long long>(r.nic_messages));
     char label[64];
     std::snprintf(label, sizeof(label), "depth=%zu clients=%d", depth, clients);
     bench::EmitBenchJson("pipeline", label, r);

@@ -8,7 +8,7 @@
 // Flags:
 //   --workload=A|B|C|D  YCSB core workload            (default A)
 //   --keys=N            key-space size                (default 50000)
-//   --requests=N        trace length (x --scale)      (default 200000)
+//   --requests=N        trace length                  (default 200000)
 //   --shards=N          memory nodes / shards         (default 8)
 //   --threads=LIST      comma-free sweep handled below; single int
 //   --batch_ops=N       doorbell chain length, 0=off  (default 0)
@@ -20,21 +20,17 @@
 int main(int argc, char** argv) {
   using namespace ditto;
   Flags flags(argc, argv,
-              {"batch_ops", "keys", "requests", "scale", "seed", "shards", "threads", "workload"});
-  const uint64_t keys = flags.GetInt("keys", 50000);
-  const uint64_t requests = flags.GetInt("requests", 200000) * flags.GetInt("scale", 1);
-  const int shards = static_cast<int>(flags.GetInt("shards", 8));
-  if (shards < 1 || shards > static_cast<int>(core::kMaxRingNodes)) {
-    std::fprintf(stderr, "sharded_engine: --shards must be in [1, %u]\n", core::kMaxRingNodes);
-    return 2;
-  }
-  const uint64_t seed = flags.GetInt("seed", 42);
-  const size_t batch_ops = flags.GetInt("batch_ops", 0);
+              {"batch_ops", "keys", "requests", "seed", "shards", "threads", "workload"});
+  const uint64_t keys = flags.GetInt<uint64_t>("keys", 50000, 1, bench::kMaxCount);
+  const uint64_t requests = flags.GetInt<uint64_t>("requests", 200000, 1, bench::kMaxCount);
+  const int shards = flags.GetInt<int>("shards", 8, 1, bench::kMaxNodes);
+  const uint64_t seed = flags.GetInt<uint64_t>("seed", 42, 0, UINT64_MAX);
+  const size_t batch_ops = flags.GetInt<size_t>("batch_ops", 0, 0, bench::kMaxBatch);
   const std::string workload = flags.GetString("workload", "A");
 
   std::vector<int> thread_counts = {1, 2, 4, 8};
   if (flags.Has("threads")) {
-    thread_counts = {static_cast<int>(flags.GetInt("threads", 1))};
+    thread_counts = {flags.GetInt<int>("threads", 1, 1, bench::kMaxThreads)};
   }
   std::vector<size_t> batch_sweep = {0, 8, 32};
   if (flags.Has("batch_ops")) {
@@ -51,8 +47,8 @@ int main(int argc, char** argv) {
   std::printf("# workload=YCSB-%c keys=%llu requests=%llu shards=%d\n", ycsb.workload,
               static_cast<unsigned long long>(keys), static_cast<unsigned long long>(requests),
               shards);
-  std::printf("%-8s %10s %12s %12s %10s %14s %14s\n", "threads", "batch", "tput_mops",
-              "wall_mops", "hit_pct", "nic_messages", "doorbells");
+  std::printf("%-8s %10s %12s %10s %14s %14s\n", "threads", "batch", "tput_mops", "hit_pct",
+              "nic_messages", "doorbells");
 
   for (const int threads : thread_counts) {
     for (const size_t batch : batch_sweep) {
@@ -71,8 +67,8 @@ int main(int argc, char** argv) {
       options.batch_ops = batch;
       options.warmup_fraction = 0.2;
       const sim::RunResult r = sim::RunTraceSharded(d.raw, trace, d.nodes, options);
-      std::printf("%-8d %10zu %12.3f %12.3f %10.2f %14llu %14llu\n", threads, batch,
-                  r.throughput_mops, r.wall_mops, r.hit_rate * 100.0,
+      std::printf("%-8d %10zu %12.3f %10.2f %14llu %14llu\n", threads, batch,
+                  r.throughput_mops, r.hit_rate * 100.0,
                   static_cast<unsigned long long>(r.nic_messages),
                   static_cast<unsigned long long>(r.nic_doorbells));
       char label[64];
@@ -81,8 +77,6 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\n# expected shape: hit_pct constant down the threads column; batched rows\n"
-              "# show fewer nic_messages and far fewer doorbells than batch=0.\n"
-              "# wall_mops is one unrepeated host wall-clock sample; perfbench/ measures\n"
-              "# wall rates with repetitions.\n");
+              "# show fewer nic_messages and far fewer doorbells than batch=0.\n");
   return 0;
 }

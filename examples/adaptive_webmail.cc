@@ -16,9 +16,9 @@
 int main(int argc, char** argv) {
   using namespace ditto;
   Flags flags(argc, argv, {"clients", "phase_len", "phases"});
-  const int phases = static_cast<int>(flags.GetInt("phases", 4));
-  const uint64_t phase_len = flags.GetInt("phase_len", 60000);
-  const int num_clients = static_cast<int>(flags.GetInt("clients", 8));
+  const int phases = flags.GetInt<int>("phases", 4, 1, 1024);
+  const uint64_t phase_len = flags.GetInt<uint64_t>("phase_len", 60000, 1, UINT32_MAX);
+  const int num_clients = flags.GetInt<int>("clients", 8, 1, 1024);
   const uint64_t footprint = 10000;
 
   const workload::Trace trace =

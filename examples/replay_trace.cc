@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv, {"cache_frac", "clients", "experts", "penalty_us", "trace", "warmup"});
   const std::string path = flags.GetString("trace", "");
   const double cache_frac = flags.GetDouble("cache_frac", 0.1);
-  const int num_clients = static_cast<int>(flags.GetInt("clients", 16));
+  const int num_clients = flags.GetInt<int>("clients", 16, 1, 1024);
   const double penalty_us = flags.GetDouble("penalty_us", 500.0);
   const double warmup = flags.GetDouble("warmup", 0.3);
   const std::vector<std::string> experts = SplitExperts(flags.GetString("experts", "lru,lfu"));

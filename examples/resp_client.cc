@@ -134,7 +134,7 @@ class BlockingClient {
 int main(int argc, char** argv) {
   const Flags flags(argc, argv, {"host", "port"});
   const std::string host = flags.GetString("host", "127.0.0.1");
-  const auto port = static_cast<uint16_t>(flags.GetInt("port", 6399));
+  const auto port = flags.GetInt<uint16_t>("port", 6399, 1, UINT16_MAX);
 
   BlockingClient client;
   if (!client.Connect(host, port)) {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds Release and runs every fig* bench plus the sharded-engine, elastic-
-# scaling, contended-engine, pipelined-engine, server-loadgen (RESP front end
-# over loopback sockets) and cluster-lifecycle benches at default flags,
-# capturing each bench's stdout under bench/out/ and writing a JSON manifest
-# (name, exit code, wall seconds, output path) to bench/out/summary.json.
+# scaling, contended-engine, pipelined-engine and cluster-lifecycle benches
+# at default flags, capturing each bench's stdout under bench/out/ and
+# writing a JSON manifest (name, exit code, wall seconds, output path) to
+# bench/out/summary.json.
 #
 # Benches that print machine-readable "BENCH_JSON {...}" rows (see
 # bench::EmitBenchJson: modelled columns only) get those rows collected —
@@ -32,7 +32,7 @@ first=1
 
 for bench in "${build_dir}"/fig* "${build_dir}"/sharded_engine "${build_dir}"/elastic_scaling \
              "${build_dir}"/contended_engine "${build_dir}"/pipelined_engine \
-             "${build_dir}"/server_loadgen "${build_dir}"/cluster_lifecycle; do
+             "${build_dir}"/cluster_lifecycle; do
   [ -x "${bench}" ] || continue
   name="$(basename "${bench}")"
   out_file="${out_dir}/${name}.txt"

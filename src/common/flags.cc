@@ -38,40 +38,41 @@ const std::string* Flags::Find(const std::string& name) const {
   return it == values_.end() ? nullptr : &it->second;
 }
 
-namespace {
-
-// Parses all of `text` with `parse` (strtoll or strtod); exits 2 naming the
-// flag when `text` is not such a number.
-template <typename ParseFn>
-auto ParseOrExit(const std::string& name, const std::string& text, const char* kind,
-                 ParseFn parse) {
-  char* end = nullptr;
-  errno = 0;
-  const auto value = parse(text.c_str(), &end);
-  if (text.empty() || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "flag --%s: '%s' is not %s\n", name.c_str(), text.c_str(), kind);
-    std::exit(2);
-  }
-  return value;
-}
-
-}  // namespace
-
 std::string Flags::GetString(const std::string& name, const std::string& def) const {
   const std::string* value = Find(name);
   return value == nullptr ? def : *value;
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t def) const {
-  const auto parse = [](const char* s, char** end) { return std::strtoll(s, end, 10); };
-  const std::string* value = Find(name);
-  return value == nullptr ? def : ParseOrExit(name, *value, "an integer", parse);
+int64_t Flags::ParseInt(const std::string& name, const std::string& text, int64_t lo,
+                        int64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0') {
+    std::fprintf(stderr, "flag --%s: '%s' is not an integer\n", name.c_str(), text.c_str());
+    std::exit(2);
+  }
+  if (errno == ERANGE || value < lo || value > hi) {
+    std::fprintf(stderr, "flag --%s: '%s' is outside [%lld, %lld]\n", name.c_str(),
+                 text.c_str(), static_cast<long long>(lo), static_cast<long long>(hi));
+    std::exit(2);
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
-  const auto parse = [](const char* s, char** end) { return std::strtod(s, end); };
   const std::string* value = Find(name);
-  return value == nullptr ? def : ParseOrExit(name, *value, "a number", parse);
+  if (value == nullptr) {
+    return def;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value->c_str(), &end);
+  if (value->empty() || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "flag --%s: '%s' is not a number\n", name.c_str(), value->c_str());
+    std::exit(2);
+  }
+  return parsed;
 }
 
 }  // namespace ditto

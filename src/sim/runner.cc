@@ -1,7 +1,6 @@
 #include "sim/runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -445,19 +444,6 @@ RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
   return result;
 }
 
-// Host wall-clock timing of the measured region, from `begin` (taken before
-// the measured replay) through the Finish() drain: the real host replay
-// rate, as opposed to the virtual-time throughput FinishMeasurement derives
-// from the network model.
-void FillWall(RunResult* result, std::chrono::steady_clock::time_point begin, int threads) {
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
-  result->wall_s = wall_s;
-  result->wall_mops =
-      wall_s > 0.0 ? static_cast<double>(result->ops) / (wall_s * 1e6) : 0.0;
-  result->threads = std::max(threads, 1);
-}
-
 // One phase (warmup or measurement) of the threaded engines. clients[o] is
 // owner o; request i of [begin, end) belongs to owner_of(i), and owner o is
 // driven by host thread o % threads. Every thread walks the whole range and
@@ -508,13 +494,12 @@ void ReplayOnThreads(const std::vector<CacheClient*>& clients, const workload::T
 // passes a null schedule and phases. Around the two replays: doorbell
 // batching on, the post-warmup doorbell drain (pending chains charge their
 // deferred costs before the baseline snapshot), the measured replay under
-// the resolved schedule, the Finish() drain, then the virtual-time result,
-// the wall clock of `threads` host threads, and the phase trajectory.
+// the resolved schedule, the Finish() drain, then the virtual-time result
+// and the phase trajectory.
 template <typename ReplayFn>
 RunResult Measure(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                   const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options,
-                  int threads, ReplayFn&& replay,
-                  std::vector<RunResult>* per_client = nullptr) {
+                  ReplayFn&& replay, std::vector<RunResult>* per_client = nullptr) {
   for (CacheClient* client : clients) {
     client->SetBatchOps(options.batch_ops);
   }
@@ -530,7 +515,6 @@ RunResult Measure(const std::vector<CacheClient*>& clients, const workload::Trac
 
   const ResolvedSchedule schedule = ResolveSchedule(options, measure_begin, trace.size());
   const MeasureBaseline base = BeginMeasurement(clients, nodes);
-  const auto wall_begin = std::chrono::steady_clock::now();
   std::vector<PhaseResult> phases;
   replay(measure_begin, trace.size(), &schedule, &phases);
   for (CacheClient* client : clients) {
@@ -538,7 +522,6 @@ RunResult Measure(const std::vector<CacheClient*>& clients, const workload::Trac
   }
   RunResult result =
       FinishMeasurement(clients, nodes, base, trace.size() - measure_begin, per_client);
-  FillWall(&result, wall_begin, threads);
   FinalizePhases(schedule, &phases);
   result.phases = std::move(phases);
   return result;
@@ -563,10 +546,8 @@ RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Tra
                    const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options) {
   std::vector<RecoverySample> samples;
   RecoveryAccumulator recovery{options.recovery_window_ops, &samples, {}};
-  // The interleaved engine (and thus pipelined replay) runs on one host
-  // thread regardless of the client count.
   RunResult result = Measure(
-      clients, trace, nodes, options, /*threads=*/1,
+      clients, trace, nodes, options,
       [&](size_t begin, size_t end, const ResolvedSchedule* schedule,
           std::vector<PhaseResult>* phases) {
         // Recovery windows sample the measured replay only.
@@ -585,7 +566,7 @@ RunResult RunTraceSharded(const std::vector<CacheClient*>& shards, const workloa
     throw std::invalid_argument("RunTraceSharded: at least one shard is required");
   }
   const size_t threads = std::min<size_t>(std::max(options.threads, 1), shards.size());
-  return Measure(shards, trace, nodes, options, static_cast<int>(threads),
+  return Measure(shards, trace, nodes, options,
                  [&](size_t begin, size_t end, const ResolvedSchedule* schedule,
                      std::vector<PhaseResult>* phases) {
                    ReplayOnThreads(shards, trace, begin, end, options, schedule, phases, threads,
@@ -603,7 +584,7 @@ RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
                             std::vector<RunResult>* per_client) {
   const size_t n = clients.size();
   return Measure(
-      clients, trace, nodes, options, static_cast<int>(n),
+      clients, trace, nodes, options,
       [&](size_t begin, size_t end, const ResolvedSchedule* schedule,
           std::vector<PhaseResult>* phases) {
         ReplayOnThreads(clients, trace, begin, end, options, schedule, phases, n,

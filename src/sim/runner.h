@@ -132,15 +132,6 @@ struct RunResult : ClientCounters {
   uint64_t nic_messages = 0;
   uint64_t nic_doorbells = 0;
   uint64_t rpc_ops = 0;
-  // Host wall-clock view of the measured region. The virtual-time fields
-  // above model the simulated network and are bit-deterministic; these three
-  // measure how fast the replay loop itself runs on the host. wall_s covers
-  // the measured replay plus the Finish() drain; threads is the number of
-  // host threads that drove it (1 for RunTrace, the worker count for
-  // RunTraceSharded, the client count for RunTraceContended).
-  double wall_s = 0.0;
-  double wall_mops = 0.0;
-  int threads = 1;
   // Hit-rate trajectory across the resize schedule (resize_schedule.size()+1
   // entries; a single entry covering the whole run when no schedule is set).
   // Deterministic: identical for any RunTraceSharded thread count.

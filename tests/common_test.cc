@@ -289,11 +289,11 @@ TEST(SmallBufTest, WorksWithNonTrivialElementTypes) {
 TEST(FlagsTest, ParsesAllForms) {
   const char* argv[] = {"prog", "--alpha=3", "--beta", "2.5", "--gamma", "--name=x"};
   Flags flags(6, const_cast<char**>(argv), {"alpha", "beta", "gamma", "name"});
-  EXPECT_EQ(flags.GetInt("alpha", 0), 3);
+  EXPECT_EQ(flags.GetInt<int>("alpha", 0, 0, 10), 3);
   EXPECT_DOUBLE_EQ(flags.GetDouble("beta", 0.0), 2.5);
   EXPECT_EQ(flags.GetString("gamma", ""), "true");
   EXPECT_EQ(flags.GetString("name", ""), "x");
-  EXPECT_EQ(flags.GetInt("missing", 7), 7);
+  EXPECT_EQ(flags.GetInt<int>("missing", 7, 0, 10), 7);
   EXPECT_FALSE(flags.Has("missing"));
 }
 
@@ -307,11 +307,50 @@ TEST(FlagsDeathTest, UnknownNameExitsTwo) {
 TEST(FlagsDeathTest, MalformedNumberExitsTwo) {
   const char* keys[] = {"prog", "--keys=abc"};
   const Flags int_flags(2, const_cast<char**>(keys), {"keys"});
-  EXPECT_EXIT(int_flags.GetInt("keys", 1), ::testing::ExitedWithCode(2), "not an integer");
+  EXPECT_EXIT(int_flags.GetInt<uint64_t>("keys", 1, 1, 100), ::testing::ExitedWithCode(2),
+              "not an integer");
   const char* theta[] = {"prog", "--theta=0.9x"};
   const Flags double_flags(2, const_cast<char**>(theta), {"theta"});
   EXPECT_EXIT(double_flags.GetDouble("theta", 1.0), ::testing::ExitedWithCode(2),
               "not a number");
+}
+
+// Reads `text` as --n into an int range [lo, hi] in a child process.
+void ReadIntFlag(const char* text, int lo, int hi) {
+  const std::string arg = std::string("--n=") + text;
+  const char* argv[] = {"prog", arg.c_str()};
+  const Flags flags(2, const_cast<char**>(argv), {"n"});
+  flags.GetInt<int>("n", lo, lo, hi);
+}
+
+TEST(FlagsDeathTest, ValueOutsideRangeExitsTwo) {
+  EXPECT_EXIT(ReadIntFlag("0", 1, 64), ::testing::ExitedWithCode(2),
+              "flag --n: '0' is outside \\[1, 64\\]");
+  EXPECT_EXIT(ReadIntFlag("65", 1, 64), ::testing::ExitedWithCode(2),
+              "flag --n: '65' is outside \\[1, 64\\]");
+}
+
+TEST(FlagsDeathTest, ValueBeyondTheTypeIsNotTruncated) {
+  // 2^32 + 1 would truncate to 1 through an int, which [1, 64] accepts.
+  EXPECT_EXIT(ReadIntFlag("4294967297", 1, 64), ::testing::ExitedWithCode(2), "outside");
+  // Beyond int64_t: strtoll overflows, still a range error.
+  EXPECT_EXIT(ReadIntFlag("99999999999999999999", 1, 64), ::testing::ExitedWithCode(2),
+              "outside");
+}
+
+TEST(FlagsDeathTest, NegativeCountExitsTwo) {
+  const char* argv[] = {"prog", "--clients=-3"};
+  const Flags flags(2, const_cast<char**>(argv), {"clients"});
+  EXPECT_EXIT(flags.GetInt<uint64_t>("clients", 16, 1, 1024), ::testing::ExitedWithCode(2),
+              "outside");
+}
+
+TEST(FlagsTest, BoundsAreInclusive) {
+  const char* argv[] = {"prog", "--lo=1", "--hi=64", "--port=65535"};
+  const Flags flags(4, const_cast<char**>(argv), {"hi", "lo", "port"});
+  EXPECT_EQ(flags.GetInt<int>("lo", 8, 1, 64), 1);
+  EXPECT_EQ(flags.GetInt<int>("hi", 8, 1, 64), 64);
+  EXPECT_EQ(flags.GetInt<uint16_t>("port", 6399, 1, UINT16_MAX), 65535);
 }
 
 }  // namespace

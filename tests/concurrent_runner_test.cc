@@ -54,7 +54,8 @@ TEST(ConcurrentRunnerTest, IdenticalResultsAcrossThreadCounts) {
   EXPECT_GT(r1.gets, 0u);
   EXPECT_GT(r1.hits, 0u);
   EXPECT_GT(r1.misses, 0u);
-  for (const int threads : {2, 8}) {
+  // 16 > the 8 shards: the engine runs one worker per shard at most.
+  for (const int threads : {2, 8, 16}) {
     const sim::RunResult r = RunSharded(trace, threads, /*batch_ops=*/0);
     EXPECT_EQ(r.hits, r1.hits) << "threads=" << threads;
     EXPECT_EQ(r.misses, r1.misses) << "threads=" << threads;
