@@ -29,37 +29,6 @@
 #include "baselines/cliquemap.h"
 #include "baselines/redis_model.h"
 #include "bench_common.h"
-#include "sim/elastic_oracle.h"
-
-namespace {
-
-using ditto::sim::RecoverySample;
-
-double MeanHitRate(const std::vector<RecoverySample>& windows, size_t begin, size_t end) {
-  uint64_t gets = 0;
-  uint64_t hits = 0;
-  for (size_t i = begin; i < end && i < windows.size(); ++i) {
-    gets += windows[i].gets;
-    hits += windows[i].hits;
-  }
-  return gets == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(gets);
-}
-
-// Ops from the fault window until the first window whose hit rate is back at
-// `target`; sums every post-fault window when the run never recovers.
-uint64_t RecoveryOps(const std::vector<RecoverySample>& windows, size_t fault_window,
-                     double target) {
-  uint64_t ops = 0;
-  for (size_t i = fault_window; i < windows.size(); ++i) {
-    if (windows[i].HitRate() >= target) {
-      return ops;
-    }
-    ops += windows[i].gets;
-  }
-  return ops;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ditto;
@@ -106,17 +75,17 @@ int main(int argc, char** argv) {
   bench::ClusterDeployment crash_d = bench::MakeCluster(cluster_config, clients);
   const sim::RunResult crash_r = sim::RunTrace(crash_d.raw, trace, crash_d.nodes, options);
 
-  const std::vector<RecoverySample> cold = sim::ReplayRecoveryOracle(
-      trace, measure_begin, options.lifecycle_schedule, capacity, window);
+  const std::vector<sim::RecoverySample> cold =
+      sim::ReplayExact(trace, policy::PrecisePolicyKind::kLru, capacity, options).recovery;
 
   const size_t crash_w = window_of(0.5);
-  const double pre_ditto = MeanHitRate(crash_r.recovery, 0, crash_w);
-  const double pre_cold = MeanHitRate(cold, 0, crash_w);
-  const uint64_t rec_ditto = RecoveryOps(crash_r.recovery, crash_w, 0.99 * pre_ditto);
-  const uint64_t rec_cold = RecoveryOps(cold, crash_w, 0.99 * pre_cold);
+  const double pre_ditto = sim::MeanHitRate(crash_r.recovery, 0, crash_w);
+  const double pre_cold = sim::MeanHitRate(cold, 0, crash_w);
+  const uint64_t rec_ditto = sim::RecoveryOps(crash_r.recovery, crash_w, 0.99 * pre_ditto);
+  const uint64_t rec_cold = sim::RecoveryOps(cold, crash_w, 0.99 * pre_cold);
   const double post_ditto =
-      MeanHitRate(crash_r.recovery, crash_w, crash_r.recovery.size());
-  const double post_cold = MeanHitRate(cold, crash_w, cold.size());
+      sim::MeanHitRate(crash_r.recovery, crash_w, crash_r.recovery.size());
+  const double post_cold = sim::MeanHitRate(cold, crash_w, cold.size());
 
   std::printf("# keys=%llu requests=%llu nodes=%d clients=%d capacity=%llu window=%zu\n",
               static_cast<unsigned long long>(keys),
@@ -144,11 +113,11 @@ int main(int argc, char** argv) {
       sim::RunTrace(rejoin_d.raw, trace, rejoin_d.nodes, options);
 
   const size_t rejoin_w = window_of(0.7);
-  const double pre_rejoin = MeanHitRate(rejoin_r.recovery, 0, window_of(0.4));
+  const double pre_rejoin = sim::MeanHitRate(rejoin_r.recovery, 0, window_of(0.4));
   const uint64_t rec_rejoin =
-      RecoveryOps(rejoin_r.recovery, rejoin_w, 0.99 * pre_rejoin);
+      sim::RecoveryOps(rejoin_r.recovery, rejoin_w, 0.99 * pre_rejoin);
   const double tail_rejoin =
-      MeanHitRate(rejoin_r.recovery, rejoin_w, rejoin_r.recovery.size());
+      sim::MeanHitRate(rejoin_r.recovery, rejoin_w, rejoin_r.recovery.size());
   std::printf("\n# rejoin: crash@40%% restart@70%%; after the re-join the hit rate is "
               "back to 99%% of\n# pre-crash (%.4f) within %llu ops; post-rejoin mean "
               "%.4f; %llu keys migrated back\n",

@@ -20,7 +20,6 @@
 
 #include "baselines/redis_model.h"
 #include "bench_common.h"
-#include "sim/elastic_oracle.h"
 
 int main(int argc, char** argv) {
   using namespace ditto;
@@ -50,12 +49,12 @@ int main(int argc, char** argv) {
   bench::DittoDeployment d = bench::MakeDitto(bench::MakePoolConfig(capacity), config, clients);
   const sim::RunResult r = sim::RunTrace(d.raw, trace, d.nodes, options);
 
-  const size_t measure_begin =
-      static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));
-  const sim::OracleTrajectory warm = sim::ReplayLruOracle(
-      trace, measure_begin, options.resize_schedule, capacity, /*cold_restart=*/false);
-  const sim::OracleTrajectory cold = sim::ReplayLruOracle(
-      trace, measure_begin, options.resize_schedule, capacity, /*cold_restart=*/true);
+  const std::vector<sim::PhaseResult> warm =
+      sim::ReplayExact(trace, policy::PrecisePolicyKind::kLru, capacity, options).phases;
+  const std::vector<sim::PhaseResult> cold =
+      sim::ReplayExact(trace, policy::PrecisePolicyKind::kLru, capacity, options,
+                       /*num_clients=*/1, /*cold_restart=*/true)
+          .phases;
 
   std::printf("# keys=%llu requests=%llu clients=%d schedule: %llu -> %llu -> %llu objects\n",
               static_cast<unsigned long long>(keys), static_cast<unsigned long long>(requests),
@@ -68,12 +67,12 @@ int main(int argc, char** argv) {
   for (size_t p = 0; p < r.phases.size(); ++p) {
     const uint64_t cap = p == 0 ? capacity : r.phases[p].capacity_objects;
     std::printf("%-10s %10llu %10.4f %10.4f %10.4f\n", p < 3 ? names[p] : "?",
-                static_cast<unsigned long long>(cap), r.phases[p].hit_rate, warm.HitRate(p),
-                cold.HitRate(p));
+                static_cast<unsigned long long>(cap), r.phases[p].hit_rate, warm[p].hit_rate,
+                cold[p].hit_rate);
   }
 
   const double ditto_drop = r.phases[0].hit_rate - r.phases[1].hit_rate;
-  const double cold_drop = cold.HitRate(0) - cold.HitRate(1);
+  const double cold_drop = cold[0].hit_rate - cold[1].hit_rate;
   std::printf("\n# shrink cost (hit-rate drop): ditto %.4f vs cold-restart LRU %.4f\n",
               ditto_drop, cold_drop);
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "sim/hit_rate.h"
 #include "workloads/synthetic_traces.h"
 
 int main(int argc, char** argv) {
@@ -15,6 +14,7 @@ int main(int argc, char** argv) {
   const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 20000, 1, bench::kMaxCount);
   const size_t capacity = footprint / 10;
   const int total_clients = 16;
+  const sim::RunOptions options;
 
   std::printf("# Figure 3: hit rate vs client allocation across two applications\n");
   std::printf("# app A: LRU-friendly (shifting hot set); app B: LFU-friendly (zipf+noise)\n");
@@ -23,8 +23,10 @@ int main(int argc, char** argv) {
   for (int lfu_clients = 0; lfu_clients <= total_clients; lfu_clients += 4) {
     const double frac_b = static_cast<double>(lfu_clients) / total_clients;
     const workload::Trace mixed = workload::MakeTwoAppMix(requests, footprint, 1.0 - frac_b);
-    const double lru = sim::ReplayHitRate(mixed, capacity, policy::PrecisePolicyKind::kLru);
-    const double lfu = sim::ReplayHitRate(mixed, capacity, policy::PrecisePolicyKind::kLfu);
+    const double lru =
+        sim::ReplayExact(mixed, policy::PrecisePolicyKind::kLru, capacity, options).hit_rate;
+    const double lfu =
+        sim::ReplayExact(mixed, policy::PrecisePolicyKind::kLfu, capacity, options).hit_rate;
     std::printf("%-14d %10.4f %10.4f %8s\n", lfu_clients, lru, lfu,
                 lru >= lfu ? "LRU" : "LFU");
   }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "sim/hit_rate.h"
 #include "workloads/synthetic_traces.h"
 
 int main(int argc, char** argv) {
@@ -18,6 +17,11 @@ int main(int argc, char** argv) {
   const uint64_t requests = flags.GetInt<uint64_t>("requests", 80000, 1, bench::kMaxCount);
   const uint64_t footprint = flags.GetInt<uint64_t>("footprint", 8000, 1, bench::kMaxCount);
   const std::vector<int> client_counts = {1, 8, 64, 512};
+  const sim::RunOptions options;
+  const auto hit_rate = [&](const workload::Trace& t, size_t cap,
+                            policy::PrecisePolicyKind kind, int clients) {
+    return sim::ReplayExact(t, kind, cap, options, clients).hit_rate;
+  };
 
   std::printf("# Figure 5a: CDF of relative hit-rate change across %d workloads\n",
               num_workloads);
@@ -37,10 +41,8 @@ int main(int argc, char** argv) {
     int lru_best = 0;
     int lfu_best = 0;
     for (const int clients : client_counts) {
-      const double lru =
-          sim::ReplayHitRate(trace, capacity, policy::PrecisePolicyKind::kLru, clients);
-      const double lfu =
-          sim::ReplayHitRate(trace, capacity, policy::PrecisePolicyKind::kLfu, clients);
+      const double lru = hit_rate(trace, capacity, policy::PrecisePolicyKind::kLru, clients);
+      const double lfu = hit_rate(trace, capacity, policy::PrecisePolicyKind::kLfu, clients);
       (lru >= lfu ? lru_best : lfu_best)++;
     }
     if (lru_best != 0 && lfu_best != 0) {
@@ -66,10 +68,10 @@ int main(int argc, char** argv) {
   for (int w = 0; w < num_workloads; ++w) {
     const workload::Trace t = workload::MakeSuiteWorkload(w, requests, footprint, 11);
     const size_t cap = footprint / 10;
-    const bool lfu_at_1 = sim::ReplayHitRate(t, cap, policy::PrecisePolicyKind::kLfu, 1) >
-                          sim::ReplayHitRate(t, cap, policy::PrecisePolicyKind::kLru, 1);
-    const bool lfu_at_512 = sim::ReplayHitRate(t, cap, policy::PrecisePolicyKind::kLfu, 512) >
-                            sim::ReplayHitRate(t, cap, policy::PrecisePolicyKind::kLru, 512);
+    const bool lfu_at_1 = hit_rate(t, cap, policy::PrecisePolicyKind::kLfu, 1) >
+                          hit_rate(t, cap, policy::PrecisePolicyKind::kLru, 1);
+    const bool lfu_at_512 = hit_rate(t, cap, policy::PrecisePolicyKind::kLfu, 512) >
+                            hit_rate(t, cap, policy::PrecisePolicyKind::kLru, 512);
     if (lfu_at_1 != lfu_at_512) {
       example_index = w;
       break;
@@ -80,10 +82,8 @@ int main(int argc, char** argv) {
   const workload::Trace example =
       workload::MakeSuiteWorkload(example_index, requests * 2, footprint, 11);
   for (const int clients : {1, 4, 16, 64, 256, 512}) {
-    const double lru = sim::ReplayHitRate(example, footprint / 10,
-                                          policy::PrecisePolicyKind::kLru, clients);
-    const double lfu = sim::ReplayHitRate(example, footprint / 10,
-                                          policy::PrecisePolicyKind::kLfu, clients);
+    const double lru = hit_rate(example, footprint / 10, policy::PrecisePolicyKind::kLru, clients);
+    const double lfu = hit_rate(example, footprint / 10, policy::PrecisePolicyKind::kLfu, clients);
     std::printf("%-10d %10.4f %10.4f %8s\n", clients, lru, lfu, lru >= lfu ? "LRU" : "LFU");
   }
   return 0;

@@ -1,6 +1,6 @@
 // Precise (non-sampled) cache replacement structures used by server-centric
-// baselines (CliqueMap's LRU list and LFU heap) and by the single-machine
-// hit-rate simulator behind the motivation figures.
+// baselines (CliqueMap's LRU list and LFU heap) and by sim::ReplayExact, the
+// exact replay behind the motivation figures and the elasticity baselines.
 #ifndef DITTO_POLICIES_PRECISE_H_
 #define DITTO_POLICIES_PRECISE_H_
 
@@ -57,7 +57,8 @@ class PreciseLfu {
 };
 
 // A complete exact cache (capacity in objects) with a pluggable precise
-// policy, used by the hit-rate simulator and baseline servers.
+// policy, used by sim::ReplayExact and baseline servers. A new precise policy
+// is one more PrecisePolicyKind.
 enum class PrecisePolicyKind { kLru, kLfu, kFifo, kRandom };
 
 class PreciseCache {

@@ -16,6 +16,30 @@ namespace ditto::sim {
 
 namespace {
 
+// Normal form of a resize or lifecycle schedule as every replay applies it:
+// steps stably sorted by at_op_fraction with fractions clamped to [0, 1].
+template <typename Step>
+std::vector<Step> NormalizedSchedule(std::vector<Step> schedule) {
+  std::stable_sort(schedule.begin(), schedule.end(), [](const Step& a, const Step& b) {
+    return a.at_op_fraction < b.at_op_fraction;
+  });
+  for (Step& step : schedule) {
+    step.at_op_fraction = std::min(std::max(step.at_op_fraction, 0.0), 1.0);
+  }
+  return schedule;
+}
+
+// The firing index of every step of a normalized schedule (ascending).
+template <typename Step>
+std::vector<size_t> StepIndices(const std::vector<Step>& steps, size_t begin, size_t end) {
+  std::vector<size_t> indices;
+  indices.reserve(steps.size());
+  for (const Step& step : steps) {
+    indices.push_back(ResizeStepIndex(step.at_op_fraction, begin, end));
+  }
+  return indices;
+}
+
 // Resize + lifecycle schedules resolved against the measured region
 // [begin, end): the normalized steps plus their absolute trace-index
 // thresholds (sorted ascending).
@@ -46,6 +70,14 @@ ResolvedSchedule ResolveSchedule(const RunOptions& options, size_t begin, size_t
   schedule.lifecycle_steps = NormalizedSchedule(options.lifecycle_schedule);
   schedule.lifecycle_thresholds = StepIndices(schedule.lifecycle_steps, begin, end);
   return schedule;
+}
+
+// First request index of the measured region: trace[0, MeasureBegin) is
+// warmup.
+size_t MeasureBegin(const RunOptions& options, size_t trace_size) {
+  return options.warmup_fraction > 0.0
+             ? static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace_size))
+             : 0;
 }
 
 // Windowed Get-outcome sampler shared by every dispatcher of one interleaved
@@ -302,49 +334,31 @@ void FinalizePhases(const ResolvedSchedule& schedule, std::vector<PhaseResult>* 
 }
 
 // Replays [begin, end) of the trace: client c owns the strided shard
-// begin+c, begin+c+n, ... and the clients' progress is interleaved with the
-// same deterministic burst model as workload::InterleaveClients, which
-// stands in for unsynchronized concurrent execution. Replaying in one host
-// thread keeps the merged access order (and thus hit rates) deterministic;
-// timing is virtual, so throughput numbers are unaffected by host
-// scheduling.
+// begin+c, begin+c+n, ... and the clients' progress is interleaved by
+// workload::ForEachInterleaved's burst model, which stands in for
+// unsynchronized concurrent execution. Replaying in one host thread keeps the
+// merged access order (and thus hit rates) deterministic; timing is virtual,
+// so throughput numbers are unaffected by host scheduling.
 void ReplayInterleaved(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                        size_t begin, size_t end, const RunOptions& options,
                        const ResolvedSchedule* schedule, std::vector<PhaseResult>* phases_out,
                        RecoveryAccumulator* recovery) {
   const size_t n = clients.size();
   const std::string value(options.MaxValueBytes(), 'v');
-  std::vector<size_t> cursor(n);
   std::vector<OpDispatcher> dispatch;
   dispatch.reserve(n);
-  std::vector<int> live;
   for (size_t c = 0; c < n; ++c) {
-    cursor[c] = begin + c;
     // Interleaved clients share one deployment, so each applies the
     // aggregate capacity (idempotent on the shared server state). The
     // recovery accumulator is shared too: the engine runs on one host
     // thread, so windows follow the merged dispatch order.
     dispatch.emplace_back(clients[c], trace, options, value, schedule, c, n,
                           /*split_capacity=*/false, recovery);
-    if (cursor[c] < end) {
-      live.push_back(static_cast<int>(c));
-    }
   }
-  Rng rng(0x9e3779b9 + end);
-  while (!live.empty()) {
-    const size_t pick = rng.NextBelow(live.size());
-    const int c = live[pick];
-    const uint64_t burst = 1 + rng.NextBelow(8);
-    for (uint64_t b = 0; b < burst && cursor[c] < end; ++b) {
-      dispatch[c].Dispatch(static_cast<uint32_t>(cursor[c]));
-      cursor[c] += n;
-    }
-    if (static_cast<size_t>(cursor[c]) >= end) {
-      dispatch[c].Flush();
-      live[pick] = live.back();
-      live.pop_back();
-    }
-  }
+  workload::ForEachInterleaved(
+      begin, end, n, 0x9e3779b9 + end,
+      [&](size_t c, size_t index) { dispatch[c].Dispatch(static_cast<uint32_t>(index)); },
+      [&](size_t c) { dispatch[c].Flush(); });
   for (const OpDispatcher& d : dispatch) {
     MergePhases(d.phases(), phases_out);
   }
@@ -503,10 +517,8 @@ RunResult Measure(const std::vector<CacheClient*>& clients, const workload::Trac
   for (CacheClient* client : clients) {
     client->SetBatchOps(options.batch_ops);
   }
-  size_t measure_begin = 0;
+  const size_t measure_begin = MeasureBegin(options, trace.size());
   if (options.warmup_fraction > 0.0) {
-    measure_begin =
-        static_cast<size_t>(options.warmup_fraction * static_cast<double>(trace.size()));
     replay(0, measure_begin, nullptr, nullptr);
     for (CacheClient* client : clients) {
       client->SetBatchOps(options.batch_ops);
@@ -557,6 +569,96 @@ RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Tra
       });
   result.recovery = std::move(samples);
   return result;
+}
+
+RunResult ReplayExact(const workload::Trace& trace, policy::PrecisePolicyKind kind,
+                      uint64_t capacity, const RunOptions& options, int num_clients,
+                      bool cold_restart) {
+  // Seeds the interleave and kRandom's victim draws.
+  constexpr uint64_t kSeed = 7;
+  const size_t n = static_cast<size_t>(std::max(num_clients, 1));
+  const size_t measure_begin = MeasureBegin(options, trace.size());
+  policy::PreciseCache cache(capacity, kind, kSeed);
+  workload::ForEachInterleaved(
+      0, measure_begin, n, kSeed, [&](size_t, size_t index) { cache.Access(trace[index].key); },
+      [](size_t) {});
+
+  const ResolvedSchedule schedule = ResolveSchedule(options, measure_begin, trace.size());
+  RunResult result;
+  std::vector<PhaseResult> phases(schedule.num_phases());
+  RecoveryAccumulator recovery{options.recovery_window_ops, &result.recovery, {}};
+  size_t resizes_applied = 0;
+  size_t lifecycle_applied = 0;
+  workload::ForEachInterleaved(
+      measure_begin, trace.size(), n, kSeed,
+      [&](size_t, size_t index) {
+        // The cache is shared by every client, so a step applies once, when
+        // the first client crosses it; resizes go before lifecycle steps at
+        // the same index, as in OpDispatcher::AdvancePhase.
+        const size_t phase = schedule.PhaseOf(index);
+        for (; resizes_applied < phase; ++resizes_applied) {
+          const uint64_t step_capacity = schedule.resizes[resizes_applied].capacity_objects;
+          if (cold_restart) {
+            cache = policy::PreciseCache(step_capacity, kind, kSeed);
+          } else {
+            cache.Resize(step_capacity);
+          }
+        }
+        for (const size_t due = schedule.LifecycleCountAt(index); lifecycle_applied < due;
+             ++lifecycle_applied) {
+          cache = policy::PreciseCache(cache.capacity(), kind, kSeed);
+        }
+        const bool hit = cache.Access(trace[index].key);
+        PhaseResult& slice = phases[phase];
+        slice.ops++;
+        slice.gets++;
+        (hit ? slice.hits : slice.misses)++;
+        (hit ? result.hits : result.misses)++;
+        if (options.recovery_window_ops > 0) {
+          recovery.Record(hit);
+        }
+      },
+      [](size_t) {});
+  recovery.Finish();
+  result.ops = result.gets = result.hits + result.misses;
+  result.hit_rate = result.HitRate();
+  FinalizePhases(schedule, &phases);
+  result.phases = std::move(phases);
+  return result;
+}
+
+double RelativeHitRateChange(const workload::Trace& trace, uint64_t capacity,
+                             policy::PrecisePolicyKind kind,
+                             const std::vector<int>& client_counts) {
+  double h_max = 0.0;
+  double h_min = 1.0;
+  for (const int clients : client_counts) {
+    const double h = ReplayExact(trace, kind, capacity, RunOptions{}, clients).hit_rate;
+    h_max = std::max(h_max, h);
+    h_min = std::min(h_min, h);
+  }
+  return h_max <= 0.0 ? 0.0 : (h_max - h_min) / h_max;
+}
+
+double MeanHitRate(const std::vector<RecoverySample>& windows, size_t begin, size_t end) {
+  RecoverySample sum;
+  for (size_t i = begin; i < end && i < windows.size(); ++i) {
+    sum.gets += windows[i].gets;
+    sum.hits += windows[i].hits;
+  }
+  return sum.HitRate();
+}
+
+uint64_t RecoveryOps(const std::vector<RecoverySample>& windows, size_t fault_window,
+                     double target) {
+  uint64_t ops = 0;
+  for (size_t i = fault_window; i < windows.size(); ++i) {
+    if (windows[i].HitRate() >= target) {
+      return ops;
+    }
+    ops += windows[i].gets;
+  }
+  return ops;
 }
 
 RunResult RunTraceSharded(const std::vector<CacheClient*>& shards, const workload::Trace& trace,

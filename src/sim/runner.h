@@ -9,14 +9,18 @@
 // and throughput is ops / elapsed. A Get miss pays the configured miss
 // penalty (the paper's 500 us distributed-storage fetch) and re-inserts the
 // object with Set.
+//
+// ReplayExact replays the same trace, schedules and interleave through one
+// exact policy::PreciseCache: the precise baselines of the motivation study
+// (Figures 3-5) and the warm / cold-restart LRU of the elasticity results.
 #ifndef DITTO_SIM_RUNNER_H_
 #define DITTO_SIM_RUNNER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "policies/precise.h"
 #include "rdma/node.h"
 #include "sim/client_iface.h"
 #include "sim/request_policy.h"
@@ -108,6 +112,14 @@ struct RecoverySample {
   }
 };
 
+// Aggregate hit rate of windows [begin, end) (clamped to windows.size()).
+double MeanHitRate(const std::vector<RecoverySample>& windows, size_t begin, size_t end);
+
+// Ops from the fault window until the first window whose hit rate is back at
+// `target`; sums every post-fault window when the run never recovers.
+uint64_t RecoveryOps(const std::vector<RecoverySample>& windows, size_t fault_window,
+                     double target);
+
 // Per-phase slice of a run, where phases are delimited by the resize
 // schedule: phase 0 runs at the deployment's initial capacity
 // (capacity_objects reported as 0), phase p >= 1 after schedule step p-1.
@@ -152,35 +164,31 @@ RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Tra
 RunResult RunTrace(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                    const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options);
 
-// Normal form of a resize or lifecycle schedule as every replay engine
-// applies it: steps stably sorted by at_op_fraction with fractions clamped to
-// [0, 1]. Oracle replays (sim/elastic_oracle.h) use the same normal form so
-// every consumer crosses steps at identical request indices.
-template <typename Step>
-std::vector<Step> NormalizedSchedule(std::vector<Step> schedule) {
-  std::stable_sort(schedule.begin(), schedule.end(), [](const Step& a, const Step& b) {
-    return a.at_op_fraction < b.at_op_fraction;
-  });
-  for (Step& step : schedule) {
-    step.at_op_fraction = std::min(std::max(step.at_op_fraction, 0.0), 1.0);
-  }
-  return schedule;
-}
+// Replays `trace` through one exact cache of `capacity` objects, every
+// request counting as one access (Get) whatever its op. `num_clients` > 1
+// replays in the burst-interleaved order of that many concurrent clients
+// (workload::ForEachInterleaved, seed 7). The measured region, resize and
+// lifecycle schedules, phase trajectory and recovery windows follow
+// `options` as in RunTrace, so on a pure-Get trace every phase and window
+// covers the same requests as RunTrace's. A resize step resizes the cache in
+// place, or with `cold_restart` rebuilds it empty at the step's capacity; a
+// lifecycle step always rebuilds it empty (a monolithic cluster restarts on
+// any membership change). Fills gets/hits/misses, ops, hit_rate, phases and
+// recovery; the timing fields stay 0.
+RunResult ReplayExact(const workload::Trace& trace, policy::PrecisePolicyKind kind,
+                      uint64_t capacity, const RunOptions& options, int num_clients = 1,
+                      bool cold_restart = false);
 
-// Absolute trace index at which a (normalized) step fires over the measured
-// region [begin, end).
+// Relative hit-rate change (h_max - h_min) / h_max of ReplayExact over the
+// given client counts for one trace and policy (the Figure 5a statistic).
+double RelativeHitRateChange(const workload::Trace& trace, uint64_t capacity,
+                             policy::PrecisePolicyKind kind,
+                             const std::vector<int>& client_counts);
+
+// Absolute trace index at which a schedule step fires over the measured
+// region [begin, end). Every engine and ReplayExact apply a schedule stably
+// sorted by at_op_fraction, with fractions clamped to [0, 1].
 size_t ResizeStepIndex(double at_op_fraction, size_t begin, size_t end);
-
-// The firing index of every step of a normalized schedule (ascending).
-template <typename Step>
-std::vector<size_t> StepIndices(const std::vector<Step>& steps, size_t begin, size_t end) {
-  std::vector<size_t> indices;
-  indices.reserve(steps.size());
-  for (const Step& step : steps) {
-    indices.push_back(ResizeStepIndex(step.at_op_fraction, begin, end));
-  }
-  return indices;
-}
 
 // Deterministic seeded key -> shard partition of the concurrent engine.
 uint32_t ShardForKey(uint64_t key, size_t num_shards, uint64_t seed);

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/hash.h"
-#include "common/rand.h"
 
 namespace ditto::workload {
 
@@ -56,43 +55,6 @@ void ApplyOpMix(Trace* trace, const OpMix& mix) {
   for (uint64_t i = 0; i < trace->size(); ++i) {
     (*trace)[i].op = MixedOpAt((*trace)[i].op, i, mix);
   }
-}
-
-Trace InterleaveClients(const Trace& trace, int num_clients, uint64_t seed) {
-  if (num_clients <= 1) {
-    return trace;
-  }
-  // Strided shards: client i replays requests i, i+n, i+2n, ...
-  std::vector<size_t> cursor(num_clients);
-  for (int i = 0; i < num_clients; ++i) {
-    cursor[i] = static_cast<size_t>(i);
-  }
-  Trace out;
-  out.reserve(trace.size());
-  Rng rng(seed);
-  std::vector<int> live;
-  live.reserve(num_clients);
-  for (int i = 0; i < num_clients; ++i) {
-    if (cursor[i] < trace.size()) {
-      live.push_back(i);
-    }
-  }
-  // Clients proceed in random bursts, modelling unsynchronized concurrent
-  // replay of the shards.
-  while (!live.empty()) {
-    const size_t pick = rng.NextBelow(live.size());
-    const int c = live[pick];
-    const uint64_t burst = 1 + rng.NextBelow(8);
-    for (uint64_t b = 0; b < burst && cursor[c] < trace.size(); ++b) {
-      out.push_back(trace[cursor[c]]);
-      cursor[c] += static_cast<size_t>(num_clients);
-    }
-    if (cursor[c] >= trace.size()) {
-      live[pick] = live.back();
-      live.pop_back();
-    }
-  }
-  return out;
 }
 
 }  // namespace ditto::workload

@@ -24,6 +24,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/rand.h"
+
 namespace ditto::workload {
 
 enum class Op : uint8_t { kGet, kUpdate, kInsert, kDelete, kExpire, kMultiGet };
@@ -86,12 +88,43 @@ Op MixedOpAt(Op base, uint64_t index, const OpMix& mix);
 // Materializes MixedOpAt over a whole trace.
 void ApplyOpMix(Trace* trace, const OpMix& mix);
 
-// Deterministically interleaves per-client subsequences of `trace` the way
-// `num_clients` concurrent clients replaying disjoint shards would: client i
-// replays requests i, i+n, i+2n... and the interleaving round-robins with a
-// per-client skew so the merged order differs from the original (this is the
-// concurrency effect studied in Figures 5a/5b).
-Trace InterleaveClients(const Trace& trace, int num_clients, uint64_t seed = 7);
+// Visits the requests [begin, end) of a trace in the order `n` concurrent
+// clients replaying disjoint strided shards would issue them: client c owns
+// indices begin+c, begin+c+n, ... and, standing in for unsynchronized
+// execution, a seeded generator repeatedly picks a live client and lets it
+// issue a burst of 1-8 of its next requests. visit(c, index) sees each index
+// exactly once, in each client's own ascending order; done(c) is called right
+// after client c's last request. n == 1 visits [begin, end) in trace order.
+// This is the concurrency effect studied in Figures 5a/5b and the replay
+// order of sim::RunTrace.
+template <typename Visit, typename Done>
+void ForEachInterleaved(size_t begin, size_t end, size_t n, uint64_t seed, Visit&& visit,
+                        Done&& done) {
+  std::vector<size_t> cursor(n);
+  std::vector<size_t> live;
+  live.reserve(n);
+  for (size_t c = 0; c < n; ++c) {
+    cursor[c] = begin + c;
+    if (cursor[c] < end) {
+      live.push_back(c);
+    }
+  }
+  Rng rng(seed);
+  while (!live.empty()) {
+    const size_t pick = rng.NextBelow(live.size());
+    const size_t c = live[pick];
+    const uint64_t burst = 1 + rng.NextBelow(8);
+    for (uint64_t b = 0; b < burst && cursor[c] < end; ++b) {
+      visit(c, cursor[c]);
+      cursor[c] += n;
+    }
+    if (cursor[c] >= end) {
+      done(c);
+      live[pick] = live.back();
+      live.pop_back();
+    }
+  }
+}
 
 }  // namespace ditto::workload
 

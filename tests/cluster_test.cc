@@ -33,7 +33,6 @@
 #include "core/cluster.h"
 #include "core/ring.h"
 #include "sim/adapters.h"
-#include "sim/elastic_oracle.h"
 #include "sim/runner.h"
 #include "workloads/trace.h"
 #include "workloads/ycsb.h"
@@ -99,29 +98,6 @@ void ExpectIdenticalResults(const sim::RunResult& a, const sim::RunResult& b) {
   EXPECT_DOUBLE_EQ(a.throughput_mops, b.throughput_mops);
   EXPECT_DOUBLE_EQ(a.p50_us, b.p50_us);
   EXPECT_DOUBLE_EQ(a.p99_us, b.p99_us);
-}
-
-double MeanHitRate(const std::vector<sim::RecoverySample>& windows, size_t begin,
-                   size_t end) {
-  uint64_t gets = 0;
-  uint64_t hits = 0;
-  for (size_t i = begin; i < end && i < windows.size(); ++i) {
-    gets += windows[i].gets;
-    hits += windows[i].hits;
-  }
-  return gets == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(gets);
-}
-
-uint64_t RecoveryOps(const std::vector<sim::RecoverySample>& windows, size_t fault_window,
-                     double target) {
-  uint64_t ops = 0;
-  for (size_t i = fault_window; i < windows.size(); ++i) {
-    if (windows[i].HitRate() >= target) {
-      return ops;
-    }
-    ops += windows[i].gets;
-  }
-  return ops;
 }
 
 // --- Hash ring ---------------------------------------------------------------
@@ -453,21 +429,21 @@ TEST(ClusterCrashTest, RecoveryBeatsColdRestartOracle) {
   EXPECT_EQ(r.ops, trace.size() - measure_begin);
   EXPECT_EQ(r.gets, r.hits + r.misses);
 
-  const std::vector<sim::RecoverySample> cold = sim::ReplayRecoveryOracle(
-      trace, measure_begin, options.lifecycle_schedule, capacity, window);
+  const std::vector<sim::RecoverySample> cold =
+      sim::ReplayExact(trace, policy::PrecisePolicyKind::kLru, capacity, options).recovery;
   ASSERT_EQ(r.recovery.size(), cold.size());
 
   const size_t crash_window =
       (sim::ResizeStepIndex(0.5, measure_begin, trace.size()) - measure_begin) / window;
-  const double pre_ditto = MeanHitRate(r.recovery, 0, crash_window);
-  const double pre_cold = MeanHitRate(cold, 0, crash_window);
-  const double post_ditto = MeanHitRate(r.recovery, crash_window, r.recovery.size());
-  const double post_cold = MeanHitRate(cold, crash_window, cold.size());
+  const double pre_ditto = sim::MeanHitRate(r.recovery, 0, crash_window);
+  const double pre_cold = sim::MeanHitRate(cold, 0, crash_window);
+  const double post_ditto = sim::MeanHitRate(r.recovery, crash_window, r.recovery.size());
+  const double post_cold = sim::MeanHitRate(cold, crash_window, cold.size());
   EXPECT_GT(pre_ditto, 0.5);
   // Losing 1/4 of the keys strictly beats losing all of them.
   EXPECT_GT(post_ditto, post_cold);
-  const uint64_t rec_ditto = RecoveryOps(r.recovery, crash_window, 0.99 * pre_ditto);
-  const uint64_t rec_cold = RecoveryOps(cold, crash_window, 0.99 * pre_cold);
+  const uint64_t rec_ditto = sim::RecoveryOps(r.recovery, crash_window, 0.99 * pre_ditto);
+  const uint64_t rec_cold = sim::RecoveryOps(cold, crash_window, 0.99 * pre_cold);
   EXPECT_LT(rec_ditto, rec_cold);
 }
 
@@ -495,8 +471,8 @@ TEST(ClusterCrashTest, RejoinRecoversHitRate) {
       (sim::ResizeStepIndex(0.4, measure_begin, trace.size()) - measure_begin) / window;
   const size_t rejoin_window =
       (sim::ResizeStepIndex(0.7, measure_begin, trace.size()) - measure_begin) / window;
-  const double pre_crash = MeanHitRate(r.recovery, 0, crash_window);
-  const double tail = MeanHitRate(r.recovery, rejoin_window + 1, r.recovery.size());
+  const double pre_crash = sim::MeanHitRate(r.recovery, 0, crash_window);
+  const double tail = sim::MeanHitRate(r.recovery, rejoin_window + 1, r.recovery.size());
   EXPECT_GT(pre_crash, 0.5);
   EXPECT_GE(tail, 0.98 * pre_crash);
   // The restart migrated keys back into the re-joined node.

@@ -18,7 +18,6 @@
 #include "dm/pool.h"
 #include "rdma/verbs.h"
 #include "sim/adapters.h"
-#include "sim/elastic_oracle.h"
 #include "sim/runner.h"
 #include "workloads/trace.h"
 #include "workloads/ycsb.h"
@@ -236,20 +235,20 @@ TEST(ElasticScheduleTest, ShrinkLosesLessThanColdRestartAndExpandRecovers) {
   EXPECT_EQ(phase_hits, r.hits);
   EXPECT_EQ(phase_gets, r.gets);
 
-  const size_t measure_begin = static_cast<size_t>(
-      options.warmup_fraction * static_cast<double>(trace.size()));
-  // The oracle shares the runner's schedule arithmetic (sim/elastic_oracle),
-  // so it cold-restarts at the identical request indices as Ditto's resizes.
-  const sim::OracleTrajectory lru_cold = sim::ReplayLruOracle(
-      trace, measure_begin, options.resize_schedule, kCapacity, /*cold_restart=*/true);
+  // ReplayExact resolves the same options as RunTrace, so the precise LRU
+  // cold-restarts at the identical request indices as Ditto's resizes.
+  const std::vector<sim::PhaseResult> lru_cold =
+      sim::ReplayExact(trace, policy::PrecisePolicyKind::kLru, kCapacity, options,
+                       /*num_clients=*/1, /*cold_restart=*/true)
+          .phases;
 
   // Paper claim: the shrink costs Ditto strictly less hit rate than a
   // precise LRU that cold-restarts at the same (equal) capacity.
   const double ditto_drop = r.phases[0].hit_rate - r.phases[1].hit_rate;
-  const double cold_drop = lru_cold.HitRate(0) - lru_cold.HitRate(1);
+  const double cold_drop = lru_cold[0].hit_rate - lru_cold[1].hit_rate;
   EXPECT_LT(ditto_drop, cold_drop)
       << "ditto p0=" << r.phases[0].hit_rate << " p1=" << r.phases[1].hit_rate
-      << " lru-cold p0=" << lru_cold.HitRate(0) << " p1=" << lru_cold.HitRate(1);
+      << " lru-cold p0=" << lru_cold[0].hit_rate << " p1=" << lru_cold[1].hit_rate;
 
   // The expand step recovers hit rate.
   EXPECT_GT(r.phases[2].hit_rate, r.phases[1].hit_rate);

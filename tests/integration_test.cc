@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "sim/hit_rate.h"
 
 namespace ditto {
 namespace {
@@ -33,14 +32,24 @@ bench::DittoDeployment MakeDeployment(uint64_t capacity, const std::vector<std::
   return bench::MakeDitto(pool_config, config, num_clients);
 }
 
+constexpr double kWarmup = 0.3;
+
 double RunHitRate(const workload::Trace& trace, uint64_t capacity,
                   const std::vector<std::string>& experts, int num_clients = 2,
-                  double warmup = 0.3) {
+                  double warmup = kWarmup) {
   bench::DittoDeployment d = MakeDeployment(capacity, experts, num_clients);
   sim::RunOptions options;
   options.warmup_fraction = warmup;
   const sim::RunResult result = sim::RunTrace(d.raw, trace, d.nodes, options);
   return result.hit_rate;
+}
+
+// Exact-policy hit rate over the same measured region as RunHitRate's.
+double ExactHitRate(const workload::Trace& trace, uint64_t capacity,
+                    policy::PrecisePolicyKind kind) {
+  sim::RunOptions options;
+  options.warmup_fraction = kWarmup;
+  return sim::ReplayExact(trace, kind, capacity, options).hit_rate;
 }
 
 constexpr uint64_t kRequests = 120000;
@@ -52,16 +61,14 @@ TEST(IntegrationTest, SampledLruTracksExactLru) {
       workload::MakeShiftingHotSet(kRequests, kFootprint, kFootprint / 10, kRequests / 50,
                                    kFootprint / 20, 3);
   const double sampled = RunHitRate(trace, kCapacity, {"lru"}, 1);
-  const double exact =
-      sim::ReplayHitRate(trace, kCapacity, policy::PrecisePolicyKind::kLru);
+  const double exact = ExactHitRate(trace, kCapacity, policy::PrecisePolicyKind::kLru);
   EXPECT_NEAR(sampled, exact, 0.10) << "5-sample LRU approximates exact LRU";
 }
 
 TEST(IntegrationTest, SampledLfuTracksExactLfu) {
   const workload::Trace trace = workload::MakeStationaryZipf(kRequests, kFootprint, 1.0, 3);
   const double sampled = RunHitRate(trace, kCapacity, {"lfu"}, 1);
-  const double exact =
-      sim::ReplayHitRate(trace, kCapacity, policy::PrecisePolicyKind::kLfu);
+  const double exact = ExactHitRate(trace, kCapacity, policy::PrecisePolicyKind::kLfu);
   EXPECT_NEAR(sampled, exact, 0.10);
 }
 

@@ -8,7 +8,7 @@
 
 #include "common/hash.h"
 #include "common/rand.h"
-#include "sim/hit_rate.h"
+#include "sim/runner.h"
 #include "workloads/synthetic_traces.h"
 #include "workloads/trace.h"
 #include "workloads/ycsb.h"
@@ -41,33 +41,54 @@ TEST(TraceTest, FormatKeyMatchesKeyStringExactly) {
   }
 }
 
+// The request indices ForEachInterleaved visits over [0, size) for n clients,
+// in visit order; `done` records each client's finishing point.
+std::vector<size_t> InterleavedOrder(size_t size, size_t n,
+                                     std::vector<size_t>* done_at = nullptr) {
+  std::vector<size_t> order;
+  ForEachInterleaved(
+      0, size, n, /*seed=*/7, [&](size_t c, size_t index) {
+        EXPECT_EQ(index % n, c) << "client c owns the strided shard c, c+n, ...";
+        order.push_back(index);
+      },
+      [&](size_t c) {
+        if (done_at != nullptr) {
+          (*done_at)[c] = order.size();
+        }
+      });
+  return order;
+}
+
 TEST(TraceTest, InterleavePreservesMultiset) {
-  Trace trace;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    trace.push_back({Op::kGet, i % 100});
+  constexpr size_t kSize = 1000;
+  constexpr size_t kClients = 8;
+  std::vector<size_t> done_at(kClients, 0);
+  const std::vector<size_t> order = InterleavedOrder(kSize, kClients, &done_at);
+  ASSERT_EQ(order.size(), kSize);
+  // Every index exactly once; each client's own indices in ascending order,
+  // and done(c) right after its last one.
+  std::vector<int> seen(kSize, 0);
+  std::vector<size_t> last(kClients, 0);
+  std::vector<size_t> last_pos(kClients, 0);
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    const size_t index = order[pos];
+    seen[index]++;
+    const size_t c = index % kClients;
+    if (index >= kClients) {
+      EXPECT_EQ(last[c] + kClients, index);
+    }
+    last[c] = index;
+    last_pos[c] = pos + 1;
   }
-  const Trace mixed = InterleaveClients(trace, 8);
-  ASSERT_EQ(mixed.size(), trace.size());
-  std::map<uint64_t, int> before;
-  std::map<uint64_t, int> after;
-  for (const auto& r : trace) {
-    before[r.key]++;
-  }
-  for (const auto& r : mixed) {
-    after[r.key]++;
-  }
-  EXPECT_EQ(before, after);
+  EXPECT_EQ(std::set<int>(seen.begin(), seen.end()), std::set<int>{1});
+  EXPECT_EQ(done_at, last_pos);
 }
 
 TEST(TraceTest, InterleaveChangesOrder) {
-  Trace trace;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    trace.push_back({Op::kGet, i});
-  }
-  const Trace mixed = InterleaveClients(trace, 16);
+  const std::vector<size_t> order = InterleavedOrder(1000, 16);
   int displaced = 0;
-  for (size_t i = 0; i < trace.size(); ++i) {
-    if (mixed[i].key != trace[i].key) {
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (order[i] != i) {
       displaced++;
     }
   }
@@ -156,11 +177,7 @@ TEST(TraceTest, RequestPacksEveryOpAndKeyInOneWord) {
 }
 
 TEST(TraceTest, InterleaveSingleClientIsIdentity) {
-  Trace trace = {{Op::kGet, 1}, {Op::kGet, 2}};
-  const Trace same = InterleaveClients(trace, 1);
-  EXPECT_EQ(same.size(), 2u);
-  EXPECT_EQ(same[0].key, 1u);
-  EXPECT_EQ(same[1].key, 2u);
+  EXPECT_EQ(InterleavedOrder(3, 1), (std::vector<size_t>{0, 1, 2}));
 }
 
 TEST(YcsbTest, WorkloadMixesMatchSpecs) {
@@ -251,10 +268,10 @@ constexpr uint64_t kCount = 200000;
 constexpr uint64_t kFootprint = 10000;
 
 double LruRate(const Trace& t, size_t cap) {
-  return sim::ReplayHitRate(t, cap, policy::PrecisePolicyKind::kLru);
+  return sim::ReplayExact(t, policy::PrecisePolicyKind::kLru, cap, sim::RunOptions{}).hit_rate;
 }
 double LfuRate(const Trace& t, size_t cap) {
-  return sim::ReplayHitRate(t, cap, policy::PrecisePolicyKind::kLfu);
+  return sim::ReplayExact(t, policy::PrecisePolicyKind::kLfu, cap, sim::RunOptions{}).hit_rate;
 }
 
 TEST(SyntheticTest, LfuFriendlyGeneratorFavorsLfu) {
