@@ -46,6 +46,7 @@
 #include "core/ditto_client.h"
 #include "dm/pool.h"
 #include "policies/policy.h"
+#include "rdma/cost_model.h"
 #include "sim/adapters.h"
 #include "sim/runner.h"
 #include "workloads/synthetic_traces.h"
@@ -68,10 +69,14 @@ inline constexpr int kMaxBatch = 1024;
 // server reactors).
 inline constexpr int kMaxThreads = 64;
 
+// The cost-model line prints rdma::CostModel's defaults.
 inline void PrintHeader(const char* figure, const char* what) {
+  constexpr rdma::CostModel kCost{};
+  static_assert(kCost.read_rtt_us == kCost.write_rtt_us, "one READ/WRITE rtt is printed");
   std::printf("# %s\n# %s\n", figure, what);
-  std::printf("# cost model: READ/WRITE rtt 2.0us, ATOMIC 2.5us, NIC 75 Mmsg/s, "
-              "RPC 1.2us/op/core\n");
+  std::printf("# cost model: READ/WRITE rtt %.1fus, ATOMIC %.1fus, NIC %.0f Mmsg/s, "
+              "RPC %.1fus/op/core\n",
+              kCost.read_rtt_us, kCost.atomic_rtt_us, kCost.nic_mops, kCost.rpc_service_us);
 }
 
 // Escapes `"` and `\` so no bench/label string can corrupt the one-line

@@ -145,9 +145,8 @@ int main(int argc, char** argv) {
   // (request parse + structure maintenance), migration parallel over the
   // destination nodes; Redis moves keys at the RESTORE-bound per-shard rate.
   const rdma::CostModel cost;
-  const baselines::CliqueMapConfig cm;
   const double cm_leave_s = static_cast<double>(moved_leave) *
-                            (cost.rpc_service_us + cm.set_service_us) / 1e6 /
+                            (cost.rpc_service_us + baselines::kCmSetServiceUs) / 1e6 /
                             static_cast<double>(nodes - 1);
   baselines::RedisModelConfig redis_config;
   redis_config.initial_shards = nodes;

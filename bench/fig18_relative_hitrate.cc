@@ -46,10 +46,8 @@ int main(int argc, char** argv) {
   for (int w = 0; w < num_workloads; ++w) {
     const workload::Trace trace = workload::MakeSuiteWorkload(w, requests, footprint, 23);
     const uint64_t capacity = workload::Footprint(trace) / 10;
-    // The random-eviction base counts the whole trace (no warmup).
     const double random_rate =
-        sim::ReplayExact(trace, policy::PrecisePolicyKind::kRandom, capacity, sim::RunOptions{})
-            .hit_rate;
+        sim::ReplayExact(trace, policy::PrecisePolicyKind::kRandom, capacity, options).hit_rate;
     const double base = std::max(random_rate, 1e-3);
     auto hit_rate = [&](const char* system) {
       return bench::RunSystem(bench::ParseSystem(system), trace, bench::MakePoolConfig(capacity),

@@ -43,8 +43,6 @@ WIRE_STRUCTS = [
     ("src/hashtable/layout.h", "SlotView"),
     ("src/core/object.h", "ObjectHeader"),
     ("src/net/resp.h", "RespReply"),
-    ("src/core/ring.h", "RingEntry"),
-    ("src/core/ring.h", "RingEpochHeader"),
 ]
 
 # region name -> relative file that must contain it.

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Smoke-tests the RESP front end as a real process: starts ditto_server on an
 # ephemeral-ish port, replays 50k ops over loopback with server_loadgen
-# --connect, then SIGTERMs the server and asserts a clean exit (exit code 0 —
-# under ASan that also means no leaked fds/allocations survived shutdown).
+# --connect, runs resp_client's scripted session (every command kind, each
+# reply decoded), then SIGTERMs the server and asserts a clean exit (exit
+# code 0 — under ASan that also means no leaked fds/allocations survived
+# shutdown).
 # Runs twice: on one shared memory pool, then on a two-node ClusterPool
 # (--shards=2), the served multi-node path.
 #
@@ -14,8 +16,10 @@ port="${2:-6399}"
 
 server="${build_dir}/ditto_server"
 loadgen="${build_dir}/server_loadgen"
+client="${build_dir}/resp_client"
 [ -x "${server}" ] || { echo "server_smoke: ${server} not built" >&2; exit 1; }
 [ -x "${loadgen}" ] || { echo "server_smoke: ${loadgen} not built" >&2; exit 1; }
+[ -x "${client}" ] || { echo "server_smoke: ${client} not built" >&2; exit 1; }
 
 # smoke <ditto_server flags...>: one start / replay / SIGTERM cycle.
 smoke() {
@@ -34,6 +38,9 @@ smoke() {
 
   echo ">> [$*] replaying 50k ops over loopback"
   "${loadgen}" --connect="${port}" --requests=50000 --conns=8 --depth=8
+
+  echo ">> [$*] scripted RESP session"
+  "${client}" --port="${port}"
 
   echo ">> [$*] SIGTERM: expecting a graceful exit 0"
   kill -TERM "${server_pid}"

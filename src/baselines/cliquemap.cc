@@ -9,6 +9,9 @@
 namespace ditto::baselines {
 namespace {
 
+// MN CPU cost of merging one access record (also of one shrink eviction).
+constexpr double kSyncServiceUsPerEntry = 0.3;
+
 struct SetRequestHeader {
   uint32_t val_len;
   uint16_t key_len;
@@ -338,7 +341,7 @@ bool CliqueMapClient::DoGet(std::string_view key, std::string* value) {
     if (obj.ExpiredAt(pool_->clock().Tick())) {
       // Lazy expiry: ask the server (the only writer of its structures) to
       // drop the dead object, then report a miss.
-      verbs_.Rpc(kRpcCmDelete, key, &rpc_response_, server_->config().set_service_us);
+      verbs_.Rpc(kRpcCmDelete, key, &rpc_response_, kCmSetServiceUs);
       counters_.expired++;
       counters_.misses++;
       return false;
@@ -362,7 +365,7 @@ bool CliqueMapClient::DoSet(std::string_view key, std::string_view value, uint64
   std::memcpy(rpc_request_.data(), &header, sizeof(header));
   std::memcpy(rpc_request_.data() + sizeof(header), key.data(), key.size());
   std::memcpy(rpc_request_.data() + sizeof(header) + key.size(), value.data(), value.size());
-  verbs_.Rpc(kRpcCmSet, rpc_request_, &rpc_response_, server_->config().set_service_us);
+  verbs_.Rpc(kRpcCmSet, rpc_request_, &rpc_response_, kCmSetServiceUs);
   if (rpc_response_.size() >= 9) {
     uint64_t evictions = 0;
     std::memcpy(&evictions, rpc_response_.data() + 1, 8);
@@ -372,7 +375,7 @@ bool CliqueMapClient::DoSet(std::string_view key, std::string_view value, uint64
 }
 
 bool CliqueMapClient::DoDelete(std::string_view key) {
-  verbs_.Rpc(kRpcCmDelete, key, &rpc_response_, server_->config().set_service_us);
+  verbs_.Rpc(kRpcCmDelete, key, &rpc_response_, kCmSetServiceUs);
   const bool deleted = !rpc_response_.empty() && rpc_response_[0] == '\1';
   if (deleted) {
     counters_.deletes++;
@@ -385,7 +388,7 @@ bool CliqueMapClient::DoExpire(std::string_view key, uint64_t ttl_ticks) {
   rpc_request_.resize(8 + key.size());
   std::memcpy(rpc_request_.data(), &expiry, 8);
   std::memcpy(rpc_request_.data() + 8, key.data(), key.size());
-  verbs_.Rpc(kRpcCmExpire, rpc_request_, &rpc_response_, server_->config().set_service_us);
+  verbs_.Rpc(kRpcCmExpire, rpc_request_, &rpc_response_, kCmSetServiceUs);
   return !rpc_response_.empty() && rpc_response_[0] == '\1';
 }
 
@@ -393,7 +396,7 @@ bool CliqueMapClient::ResizeCapacity(uint64_t capacity_objects) {
   std::string request(8, '\0');
   std::memcpy(request.data(), &capacity_objects, 8);
   const std::string response =
-      verbs_.Rpc(kRpcCmResize, request, server_->config().set_service_us);
+      verbs_.Rpc(kRpcCmResize, request, kCmSetServiceUs);
   if (response.size() >= 9) {
     uint64_t evictions = 0;
     std::memcpy(&evictions, response.data() + 1, 8);
@@ -403,8 +406,7 @@ bool CliqueMapClient::ResizeCapacity(uint64_t capacity_objects) {
     // the access-info merge) is charged to the caller's clock after the fact
     // — otherwise a 100k-object evict-down would look as cheap as one Set.
     if (evictions > 0) {
-      ctx_->clock().AdvanceUs(server_->config().sync_service_us_per_entry *
-                              static_cast<double>(evictions));
+      ctx_->clock().AdvanceUs(kSyncServiceUsPerEntry * static_cast<double>(evictions));
     }
   }
   return !response.empty() && response[0] == '\1';
@@ -429,8 +431,7 @@ void CliqueMapClient::SyncAccessInfo() {
     std::memcpy(rpc_request_.data() + i * 16 + 8, &count, 8);
     ++i;
   }
-  const double service_us =
-      server_->config().sync_service_us_per_entry * static_cast<double>(access_buffer_.size());
+  const double service_us = kSyncServiceUsPerEntry * static_cast<double>(access_buffer_.size());
   verbs_.Rpc(kRpcCmSync, rpc_request_, &rpc_response_, service_us);
   access_buffer_.clear();
   buffered_ = 0;

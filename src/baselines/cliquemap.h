@@ -28,9 +28,11 @@ struct CliqueMapConfig {
   CmPolicy policy = CmPolicy::kLru;
   uint64_t capacity_objects = 0;  // 0 = pool capacity
   int sync_every = 100;           // accesses buffered before the access-info RPC
-  double set_service_us = 2.0;    // MN CPU cost of one Set (alloc+index+structure)
-  double sync_service_us_per_entry = 0.3;  // MN CPU cost of merging one access record
 };
+
+// MN CPU cost of one Set (alloc+index+structure); Delete, Expire and Resize
+// RPCs are charged the same.
+inline constexpr double kCmSetServiceUs = 2.0;
 
 // RPC ids (distinct from the dm:: ones).
 inline constexpr uint32_t kRpcCmSet = 10;

@@ -7,6 +7,10 @@
 #include "core/object.h"
 
 namespace ditto::baselines {
+namespace {
+// Sleep after a failed lock CAS.
+constexpr double kLockBackoffUs = 5.0;
+}  // namespace
 
 ShardLruDirectory::ShardLruDirectory(dm::MemoryPool* pool, const ShardLruConfig& config)
     : config_(config),
@@ -58,7 +62,7 @@ void ShardLruClient::WithShardLock(uint64_t hash, const std::function<void()>& b
   if (cost.enabled && queue_ns > 0) {
     // While waiting, the client retries CAS every (backoff + CAS RTT); each
     // retry is a wasted atomic burning NIC message rate.
-    const double retry_period_us = dir_->config_.backoff_us + cost.atomic_rtt_us;
+    const double retry_period_us = kLockBackoffUs + cost.atomic_rtt_us;
     const auto retries = static_cast<uint64_t>(
         static_cast<double>(queue_ns) / 1000.0 / retry_period_us);
     for (uint64_t r = 0; r < retries; ++r) {

@@ -37,7 +37,6 @@ namespace ditto::baselines {
 struct ShardLruConfig {
   int num_shards = 32;           // 1 = KVC, 32 = KVC-S / Shard-LRU
   bool maintain_list = true;     // false = KVS (no caching structure)
-  double backoff_us = 5.0;       // sleep after a failed lock CAS
   uint64_t capacity_objects = 0; // 0 = pool capacity
 };
 

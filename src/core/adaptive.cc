@@ -8,6 +8,8 @@ namespace ditto::core {
 namespace {
 
 constexpr double kWeightFloor = 1e-3;
+// Regret discount d = kDiscountBase^(1/N), N = cache size in objects.
+constexpr double kDiscountBase = 0.005;
 
 void Normalize(std::vector<double>& w) {
   double sum = 0.0;
@@ -140,8 +142,7 @@ AdaptiveState::AdaptiveState(const AdaptiveConfig& config, rdma::Verbs* verbs)
       weights_(config.num_experts, 1.0 / static_cast<double>(config.num_experts)),
       pending_penalties_(config.num_experts, 0.0) {
   assert(config_.cache_size_objects > 0);
-  log_discount_ =
-      std::log(config_.discount_base) / static_cast<double>(config_.cache_size_objects);
+  log_discount_ = std::log(kDiscountBase) / static_cast<double>(config_.cache_size_objects);
 }
 
 int AdaptiveState::ChooseExpert(Rng& rng) const {

@@ -25,7 +25,6 @@ namespace ditto::core {
 struct AdaptiveConfig {
   int num_experts = 2;
   double learning_rate = 0.1;     // lambda
-  double discount_base = 0.005;   // d = discount_base^(1/N), N = cache size
   uint64_t cache_size_objects = 1;
   int penalty_batch = 100;        // regrets buffered before the lazy flush
   bool lazy = true;               // false: flush on every regret (ablation)
@@ -89,7 +88,7 @@ class AdaptiveState {
   std::vector<double> pending_penalties_;
   int pending_count_ = 0;
   uint64_t flushes_ = 0;
-  double log_discount_;  // ln(d) = ln(base)/N
+  double log_discount_;  // ln(d) = ln(kDiscountBase)/N
   // RPC scratch reused across flushes: the weight-update RPC sits on the
   // miss path, so steady-state flushes must not allocate.
   std::string rpc_request_;

@@ -13,6 +13,10 @@ namespace {
 // segment-sized READ, so a full table sweep costs num_slots/64 messages plus
 // one object READ per misplaced object.
 constexpr int kMigrateChunkSlots = 64;
+// Client-side retry policy: an op is retried up to kMaxRetries extra times,
+// backing off kBackoffBaseUs * 2^attempt of virtual time between attempts.
+constexpr int kMaxRetries = 3;
+constexpr double kBackoffBaseUs = 50.0;
 }  // namespace
 
 ClusterPool::ClusterPool(const ClusterConfig& config)
@@ -120,16 +124,14 @@ void ClusterClient::RefreshAll() {
 }
 
 void ClusterClient::Backoff(int attempt) {
-  const double us =
-      pool_->config().backoff_base_us * static_cast<double>(uint64_t{1} << attempt);
+  const double us = kBackoffBaseUs * static_cast<double>(uint64_t{1} << attempt);
   ctx_->clock().AdvanceNs(static_cast<uint64_t>(us * 1000.0));
 }
 
 template <typename Op>
 bool ClusterClient::RetryLoop(uint64_t hash, Op&& attempt) {
   last_unavailable_ = false;
-  const int max_attempts = pool_->config().max_retries + 1;
-  for (int a = 0; a < max_attempts; ++a) {
+  for (int a = 0; a <= kMaxRetries; ++a) {
     if (a > 0) {
       Backoff(a - 1);
     }
@@ -327,7 +329,6 @@ uint64_t ClusterClient::MigrateMisplaced(int src) {
   }
   // ditto-lint: hot-path-end(migrate-copy)
   pool_->AddMigrated(moved);
-  migrated_ += moved;
   return moved;
 }
 

@@ -60,10 +60,6 @@ struct ClusterConfig {
   // still arms the fault layer so scheduled Crash() calls take effect, but
   // keeps verb accounting bit-identical to the fault-free build.
   rdma::FaultPlan fault;
-  // Client-side retry policy: an op is retried up to max_retries extra times,
-  // backing off backoff_base_us * 2^attempt of virtual time between attempts.
-  int max_retries = 3;
-  double backoff_base_us = 50.0;
 };
 
 // N memory nodes + their Ditto servers + the shared hash ring + lifecycle
@@ -177,8 +173,6 @@ class ClusterClient {
   DittoStats stats() const;
   void ResetStats();
   rdma::ClientContext& ctx() { return *ctx_; }
-  DittoClient& client_for_node(int i) { return *clients_[i]; }
-  uint64_t migrated_objects() const { return migrated_; }
 
  private:
   // The per-node client, recreated first if the node was wiped since we last
@@ -214,7 +208,6 @@ class ClusterClient {
   uint64_t local_steps_seen_ = 0;
   uint64_t last_total_capacity_ = 0;
   bool last_unavailable_ = false;
-  uint64_t migrated_ = 0;
 
   // Logical (once-per-op) counters + counters inherited from clients retired
   // by node wipes.

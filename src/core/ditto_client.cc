@@ -54,7 +54,6 @@ DittoClient::DittoClient(dm::MemoryPool* pool, rdma::ClientContext* ctx,
   AdaptiveConfig acfg;
   acfg.num_experts = static_cast<int>(experts_.size());
   acfg.learning_rate = config_.learning_rate;
-  acfg.discount_base = config_.discount_base;
   acfg.cache_size_objects = std::max<uint64_t>(1, pool->capacity_objects());
   acfg.penalty_batch = config_.penalty_batch;
   acfg.lazy = config_.enable_lazy_weights;

@@ -49,7 +49,6 @@ struct DittoConfig {
   // entries can stay buffered far past 64 inserts.
   uint64_t fc_max_age_accesses = 64;
   double learning_rate = 0.1;     // lambda of regret minimization
-  double discount_base = 0.005;   // d = base^(1/N)
   int penalty_batch = 100;        // local weight updates per lazy global flush
 
   // Ablation switches (paper Figure 24). All true for full Ditto.
@@ -132,7 +131,6 @@ class DittoClient {
   void SetBatchOps(size_t ops) { verbs_.SetBatchOps(ops); }
 
   const DittoStats& stats() const { return stats_; }
-  DittoStats& mutable_stats() { return stats_; }
   void ResetStats() { stats_ = DittoStats{}; }
   const std::vector<double>& expert_weights() const { return adaptive_->local_weights(); }
   rdma::ClientContext& ctx() { return *ctx_; }

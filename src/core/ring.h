@@ -29,7 +29,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/hash.h"
@@ -38,34 +37,8 @@
 namespace ditto::core {
 
 // Most nodes a ring can hold: liveness is one bit per node in a 64-bit mask
-// (RingEpochHeader::live_mask), so node ids run from 0 to kMaxRingNodes - 1.
+// (RingEpoch::live_mask), so node ids run from 0 to kMaxRingNodes - 1.
 inline constexpr uint32_t kMaxRingNodes = 64;
-
-// Wire form of one membership event, as a gossip/announce message would carry
-// it: which node changed state, and the epoch the change produced. Pinned
-// trivially-copyable so it can be memcpy'd onto the wire.
-struct RingEntry {
-  uint32_t node_id;
-  uint16_t live;  // 1 = joined/restarted, 0 = left/crashed
-  uint16_t reserved;
-  uint64_t epoch;
-};
-static_assert(std::is_trivially_copyable_v<RingEntry>,
-              "RingEntry is memcpy'd to/from the wire; it must stay trivially copyable");
-static_assert(sizeof(RingEntry) == 16, "RingEntry must match the 16-byte wire record");
-
-// Wire form of an epoch summary (a full-membership announce): enough for a
-// fresh client to reconstruct routing without replaying the event log.
-struct RingEpochHeader {
-  uint64_t epoch;
-  uint64_t live_mask;       // bit i set = node i live
-  uint32_t directory_size;  // primary routing domain (initial node count)
-  uint32_t num_live;
-};
-static_assert(std::is_trivially_copyable_v<RingEpochHeader>,
-              "RingEpochHeader is memcpy'd to/from the wire; it must stay trivially copyable");
-static_assert(sizeof(RingEpochHeader) == 24,
-              "RingEpochHeader must match the 24-byte wire record");
 
 // One immutable published ring state.
 class RingEpoch {
@@ -88,11 +61,6 @@ class RingEpoch {
   const std::vector<uint32_t>& live() const { return live_; }
   bool IsLive(uint32_t node_id) const {
     return node_id < kMaxRingNodes && ((live_mask_ >> node_id) & 1) != 0;
-  }
-
-  RingEpochHeader header() const {
-    return RingEpochHeader{epoch_, live_mask_, directory_size_,
-                           static_cast<uint32_t>(live_.size())};
   }
 
   // The key's primary: a seeded partition of the hash over the directory.

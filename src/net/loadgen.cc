@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/histogram.h"
 #include "net/net_util.h"
 #include "net/resp.h"
 #include "net/ring_buffer.h"
@@ -24,6 +23,9 @@
 namespace ditto::net {
 
 namespace {
+
+// Abort when the server makes no progress for this long (dead peer guard).
+constexpr uint64_t kIdleTimeoutNs = 10'000'000'000ULL;
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -37,7 +39,6 @@ struct PendingReply {
   sim::OpKind kind;
   bool reinsert;  // a miss re-insert (policy traffic, not a trace request)
   uint64_t key;
-  uint64_t send_ns;
 };
 
 struct Conn {
@@ -109,13 +110,12 @@ class Loadgen {
   int epoll_fd_ = -1;
   size_t live_ = 0;
   LoadgenResult result_;
-  Histogram hist_;
   std::vector<RespReply> elems_;
 };
 
 void Loadgen::Enqueue(Conn* conn, const sim::CacheOp& op, uint64_t key, bool reinsert) {
   AppendCacheOp(&conn->out, op);
-  conn->pending.push_back({op.kind, reinsert, key, NowNs()});
+  conn->pending.push_back({op.kind, reinsert, key});
 }
 
 void Loadgen::Refill(Conn* conn) {
@@ -166,12 +166,11 @@ bool Loadgen::DrainReplies(Conn* conn) {
     result_.shed += is_shed ? 1 : 0;
     result_.errors += is_error ? 1 : 0;
 
-    // Trace requests count toward ops and the latency histogram; the miss
-    // re-insert is policy traffic, mirroring RunTrace (where a miss's Set is
-    // not an extra trace op).
+    // Trace requests count toward ops; the miss re-insert is policy
+    // traffic, mirroring RunTrace (where a miss's Set is not an extra trace
+    // op).
     if (!pending.reinsert) {
       result_.ops++;
-      hist_.RecordNs(NowNs() - pending.send_ns);
     }
     if (is_shed || is_error) {
       continue;
@@ -267,7 +266,6 @@ LoadgenResult Loadgen::Run() {
   }
   live_ = conns_.size();
 
-  const uint64_t begin_ns = NowNs();
   for (auto& conn : conns_) {
     Refill(conn.get());
     if (!FlushOutput(conn.get())) {
@@ -292,8 +290,7 @@ LoadgenResult Loadgen::Run() {
       break;
     }
     if (n == 0) {
-      if (NowNs() - last_progress_ns >
-          static_cast<uint64_t>(options_.idle_timeout_ms) * 1000000ULL) {
+      if (NowNs() - last_progress_ns > kIdleTimeoutNs) {
         result_.error = "server made no progress within idle timeout";
         break;
       }
@@ -351,16 +348,11 @@ LoadgenResult Loadgen::Run() {
     }
   }
 
-  const uint64_t end_ns = NowNs();
   for (auto& conn : conns_) {
     CloseConn(conn.get());
   }
   ::close(epoll_fd_);
 
-  result_.wall_s = static_cast<double>(end_ns - begin_ns) / 1e9;
-  result_.qps = result_.wall_s > 0.0 ? static_cast<double>(result_.ops) / result_.wall_s : 0.0;
-  result_.p50_us = hist_.PercentileUs(50);
-  result_.p99_us = hist_.PercentileUs(99);
   result_.ok = result_.error.empty();
   return result_;
 }

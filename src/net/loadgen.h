@@ -11,9 +11,9 @@
 // served replay is therefore comparable — with one connection at depth 1,
 // bit-identical — to the in-process run of the same trace.
 //
-// The result carries wall-clock QPS and nearest-rank latency percentiles
-// measured from command enqueue to reply, plus the verb/hit counts observed
-// on the wire (including -LOADSHED sheds, counted separately from misses).
+// The result carries the verb/hit counts observed on the wire (including
+// -LOADSHED sheds, counted separately from misses). It measures no wall
+// time: served rates and latencies come from perfbench's wire workload.
 #ifndef DITTO_NET_LOADGEN_H_
 #define DITTO_NET_LOADGEN_H_
 
@@ -32,8 +32,6 @@ struct LoadgenOptions : sim::RequestPolicy {
   uint16_t port = 0;
   int connections = 1;
   int depth = 1;  // pipelined commands in flight per connection
-  // Abort when the server makes no progress for this long (dead peer guard).
-  int idle_timeout_ms = 10000;
 };
 
 struct LoadgenResult {
@@ -48,10 +46,6 @@ struct LoadgenResult {
   uint64_t expires = 0;
   uint64_t shed = 0;    // commands answered -LOADSHED
   uint64_t errors = 0;  // other error replies / protocol surprises
-  double wall_s = 0.0;
-  double qps = 0.0;     // ops / wall_s
-  double p50_us = 0.0;  // nearest-rank over per-command wall latency
-  double p99_us = 0.0;
 
   double hit_rate() const {
     return gets == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(gets);

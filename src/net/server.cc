@@ -24,6 +24,8 @@ namespace ditto::net {
 namespace {
 
 constexpr size_t kReadChunk = 16 << 10;
+// Per-connection unflushed-reply cap: past it, input is paused.
+constexpr size_t kMaxPendingBytes = 1 << 20;
 
 // Creates a nonblocking listener on host:port with SO_REUSEPORT (every
 // reactor binds its own socket to the same port; the kernel load-balances
@@ -162,7 +164,7 @@ class Server::Reactor : public ConnectionHost {
   struct Entry {
     std::unique_ptr<Connection> conn;
     uint32_t events = EPOLLIN;
-    bool paused = false;  // input paused: output ring over max_pending_bytes
+    bool paused = false;  // input paused: output ring over kMaxPendingBytes
   };
 
   void Loop() {
@@ -292,11 +294,10 @@ class Server::Reactor : public ConnectionHost {
   void UpdateInterest(Entry* entry) {
     Connection* conn = entry->conn.get();
     const size_t pending = conn->out().size();
-    const size_t cap = server_->options_.max_pending_bytes;
     if (entry->paused) {
-      entry->paused = pending >= cap / 2;
+      entry->paused = pending >= kMaxPendingBytes / 2;
     } else {
-      entry->paused = pending >= cap;
+      entry->paused = pending >= kMaxPendingBytes;
     }
     uint32_t want = entry->paused || conn->closing() ? 0 : static_cast<uint32_t>(EPOLLIN);
     if (pending > 0) {

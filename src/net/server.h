@@ -19,8 +19,9 @@
 //     `-ERR max connections reached` and closes immediately;
 //   * past the global `shed_watermark` of in-flight cache ops, a parsed
 //     command is answered `-LOADSHED ...` instead of executing;
-//   * past `max_pending_bytes` of unflushed replies, the reactor stops
-//     reading from that connection until the peer drains below half.
+//   * past kMaxPendingBytes (1 MiB, server.cc) of unflushed replies, the
+//     reactor stops reading from that connection until the peer drains
+//     below half.
 #ifndef DITTO_NET_SERVER_H_
 #define DITTO_NET_SERVER_H_
 
@@ -39,7 +40,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = let the kernel pick; read back via Server::port()
   size_t max_conns = 1024;              // global live-connection cap
-  size_t max_pending_bytes = 1 << 20;   // per-connection unflushed-reply cap
   size_t shed_watermark = 64 << 10;     // global in-flight cache-op cap; 0 = unlimited
   RespLimits limits;                    // parser caps (bulk size, arg count)
 };

@@ -85,11 +85,10 @@ PreciseCache::PreciseCache(size_t capacity, PrecisePolicyKind kind, uint64_t see
 bool PreciseCache::Contains(uint64_t key) const {
   switch (kind_) {
     case PrecisePolicyKind::kLru:
+    case PrecisePolicyKind::kFifo:
       return lru_.Contains(key);
     case PrecisePolicyKind::kLfu:
       return lfu_.Contains(key);
-    case PrecisePolicyKind::kFifo:
-      return fifo_index_.count(key) > 0;
     case PrecisePolicyKind::kRandom:
       return random_index_.count(key) > 0;
   }
@@ -99,11 +98,10 @@ bool PreciseCache::Contains(uint64_t key) const {
 size_t PreciseCache::size() const {
   switch (kind_) {
     case PrecisePolicyKind::kLru:
+    case PrecisePolicyKind::kFifo:
       return lru_.size();
     case PrecisePolicyKind::kLfu:
       return lfu_.size();
-    case PrecisePolicyKind::kFifo:
-      return fifo_index_.size();
     case PrecisePolicyKind::kRandom:
       return random_index_.size();
   }
@@ -113,17 +111,12 @@ size_t PreciseCache::size() const {
 void PreciseCache::EvictOne() {
   switch (kind_) {
     case PrecisePolicyKind::kLru:
+    case PrecisePolicyKind::kFifo:
       lru_.EvictVictim();
       break;
     case PrecisePolicyKind::kLfu:
       lfu_.EvictVictim();
       break;
-    case PrecisePolicyKind::kFifo: {
-      const uint64_t key = fifo_order_.back();
-      fifo_order_.pop_back();
-      fifo_index_.erase(key);
-      break;
-    }
     case PrecisePolicyKind::kRandom: {
       rng_state_ = Mix64(rng_state_);
       const size_t pos = rng_state_ % random_keys_.size();
@@ -159,8 +152,7 @@ bool PreciseCache::Access(uint64_t key) {
       break;
     case PrecisePolicyKind::kFifo:
       if (!hit) {
-        fifo_order_.push_front(key);
-        fifo_index_[key] = fifo_order_.begin();
+        lru_.Touch(key);
       }
       break;
     case PrecisePolicyKind::kRandom:

@@ -86,10 +86,8 @@ class PreciseCache {
 
   size_t capacity_;
   PrecisePolicyKind kind_;
-  PreciseLru lru_;
+  PreciseLru lru_;  // kLru, and kFifo (touched only on admission)
   PreciseLfu lfu_;
-  std::list<uint64_t> fifo_order_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> fifo_index_;
   std::unordered_map<uint64_t, size_t> random_index_;  // key -> position in random_keys_
   std::vector<uint64_t> random_keys_;
   uint64_t rng_state_;

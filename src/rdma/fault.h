@@ -42,9 +42,6 @@ struct FaultPlan {
   double verb_timeout_prob = 0.0;
   // Per-call probability in [0,1) that a controller RPC is dropped.
   double rpc_drop_prob = 0.0;
-  // Latency a client burns (virtual time) detecting one failed verb/RPC —
-  // the completion-timeout budget of a real QP.
-  double timeout_us = 100.0;
 
   // Scheduled whole-node outages in absolute virtual time: the node is down
   // for begin_ns <= now < end_ns. end_ns == UINT64_MAX means "until a

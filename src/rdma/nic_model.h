@@ -144,8 +144,6 @@ class CpuModel {
     return server_.Charge(now_ns, effective_ns);
   }
 
-  int cores() const { return cores_; }
-  void set_cores(int cores) { cores_ = cores; }
   uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
   uint64_t busy_horizon_ns() const { return server_.next_free_ns(); }
 
@@ -156,7 +154,7 @@ class CpuModel {
 
  private:
   CostModel cost_;
-  int cores_;
+  const int cores_;
   QueueingServer server_;
   std::atomic<uint64_t> ops_{0};
 };

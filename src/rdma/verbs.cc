@@ -8,6 +8,11 @@
 #include "common/hash.h"
 
 namespace ditto::rdma {
+namespace {
+// Latency a client burns (virtual time) detecting one failed verb/RPC — the
+// completion-timeout budget of a real QP.
+constexpr double kTimeoutUs = 100.0;
+}  // namespace
 
 void Verbs::AdvanceBaseNs(uint64_t ns) {
   if (in_op_) {
@@ -55,7 +60,7 @@ bool Verbs::FaultFail(double prob, VerbStatus prob_status) {
   last_status_ = status;
   // The client burns its completion-timeout budget detecting the failure;
   // nothing reaches the NIC or controller models (the verb never completed).
-  AdvanceBaseNs(static_cast<uint64_t>(fault.plan().timeout_us * 1000.0));
+  AdvanceBaseNs(static_cast<uint64_t>(kTimeoutUs * 1000.0));
   return true;
 }
 

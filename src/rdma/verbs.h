@@ -49,8 +49,8 @@ class Verbs {
   // response. The status below is STICKY across verbs — it records the first
   // failure since the last ClearStatus(), so a multi-verb operation checks
   // ok() once per stage instead of after every verb. Failed verbs charge
-  // plan.timeout_us to the client's time base only; nothing reaches the NIC
-  // or controller models.
+  // kTimeoutUs (100 us, verbs.cc) to the client's time base only; nothing
+  // reaches the NIC or controller models.
   VerbStatus last_status() const { return last_status_; }
   bool ok() const { return last_status_ == VerbStatus::kOk; }
   void ClearStatus() { last_status_ = VerbStatus::kOk; }
@@ -80,7 +80,6 @@ class Verbs {
   void BeginOp(uint64_t start_ns);
   uint64_t EndOp();
   bool in_op() const { return in_op_; }
-  uint64_t op_cursor_ns() const { return op_cursor_; }
 
   // Two-sided RPC to the controller: two network messages + controller CPU.
   // service_us scales with handler weight; <= 0 uses the model default.
@@ -111,7 +110,6 @@ class Verbs {
   // message count therefore never exceeds the unbatched count.
   void SetBatchOps(size_t max_pending);
   void FlushBatch();
-  size_t batch_ops() const { return batch_max_; }
   size_t batch_pending() const { return pending_.size(); }
 
  private:

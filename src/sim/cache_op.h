@@ -67,8 +67,8 @@ struct CacheOp {
 };
 
 // One typed response. `value` is filled only for kHit results; `latency_us`
-// is the virtual-time cost the executing client charged for the op (for ops
-// fused into a pipelined run, the run's mean per-op cost).
+// is the virtual-time cost the executing client charged for the op (each key
+// of a kMultiGet run carries its own Get's cost).
 struct CacheResult {
   OpStatus status = OpStatus::kMiss;
   std::string value;

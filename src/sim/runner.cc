@@ -398,36 +398,17 @@ MeasureBaseline BeginMeasurement(const std::vector<CacheClient*>& clients,
   return base;
 }
 
-// Aggregate result of the measured region. When `per_client` is non-null it
-// also receives one row per client: that client's counters, its share of
-// the strided request split, and its own busy time and latency percentiles.
+// Aggregate result of the measured region.
 RunResult FinishMeasurement(const std::vector<CacheClient*>& clients,
                             const std::vector<rdma::RemoteNode*>& nodes,
-                            const MeasureBaseline& base, uint64_t measured_ops,
-                            std::vector<RunResult>* per_client) {
+                            const MeasureBaseline& base, uint64_t measured_ops) {
   RunResult result;
   Histogram merged;
   uint64_t sum_busy_delta = 0;
-  if (per_client != nullptr) {
-    per_client->assign(clients.size(), RunResult{});
-  }
   for (size_t c = 0; c < clients.size(); ++c) {
-    const ClientCounters counters = clients[c]->counters();
-    result += counters;
-    const Histogram& hist = clients[c]->ctx().op_hist();
-    merged.Merge(hist);
-    const uint64_t busy_delta = clients[c]->ctx().clock().busy_ns() - base.busy_before[c];
-    sum_busy_delta += busy_delta;
-    if (per_client != nullptr) {
-      RunResult& r = (*per_client)[c];
-      r += counters;
-      r.ops = measured_ops / clients.size() + (c < measured_ops % clients.size() ? 1 : 0);
-      r.elapsed_s = static_cast<double>(std::max(busy_delta, uint64_t{1})) / 1e9;
-      r.throughput_mops = static_cast<double>(r.ops) / (r.elapsed_s * 1e6);
-      r.hit_rate = r.HitRate();
-      r.p50_us = hist.PercentileUs(50);
-      r.p99_us = hist.PercentileUs(99);
-    }
+    result += clients[c]->counters();
+    merged.Merge(clients[c]->ctx().op_hist());
+    sum_busy_delta += clients[c]->ctx().clock().busy_ns() - base.busy_before[c];
   }
   result.ops = measured_ops;
   // Mean per-client busy time models the paper's fixed-duration runs (all
@@ -513,7 +494,7 @@ void ReplayOnThreads(const std::vector<CacheClient*>& clients, const workload::T
 template <typename ReplayFn>
 RunResult Measure(const std::vector<CacheClient*>& clients, const workload::Trace& trace,
                   const std::vector<rdma::RemoteNode*>& nodes, const RunOptions& options,
-                  ReplayFn&& replay, std::vector<RunResult>* per_client = nullptr) {
+                  ReplayFn&& replay) {
   for (CacheClient* client : clients) {
     client->SetBatchOps(options.batch_ops);
   }
@@ -532,8 +513,7 @@ RunResult Measure(const std::vector<CacheClient*>& clients, const workload::Trac
   for (CacheClient* client : clients) {
     client->Finish();
   }
-  RunResult result =
-      FinishMeasurement(clients, nodes, base, trace.size() - measure_begin, per_client);
+  RunResult result = FinishMeasurement(clients, nodes, base, trace.size() - measure_begin);
   FinalizePhases(schedule, &phases);
   result.phases = std::move(phases);
   return result;
@@ -682,8 +662,7 @@ RunResult RunTraceSharded(const std::vector<CacheClient*>& shards, const workloa
 RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
                             const workload::Trace& trace,
                             const std::vector<rdma::RemoteNode*>& nodes,
-                            const RunOptions& options,
-                            std::vector<RunResult>* per_client) {
+                            const RunOptions& options) {
   const size_t n = clients.size();
   return Measure(
       clients, trace, nodes, options,
@@ -691,8 +670,7 @@ RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
           std::vector<PhaseResult>* phases) {
         ReplayOnThreads(clients, trace, begin, end, options, schedule, phases, n,
                         /*split_capacity=*/false, [&](size_t i) { return (i - begin) % n; });
-      },
-      per_client);
+      });
 }
 
 }  // namespace ditto::sim

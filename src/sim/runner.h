@@ -224,13 +224,10 @@ RunResult RunTraceSharded(const std::vector<CacheClient*>& shards, const workloa
 // allocator freelists, and hash-table slots are genuinely shared. Results are
 // NOT bit-deterministic across runs (real races decide CAS winners); the
 // aggregate counters are still exact sums of what each client observed.
-// `per_client`, when non-null, receives one RunResult per client (ops, hit
-// rate, latency percentiles, and that client's contention counters).
 RunResult RunTraceContended(const std::vector<CacheClient*>& clients,
                             const workload::Trace& trace,
                             const std::vector<rdma::RemoteNode*>& nodes,
-                            const RunOptions& options,
-                            std::vector<RunResult>* per_client = nullptr);
+                            const RunOptions& options);
 
 }  // namespace ditto::sim
 

@@ -558,6 +558,45 @@ TEST(ClusterCrashTest, MultiGetReportsUnavailableOnlyForTheCrashedNodesKeys) {
   EXPECT_TRUE(d.pool->IsLive(0)) << "a crash window does not change the ring";
 }
 
+// The retry budget of one op against a node that is inside a FaultPlan crash
+// window but still in the ring: 4 attempts (3 retries), each failed verb
+// charging the 100 us completion timeout, with 50 + 100 + 200 us of backoff
+// between the attempts. Get, Delete and Expire stop at their first failed
+// verb; each Set attempt fails 5 verbs.
+TEST(ClusterCrashTest, RetryBudgetChargesTimeoutsAndBackoffs) {
+  constexpr uint64_t kCrashAtNs = 1'000'000'000;  // 1 s of virtual time
+  core::ClusterConfig config = TestClusterConfig(512);
+  config.nodes = 2;
+  core::ClusterPool pool(config);
+  rdma::FaultPlan plan;
+  plan.crash_windows.push_back({kCrashAtNs, ~uint64_t{0}});
+  pool.ConfigureNodeFault(0, plan);
+  rdma::ClientContext ctx(0);
+  core::ClusterClient client(&pool, &ctx, config.ditto);
+
+  std::string key = "rb-0";
+  for (int i = 1; pool.ring().NodeFor(HashKey(key)) != 0; ++i) {
+    key = "rb-" + std::to_string(i);
+  }
+  ASSERT_TRUE(client.Set(key, "v"));
+  ASSERT_LT(ctx.now_ns(), kCrashAtNs) << "preload ends before the crash";
+  ctx.clock().AdvanceToNs(kCrashAtNs);
+
+  // Virtual time one op costs; every op must exhaust its retries.
+  const auto cost_us = [&](const char* name, auto&& op) {
+    const uint64_t before_ns = ctx.now_ns();
+    EXPECT_FALSE(op()) << name;
+    EXPECT_TRUE(client.last_op_unavailable()) << name;
+    return static_cast<double>(ctx.now_ns() - before_ns) / 1000.0;
+  };
+  std::string value;
+  EXPECT_EQ(cost_us("get", [&] { return client.Get(key, &value); }), 750.0);
+  EXPECT_EQ(cost_us("delete", [&] { return client.Delete(key); }), 750.0);
+  EXPECT_EQ(cost_us("expire", [&] { return client.Expire(key, 5); }), 750.0);
+  EXPECT_EQ(cost_us("set", [&] { return client.Set(key, "v2"); }), 2350.0);
+  EXPECT_TRUE(pool.IsLive(0)) << "a crash window does not change the ring";
+}
+
 // Live migration racing 8 genuinely concurrent clients (TSan-checked in CI):
 // a planned leave drains a node while the other clients keep hammering the
 // shared pools, the node joins back, and late in the run another node

@@ -285,7 +285,6 @@ TEST(ServerFidelityTest, MultiConnectionReplayServesEveryRequest) {
   EXPECT_EQ(r.ops, trace.size());
   EXPECT_EQ(r.errors, 0u);
   EXPECT_GT(r.hits, 0u);
-  EXPECT_GT(r.qps, 0.0);
 
   const net::ServerStats stats = server.stats();
   EXPECT_EQ(stats.accepted, 8u);
