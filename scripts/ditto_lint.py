@@ -50,12 +50,12 @@ REQUIRED_HOT_PATHS = {
     "slot-scan": "src/hashtable/layout.h",
     "op-dispatch": "src/sim/runner.cc",
     "resp-parse": "src/net/resp.cc",
-    "arena-copy": "src/rdma/arena.cc",
+    "arena-copy": "src/rdma/arena.h",
     "migrate-copy": "src/core/cluster.cc",
     "pipeline-window": "src/sim/pipeline_window.h",
     "conn-issue": "src/net/connection.cc",
     "request-policy": "src/sim/request_policy.h",
-    "verb-post": "src/rdma/verbs.cc",
+    "verb-post": "src/rdma/verbs.h",
     "fc-record": "src/core/fc_cache.cc",
     "client-get": "src/core/ditto_client.cc",
     "client-set": "src/core/ditto_client.cc",
@@ -67,7 +67,7 @@ REQUIRED_HOT_PATHS = {
 ALLOWED_REINTERPRET_CASTS = {
     "src/net/server.cc": 2,
     "src/net/loadgen.cc": 1,
-    "src/rdma/arena.cc": 2,
+    "src/rdma/arena.h": 2,
     "src/core/object.h": 2,
 }
 

@@ -1,11 +1,14 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace ditto {
 
 namespace {
+
+constexpr double kLog10Of2 = 0.30102999566398119521;
 
 // Authoritative bucket upper edges, computed once: edges[b] = 10^((b+1)/64).
 // Placement and percentile reporting both read this table, so a sample can
@@ -27,20 +30,22 @@ int Histogram::BucketFor(uint64_t ns) {
   if (ns == 0) {
     return 0;
   }
-  const double log = std::log10(static_cast<double>(ns));
-  int bucket = static_cast<int>(log * kBucketsPerDecade);
+  // Estimate log2(ns) from the double's bits, read as an integer: the
+  // exponent (the bit length) plus the mantissa taken as a linear fraction.
+  // That underestimates log2 by at most 0.086, so the estimate lands at most
+  // two buckets low, and it costs no libm call on the once-per-op path.
+  const double v = static_cast<double>(ns);
+  const double log2_estimate = static_cast<double>(std::bit_cast<uint64_t>(v)) * 0x1p-52 - 1023.0;
+  int bucket = static_cast<int>(log2_estimate * (kLog10Of2 * kBucketsPerDecade));
   if (bucket < 0) {
     bucket = 0;
   }
   if (bucket >= kNumBuckets) {
     bucket = kNumBuckets - 1;
   }
-  // log10 is only an estimate: at exact bucket edges libm can round a hair
-  // below the integer (log10(1000) = 2.999…96), dropping the sample one
-  // bucket low. Clamp against the authoritative edges so bucket b always
-  // covers [BucketUpperNs(b-1), BucketUpperNs(b)).
+  // Settle the estimate against the authoritative edges, so bucket b always
+  // covers [BucketUpperNs(b-1), BucketUpperNs(b)) whatever the estimate was.
   const auto& edges = BucketEdges();
-  const double v = static_cast<double>(ns);
   while (bucket + 1 < kNumBuckets && v >= edges[bucket]) {
     ++bucket;
   }

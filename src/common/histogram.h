@@ -24,10 +24,12 @@ class Histogram {
   double PercentileNs(double p) const;
   double PercentileUs(double p) const { return PercentileNs(p) / 1000.0; }
 
- private:
+  // The bucket a sample of ns lands in: b such that BucketUpperNs(b-1) <= ns
+  // < BucketUpperNs(b), clamped to [0, kNumBuckets).
   static int BucketFor(uint64_t ns);
   static double BucketUpperNs(int bucket);
 
+ private:
   std::array<uint64_t, kNumBuckets> buckets_{};
   uint64_t count_ = 0;
   uint64_t sum_ns_ = 0;

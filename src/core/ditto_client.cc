@@ -103,14 +103,15 @@ void DittoClient::ResolveDuplicates(uint64_t bucket, uint64_t hash, uint8_t fp) 
   }
 }
 
-policy::Metadata DittoClient::MetadataFor(const ht::SlotView& slot, const uint64_t* ext) const {
+policy::Metadata DittoClient::MetadataFor(const ht::SlotView& slot, const uint64_t* ext,
+                                          uint64_t now) const {
   policy::Metadata meta;
   meta.hash = slot.hash;
   meta.insert_ts = slot.insert_ts;
   meta.last_ts = slot.last_ts;
   meta.freq = slot.freq;
   meta.size_bytes = static_cast<uint32_t>(slot.size_blocks()) * dm::kBlockBytes;
-  meta.now = pool_->clock().Now();
+  meta.now = now;
   if (ext != nullptr) {
     std::copy(ext, ext + policy::Metadata::kMaxExtensionWords, meta.ext);
   }
@@ -132,10 +133,9 @@ void DittoClient::TouchObject(uint64_t slot_addr, const ht::SlotView& slot,
 
   // Algorithm-specific extension metadata, persisted with the object.
   if (total_ext_words_ > 0 && obj != nullptr && obj->header.ext_words > 0) {
-    policy::Metadata meta = MetadataFor(slot, obj->ext);
+    policy::Metadata meta = MetadataFor(slot, obj->ext, now);
     meta.freq++;  // the access being recorded
     meta.last_ts = now;
-    meta.now = now;
     int base = 0;
     uint64_t updated[policy::Metadata::kMaxExtensionWords];
     std::copy(meta.ext, meta.ext + policy::Metadata::kMaxExtensionWords, updated);
@@ -231,6 +231,9 @@ bool DittoClient::EvictOne() {
   const uint64_t start_span = num_slots - static_cast<uint64_t>(k) + 1;
   std::vector<EvictCandidate>& cands = cand_buf_;
   cands.reserve(k);
+  // One read of the shared logical clock for every candidate: nothing this
+  // call does ticks it.
+  const uint64_t now = pool_->clock().Now();
 
   for (int attempt = 0; attempt < 256; ++attempt) {
     if (!verbs_.ok()) {
@@ -271,7 +274,7 @@ bool DittoClient::EvictOne() {
         EvictCandidate c;
         c.slot = sample_buf_[i];
         c.slot_addr = slot_addr;
-        c.meta = MetadataFor(sample_buf_[i], nullptr);
+        c.meta = MetadataFor(sample_buf_[i], nullptr, now);
         c.meta.freq += fc_->PendingDelta(slot_addr);
         cands.push_back(c);
       }
@@ -429,7 +432,7 @@ bool DittoClient::ClaimSlotAndPublish(uint64_t bucket, uint64_t hash, uint8_t fp
         if (!bucket_buf_[i].IsObject()) {
           continue;
         }
-        policy::Metadata meta = MetadataFor(bucket_buf_[i], nullptr);
+        policy::Metadata meta = MetadataFor(bucket_buf_[i], nullptr, pool_->clock().Now());
         meta.freq += fc_->PendingDelta(table_.BucketSlotAddr(bucket, i));
         const double priority = experts_[chosen]->Priority(meta);
         if (target < 0 || priority < best) {

@@ -161,7 +161,8 @@ class DittoClient {
 
   // Builds policy metadata for a slot view (object sizes come from the slot's
   // block count; extension words are passed in when known).
-  policy::Metadata MetadataFor(const ht::SlotView& slot, const uint64_t* ext) const;
+  policy::Metadata MetadataFor(const ht::SlotView& slot, const uint64_t* ext,
+                               uint64_t now) const;
 
   // Records an access on a located object (stateless WRITE + FC-cached FAA +
   // extension updates). obj may be nullptr when extensions are not needed.

@@ -8,14 +8,19 @@
 // FCFS-horizon model, it has no artifact when clients at different virtual
 // times share one server.
 //
-// W is the only node-shared word a NIC message writes (one relaxed RMW per
-// message, because it is the queue). The message, doorbell and byte counters
-// live in per-QP NicTally blocks: each Verbs owns one, bumps it with a plain
-// load + store, and NicModel sums the blocks when a reader asks.
+// W is kept in per-host-thread shards, one cache line each (QueueingServer
+// below): a posting thread adds its service time to its own shard with a
+// plain load + store, and W is the sum of the shards. With up to eight
+// posting threads, no NIC message or controller RPC writes a word another
+// thread writes, and none runs a locked instruction. The message, doorbell
+// and byte counters live in per-QP NicTally blocks, kept the same way: each
+// Verbs owns one, and NicModel sums the blocks when a reader asks.
 #ifndef DITTO_RDMA_NIC_MODEL_H_
 #define DITTO_RDMA_NIC_MODEL_H_
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -25,22 +30,115 @@
 
 namespace ditto::rdma {
 
+// A fluid-queue server whose work W is sharded by host thread. A thread's
+// first charge on any server claims one of kShards process-wide slots, and
+// the thread then owns shard `slot` of every server: it updates that shard's
+// work and charge count with relaxed loads + stores. A charge observes as
+// backlog its own shard plus the other shards' last published work, so with
+// one posting thread the delays are exactly those of a single shared
+// counter, and several concurrent posters still conserve total work (their
+// delays then depend on the interleaving, as they always did). A thread that
+// exits frees its slot for a later thread, which carries on from the work
+// the slot's shards hold. Threads beyond kShards share an overflow shard
+// charged with fetch_add.
+//
+// Nothing is cached per server, so a server destroyed and rebuilt at the
+// same address (every perfbench repetition) starts from zero work.
 class QueueingServer {
  public:
+  static constexpr int kShards = 8;
+  static_assert(kShards < 32, "slots_taken_ holds one bit per slot");
+
   // Appends service_ns of work. Returns the queueing delay in ns a request
   // issued at client-virtual-time now_ns observes.
   uint64_t Charge(uint64_t now_ns, uint64_t service_ns) {
-    const uint64_t backlog = work_ns_.fetch_add(service_ns, std::memory_order_relaxed);
+    int slot = thread_slot_;
+    if (slot < 0) [[unlikely]] {
+      slot = ClaimSlot();
+    }
+    Shard& own = shards_[slot];
+    uint64_t backlog;
+    if (slot < kShards) {
+      backlog = own.work.load(std::memory_order_relaxed);
+      own.work.store(backlog + service_ns, std::memory_order_relaxed);
+      own.charges.store(own.charges.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
+    } else {
+      backlog = own.work.fetch_add(service_ns, std::memory_order_relaxed);
+      own.charges.fetch_add(1, std::memory_order_relaxed);
+    }
+    const int used = slots_used_.load(std::memory_order_relaxed);
+    if (used > 1) {
+      for (int i = 0; i < used; ++i) {
+        if (i != slot) {
+          backlog += shards_[i].work.load(std::memory_order_relaxed);
+        }
+      }
+    }
     return backlog > now_ns ? backlog - now_ns : 0;
   }
 
   // Total accumulated work: a lower bound on the elapsed time of any run
   // that pushed this much service through the server.
-  uint64_t next_free_ns() const { return work_ns_.load(std::memory_order_relaxed); }
-  void Reset() { work_ns_.store(0, std::memory_order_relaxed); }
+  uint64_t next_free_ns() const { return Sum(&Shard::work); }
+  // Number of Charge calls.
+  uint64_t charges() const { return Sum(&Shard::charges); }
+  // Zeroes every shard. Call while no thread is charging.
+  void Reset() {
+    for (Shard& shard : shards_) {
+      shard.work.store(0, std::memory_order_relaxed);
+      shard.charges.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<uint64_t> work_ns_{0};
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> work{0};
+    std::atomic<uint64_t> charges{0};
+  };
+  // Frees the slot of the thread that claimed it when that thread exits.
+  struct SlotRelease {
+    ~SlotRelease() { slots_taken_.fetch_and(~(1u << thread_slot_), std::memory_order_release); }
+  };
+
+  uint64_t Sum(std::atomic<uint64_t> Shard::*field) const {
+    uint64_t total = 0;
+    for (const Shard& shard : shards_) {
+      total += (shard.*field).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  // Claims the lowest free slot for this thread, or the overflow slot
+  // kShards when all are taken, and raises slots_used_ past it. The acquire
+  // pairs with the release of the slot's previous owner, so this thread
+  // sees that owner's last work in every shard it inherits. Runs once per
+  // thread, so it is kept out of the inlined charge path.
+  [[gnu::noinline, gnu::cold]] static int ClaimSlot() {
+    int slot = kShards;
+    uint32_t taken = slots_taken_.load(std::memory_order_relaxed);
+    for (int free = std::countr_one(taken); free < kShards; free = std::countr_one(taken)) {
+      if (slots_taken_.compare_exchange_weak(taken, taken | (1u << free),
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed)) {
+        slot = free;
+        static thread_local SlotRelease release;  // destroyed when this thread exits
+        break;
+      }
+    }
+    int used = slots_used_.load(std::memory_order_relaxed);
+    while (used < slot + 1 &&
+           !slots_used_.compare_exchange_weak(used, slot + 1, std::memory_order_relaxed)) {
+    }
+    thread_slot_ = slot;
+    return slot;
+  }
+
+  static inline std::atomic<uint32_t> slots_taken_{0};  // bit i: slot i has a live owner
+  static inline std::atomic<int> slots_used_{0};  // slots [0, used) have ever been claimed
+  static inline constinit thread_local int thread_slot_ = -1;
+
+  std::array<Shard, kShards + 1> shards_;  // [kShards] is the overflow shard
 };
 
 // One QP's share of a NIC's counters, on its own cache line. Only the owning
@@ -60,7 +158,10 @@ struct alignas(64) NicTally {
 
 class NicModel {
  public:
-  explicit NicModel(const CostModel& cost) : cost_(cost) {}
+  explicit NicModel(const CostModel& cost)
+      : cost_(cost),
+        msg_ns_(static_cast<uint64_t>(cost.NicServiceNs(1.0))),
+        atomic_ns_(static_cast<uint64_t>(cost.NicServiceNs(cost.atomic_msg_cost))) {}
 
   // Hands a QP its tally block. ReleaseTally returns it for reuse by a later
   // QP; a released block keeps its counts, so totals survive the QP.
@@ -87,7 +188,15 @@ class NicModel {
     if (!cost_.enabled) {
       return 0;
     }
-    return server_.Charge(now_ns, static_cast<uint64_t>(cost_.NicServiceNs(msg_cost)));
+    uint64_t service_ns;
+    if (msg_cost == 1.0) {
+      service_ns = msg_ns_;
+    } else if (msg_cost == cost_.atomic_msg_cost) {
+      service_ns = atomic_ns_;
+    } else {
+      service_ns = static_cast<uint64_t>(cost_.NicServiceNs(msg_cost));
+    }
+    return server_.Charge(now_ns, service_ns);
   }
 
   // Totals over every tally block. Doorbells are MMIO rings: unbatched posts
@@ -120,6 +229,8 @@ class NicModel {
   }
 
   CostModel cost_;
+  const uint64_t msg_ns_;     // service time of a 1.0-cost message
+  const uint64_t atomic_ns_;  // service time of an atomic
   QueueingServer server_;
   mutable ditto::Mutex tally_mu_;
   std::vector<std::unique_ptr<NicTally>> tallies_ GUARDED_BY(tally_mu_);
@@ -134,29 +245,24 @@ class CpuModel {
 
   // Charges one RPC whose handler costs service_us of one core. Returns
   // queueing delay in ns observed by the caller.
+  // A disabled model charges no work, so every delay it returns is 0.
   uint64_t ChargeRpc(uint64_t now_ns, double service_us) {
-    ops_.fetch_add(1, std::memory_order_relaxed);
-    if (!cost_.enabled) {
-      return 0;
-    }
-    const auto effective_ns =
-        static_cast<uint64_t>(service_us * 1000.0 / static_cast<double>(cores_));
+    const uint64_t effective_ns =
+        cost_.enabled ? static_cast<uint64_t>(service_us * 1000.0 / static_cast<double>(cores_))
+                      : 0;
     return server_.Charge(now_ns, effective_ns);
   }
 
-  uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
+  // RPCs charged, counted in the queue's per-thread shards.
+  uint64_t ops() const { return server_.charges(); }
   uint64_t busy_horizon_ns() const { return server_.next_free_ns(); }
 
-  void Reset() {
-    server_.Reset();
-    ops_.store(0, std::memory_order_relaxed);
-  }
+  void Reset() { server_.Reset(); }
 
  private:
   CostModel cost_;
   const int cores_;
   QueueingServer server_;
-  std::atomic<uint64_t> ops_{0};
 };
 
 }  // namespace ditto::rdma

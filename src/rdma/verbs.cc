@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/hash.h"
 
@@ -14,22 +13,6 @@ namespace {
 constexpr double kTimeoutUs = 100.0;
 }  // namespace
 
-void Verbs::AdvanceBaseNs(uint64_t ns) {
-  if (in_op_) {
-    op_cursor_ += ns;
-  } else {
-    ctx_->clock().AdvanceNs(ns);
-  }
-}
-
-void Verbs::AdvanceBaseToNs(uint64_t ns) {
-  if (in_op_) {
-    op_cursor_ = std::max(op_cursor_, ns);
-  } else {
-    ctx_->clock().AdvanceToNs(ns);
-  }
-}
-
 double Verbs::FaultDraw() {
   const FaultPlan& plan = node_->fault().plan();
   const uint64_t mix =
@@ -38,11 +21,8 @@ double Verbs::FaultDraw() {
   return static_cast<double>(mix >> 11) * 0x1.0p-53;
 }
 
-bool Verbs::FaultFail(double prob, VerbStatus prob_status) {
+bool Verbs::FaultFailArmed(double prob, VerbStatus prob_status) {
   FaultState& fault = node_->fault();
-  if (!fault.armed()) {
-    return false;  // fast path: one relaxed load per verb when faults are off
-  }
   VerbStatus status;
   if (fault.CrashedAt(base_now_ns())) {
     status = VerbStatus::kUnavailable;
@@ -84,145 +64,11 @@ uint64_t Verbs::EndOp() {
   return op_cursor_;
 }
 
-// ditto-lint: hot-path-begin(verb-post)
-// Per-verb NIC accounting: counters go to this QP's tally, and the queue's
-// work counter is the one node-shared write per message.
-void Verbs::ChargeSignalled(double rtt_us, double msg_cost, size_t bytes) {
-  const CostModel& cost = node_->cost();
-  tally_->AddBytes(bytes);
-  tally_->AddDoorbell();
-  const uint64_t now = base_now_ns();
-  const uint64_t queue_ns = node_->nic().ChargeMessage(tally_, now, msg_cost);
-  if (cost.enabled) {
-    const double wire_us = static_cast<double>(bytes) / cost.bytes_per_us;
-    AdvanceBaseToNs(now + queue_ns + static_cast<uint64_t>((rtt_us + wire_us) * 1000.0));
-  }
-}
-
-void Verbs::ChargeAsync(double msg_cost, size_t bytes) {
-  const CostModel& cost = node_->cost();
-  tally_->AddBytes(bytes);
-  tally_->AddDoorbell();
-  node_->nic().ChargeMessage(tally_, base_now_ns(), msg_cost);
-  if (!cost.enabled) {
-    return;
-  }
-  AdvanceBaseNs(static_cast<uint64_t>(cost.async_post_us * 1000.0));
-}
-
-void Verbs::EnqueueBatched(uint8_t kind, uint64_t addr, uint32_t bytes) {
-  ++batch_posts_;
-  for (PendingOp& op : pending_) {
-    if (op.kind == kind && op.addr == addr) {
-      // A later post to the same address supersedes the earlier one on the
-      // wire (memory effects were already applied in program order).
-      op.bytes = std::max(op.bytes, bytes);
-      if (batch_posts_ >= batch_max_) {
-        FlushBatch();
-      }
-      return;
-    }
-  }
-  // ditto-lint: allow(alloc): clear() keeps capacity; grows to batch_max_
-  pending_.push_back(PendingOp{kind, addr, bytes});
-  if (batch_posts_ >= batch_max_) {
-    FlushBatch();
-  }
-}
-
-void Verbs::FlushBatch() {
-  batch_posts_ = 0;
-  if (pending_.empty()) {
-    return;
-  }
-  const CostModel& cost = node_->cost();
-  tally_->AddDoorbell();
-  for (const PendingOp& op : pending_) {
-    const double msg_cost = op.kind == 0 ? 1.0 : cost.atomic_msg_cost;
-    tally_->AddBytes(op.bytes);
-    node_->nic().ChargeMessage(tally_, base_now_ns(), msg_cost);
-  }
-  if (cost.enabled) {
-    AdvanceBaseNs(static_cast<uint64_t>(
-        (cost.async_post_us + cost.batched_wqe_us * static_cast<double>(pending_.size() - 1)) *
-        1000.0));
-  }
-  pending_.clear();
-}
-// ditto-lint: hot-path-end(verb-post)
-
 void Verbs::SetBatchOps(size_t max_pending) {
   // Reconfiguring the chain always drains it, so callers can use this at a
   // measurement boundary to keep deferred costs out of the next window.
   FlushBatch();
   batch_max_ = max_pending;
-}
-
-void Verbs::Read(uint64_t addr, void* dst, size_t len) {
-  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
-    // Zero the destination so the caller decodes an empty bucket / rejected
-    // object instead of whatever stale bytes the scratch buffer held.
-    std::memset(dst, 0, len);
-    return;
-  }
-  node_->arena().Read(addr, dst, len);
-  ctx_->reads++;
-  ChargeSignalled(node_->cost().read_rtt_us, 1.0, len);
-}
-
-void Verbs::Write(uint64_t addr, const void* src, size_t len) {
-  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
-    return;
-  }
-  node_->arena().Write(addr, src, len);
-  ctx_->writes++;
-  ChargeSignalled(node_->cost().write_rtt_us, 1.0, len);
-}
-
-void Verbs::WriteAsync(uint64_t addr, const void* src, size_t len) {
-  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
-    return;
-  }
-  node_->arena().Write(addr, src, len);
-  ctx_->writes++;
-  if (batch_max_ > 0) {
-    EnqueueBatched(/*kind=*/0, addr, static_cast<uint32_t>(len));
-    return;
-  }
-  ChargeAsync(1.0, len);
-}
-
-uint64_t Verbs::CompareSwap(uint64_t addr, uint64_t expected, uint64_t desired) {
-  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
-    return ~expected;  // a failed CAS must read as "lost the race"
-  }
-  const uint64_t observed = node_->arena().CompareSwap(addr, expected, desired);
-  ctx_->atomics++;
-  ChargeSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
-  return observed;
-}
-
-uint64_t Verbs::FetchAdd(uint64_t addr, uint64_t delta) {
-  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
-    return 0;
-  }
-  const uint64_t prior = node_->arena().FetchAdd(addr, delta);
-  ctx_->atomics++;
-  ChargeSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
-  return prior;
-}
-
-void Verbs::FetchAddAsync(uint64_t addr, uint64_t delta) {
-  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
-    return;
-  }
-  node_->arena().FetchAdd(addr, delta);
-  ctx_->atomics++;
-  if (batch_max_ > 0) {
-    EnqueueBatched(/*kind=*/1, addr, 8);
-    return;
-  }
-  ChargeAsync(node_->cost().atomic_msg_cost, 8);
 }
 
 void Verbs::Rpc(uint32_t handler_id, std::string_view request, std::string* response,

@@ -19,7 +19,9 @@
 #ifndef DITTO_RDMA_VERBS_H_
 #define DITTO_RDMA_VERBS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -122,8 +124,20 @@ class Verbs {
   // The QP's current time base: the op cursor while a pipelined op is being
   // executed, the client's virtual clock otherwise.
   uint64_t base_now_ns() const { return in_op_ ? op_cursor_ : ctx_->now_ns(); }
-  void AdvanceBaseNs(uint64_t ns);
-  void AdvanceBaseToNs(uint64_t ns);
+  void AdvanceBaseNs(uint64_t ns) {
+    if (in_op_) {
+      op_cursor_ += ns;
+    } else {
+      ctx_->clock().AdvanceNs(ns);
+    }
+  }
+  void AdvanceBaseToNs(uint64_t ns) {
+    if (in_op_) {
+      op_cursor_ = std::max(op_cursor_, ns);
+    } else {
+      ctx_->clock().AdvanceToNs(ns);
+    }
+  }
 
   // Shared signalled-verb body: charges the NIC at base-now and advances the
   // time base to the verb's completion.
@@ -133,8 +147,12 @@ class Verbs {
   // the node is crashed at the current time base, or a deterministic draw
   // lands under the plan's probability for this kind. Charges the plan's
   // timeout budget to the client time base and bumps the matching context
-  // counter. `prob` selects the probabilistic leg (verb vs RPC drop).
-  bool FaultFail(double prob, VerbStatus prob_status);
+  // counter. `prob` selects the probabilistic leg (verb vs RPC drop). An
+  // unarmed node costs one relaxed load; the armed path is out of line.
+  bool FaultFail(double prob, VerbStatus prob_status) {
+    return node_->fault().armed() && FaultFailArmed(prob, prob_status);
+  }
+  bool FaultFailArmed(double prob, VerbStatus prob_status);
   // Deterministic per-QP uniform draw in [0,1): a pure function of
   // (plan.seed, ctx id, ++fault_draws_).
   double FaultDraw();
@@ -154,6 +172,145 @@ class Verbs {
   VerbStatus last_status_ = VerbStatus::kOk;
   uint64_t fault_draws_ = 0;  // advances only when a probabilistic leg is armed
 };
+
+// The per-verb bodies are defined here, not in verbs.cc, so that callers
+// (HashTable, DittoClient) inline them: a simulated verb costs its arena copy
+// plus a few loads and stores of this QP's own state.
+
+inline void Verbs::Read(uint64_t addr, void* dst, size_t len) {
+  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
+    // Zero the destination so the caller decodes an empty bucket / rejected
+    // object instead of whatever stale bytes the scratch buffer held.
+    std::memset(dst, 0, len);
+    return;
+  }
+  node_->arena().Read(addr, dst, len);
+  ctx_->reads++;
+  ChargeSignalled(node_->cost().read_rtt_us, 1.0, len);
+}
+
+inline void Verbs::Write(uint64_t addr, const void* src, size_t len) {
+  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
+    return;
+  }
+  node_->arena().Write(addr, src, len);
+  ctx_->writes++;
+  ChargeSignalled(node_->cost().write_rtt_us, 1.0, len);
+}
+
+inline void Verbs::WriteAsync(uint64_t addr, const void* src, size_t len) {
+  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
+    return;
+  }
+  node_->arena().Write(addr, src, len);
+  ctx_->writes++;
+  if (batch_max_ > 0) {
+    EnqueueBatched(/*kind=*/0, addr, static_cast<uint32_t>(len));
+    return;
+  }
+  ChargeAsync(1.0, len);
+}
+
+inline uint64_t Verbs::CompareSwap(uint64_t addr, uint64_t expected, uint64_t desired) {
+  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
+    return ~expected;  // a failed CAS must read as "lost the race"
+  }
+  const uint64_t observed = node_->arena().CompareSwap(addr, expected, desired);
+  ctx_->atomics++;
+  ChargeSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
+  return observed;
+}
+
+inline uint64_t Verbs::FetchAdd(uint64_t addr, uint64_t delta) {
+  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
+    return 0;
+  }
+  const uint64_t prior = node_->arena().FetchAdd(addr, delta);
+  ctx_->atomics++;
+  ChargeSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
+  return prior;
+}
+
+inline void Verbs::FetchAddAsync(uint64_t addr, uint64_t delta) {
+  if (FaultFail(node_->fault().plan().verb_timeout_prob, VerbStatus::kTimeout)) {
+    return;
+  }
+  node_->arena().FetchAdd(addr, delta);
+  ctx_->atomics++;
+  if (batch_max_ > 0) {
+    EnqueueBatched(/*kind=*/1, addr, 8);
+    return;
+  }
+  ChargeAsync(node_->cost().atomic_msg_cost, 8);
+}
+
+// ditto-lint: hot-path-begin(verb-post)
+// Per-verb NIC accounting: counters go to this QP's tally, and the work goes
+// to this thread's shard of the NIC queue; neither is written by another
+// thread.
+inline void Verbs::ChargeSignalled(double rtt_us, double msg_cost, size_t bytes) {
+  const CostModel& cost = node_->cost();
+  tally_->AddBytes(bytes);
+  tally_->AddDoorbell();
+  const uint64_t now = base_now_ns();
+  const uint64_t queue_ns = node_->nic().ChargeMessage(tally_, now, msg_cost);
+  if (cost.enabled) {
+    const double wire_us = static_cast<double>(bytes) / cost.bytes_per_us;
+    AdvanceBaseToNs(now + queue_ns + static_cast<uint64_t>((rtt_us + wire_us) * 1000.0));
+  }
+}
+
+inline void Verbs::ChargeAsync(double msg_cost, size_t bytes) {
+  const CostModel& cost = node_->cost();
+  tally_->AddBytes(bytes);
+  tally_->AddDoorbell();
+  node_->nic().ChargeMessage(tally_, base_now_ns(), msg_cost);
+  if (!cost.enabled) {
+    return;
+  }
+  AdvanceBaseNs(static_cast<uint64_t>(cost.async_post_us * 1000.0));
+}
+
+inline void Verbs::EnqueueBatched(uint8_t kind, uint64_t addr, uint32_t bytes) {
+  ++batch_posts_;
+  for (PendingOp& op : pending_) {
+    if (op.kind == kind && op.addr == addr) {
+      // A later post to the same address supersedes the earlier one on the
+      // wire (memory effects were already applied in program order).
+      op.bytes = std::max(op.bytes, bytes);
+      if (batch_posts_ >= batch_max_) {
+        FlushBatch();
+      }
+      return;
+    }
+  }
+  // ditto-lint: allow(alloc): clear() keeps capacity; grows to batch_max_
+  pending_.push_back(PendingOp{kind, addr, bytes});
+  if (batch_posts_ >= batch_max_) {
+    FlushBatch();
+  }
+}
+
+inline void Verbs::FlushBatch() {
+  batch_posts_ = 0;
+  if (pending_.empty()) {
+    return;
+  }
+  const CostModel& cost = node_->cost();
+  tally_->AddDoorbell();
+  for (const PendingOp& op : pending_) {
+    const double msg_cost = op.kind == 0 ? 1.0 : cost.atomic_msg_cost;
+    tally_->AddBytes(op.bytes);
+    node_->nic().ChargeMessage(tally_, base_now_ns(), msg_cost);
+  }
+  if (cost.enabled) {
+    AdvanceBaseNs(static_cast<uint64_t>(
+        (cost.async_post_us + cost.batched_wqe_us * static_cast<double>(pending_.size() - 1)) *
+        1000.0));
+  }
+  pending_.clear();
+}
+// ditto-lint: hot-path-end(verb-post)
 
 }  // namespace ditto::rdma
 

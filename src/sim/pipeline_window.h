@@ -46,7 +46,11 @@ class PipelineWindow {
   // Records the completion timestamp of the op just issued. Call Admit
   // first: the window must have room.
   void Push(uint64_t complete_ns) {
-    ring_[(head_ + size_) % depth_] = complete_ns;
+    size_t tail = head_ + size_;  // < 2 * depth_: one compare wraps it
+    if (tail >= depth_) {
+      tail -= depth_;
+    }
+    ring_[tail] = complete_ns;
     ++size_;
   }
 
@@ -60,7 +64,9 @@ class PipelineWindow {
  private:
   void RetireOldest(VirtualClock& clock) {
     clock.AdvanceToNs(ring_[head_]);
-    head_ = (head_ + 1) % depth_;
+    if (++head_ == depth_) {
+      head_ = 0;
+    }
     --size_;
   }
   // ditto-lint: hot-path-end(pipeline-window)

@@ -9,8 +9,11 @@
 // from, so placement and reporting can never disagree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <random>
 
 #include "common/histogram.h"
 
@@ -93,6 +96,57 @@ TEST(HistogramTest, MeanIsExactAndMergeAddsCounts) {
   // After merging, p100 reports the bucket upper of the largest sample.
   EXPECT_GT(a.PercentileNs(100), 5000.0);
   EXPECT_LE(a.PercentileNs(100), 5000.0 * BucketStep() * (1.0 + 1e-9));
+}
+
+// BucketFor as it was when it estimated with libm's log10 (before the
+// bit-length estimate), kept to pin that the cheaper estimate settles on the
+// same bucket for every input.
+int ReferenceBucketFor(uint64_t ns) {
+  static const std::array<double, Histogram::kNumBuckets> edges = [] {
+    std::array<double, Histogram::kNumBuckets> e{};
+    for (int b = 0; b < Histogram::kNumBuckets; ++b) {
+      e[b] = std::pow(10.0, static_cast<double>(b + 1) / Histogram::kBucketsPerDecade);
+    }
+    return e;
+  }();
+  if (ns == 0) {
+    return 0;
+  }
+  const double log = std::log10(static_cast<double>(ns));
+  int bucket = static_cast<int>(log * Histogram::kBucketsPerDecade);
+  bucket = std::clamp(bucket, 0, Histogram::kNumBuckets - 1);
+  const double v = static_cast<double>(ns);
+  while (bucket + 1 < Histogram::kNumBuckets && v >= edges[bucket]) {
+    ++bucket;
+  }
+  while (bucket > 0 && v < edges[bucket - 1]) {
+    --bucket;
+  }
+  return bucket;
+}
+
+TEST(HistogramTest, BucketForMatchesTheLog10ReferenceAtEveryEdge) {
+  for (int b = 0; b < Histogram::kNumBuckets; ++b) {
+    const auto edge = static_cast<uint64_t>(std::ceil(Histogram::BucketUpperNs(b)));
+    for (uint64_t ns : {edge - 1, edge, edge + 1}) {
+      ASSERT_EQ(Histogram::BucketFor(ns), ReferenceBucketFor(ns)) << "ns=" << ns;
+    }
+  }
+  for (uint64_t ns : {uint64_t{0}, uint64_t{1}, uint64_t{2}, ~uint64_t{0}, uint64_t{1} << 53,
+                      (uint64_t{1} << 53) + 1}) {
+    ASSERT_EQ(Histogram::BucketFor(ns), ReferenceBucketFor(ns)) << "ns=" << ns;
+  }
+}
+
+TEST(HistogramTest, BucketForMatchesTheLog10ReferenceOnASeededSweep) {
+  // Values spread over every bit length: a random word shifted right by a
+  // random amount.
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t word = rng();
+    const uint64_t ns = word >> (rng() % 64);
+    ASSERT_EQ(Histogram::BucketFor(ns), ReferenceBucketFor(ns)) << "ns=" << ns;
+  }
 }
 
 TEST(HistogramTest, EmptyHistogramReportsZero) {

@@ -134,6 +134,26 @@ TEST(ObjectTest, ChecksumRejectsTornBuffersButAllowsInPlaceWords) {
   EXPECT_EQ(obj.ext[1], 8u);
 }
 
+TEST(ObjectTest, ChecksumChangesWhenAnySingleByteFlips) {
+  // ChecksumBytes folds four word lanes and a tail word; a flip in any of
+  // them, at every length the lane/tail split can take, must show.
+  std::vector<uint8_t> bytes(300);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(ditto::Mix64(i));
+  }
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    const uint64_t clean = ditto::ChecksumBytes(bytes.data(), len);
+    for (size_t at = 0; at < len; ++at) {
+      for (uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xff}}) {
+        bytes[at] ^= flip;
+        const uint64_t flipped = ditto::ChecksumBytes(bytes.data(), len);
+        bytes[at] ^= flip;
+        ASSERT_NE(flipped, clean) << "len=" << len << " at=" << at << " flip=" << int{flip};
+      }
+    }
+  }
+}
+
 TEST(ObjectTest, DecodeRejectsAbsurdExtensionCount) {
   std::vector<uint8_t> buf(64, 0);
   ObjectHeader header{0, 0, 200};  // ext_words > kMaxExtensionWords

@@ -3,11 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <thread>
 #include <vector>
 
+#include "common/rand.h"
 #include "rdma/arena.h"
 #include "rdma/nic_model.h"
 #include "rdma/node.h"
@@ -215,6 +218,146 @@ TEST(QueueingServerTest, DrainedBacklogCausesNoDelay) {
   server.Charge(0, 100);
   EXPECT_EQ(server.Charge(5000, 100), 0u) << "by t=5000 the 100ns of work has drained";
   EXPECT_EQ(server.next_free_ns(), 200u) << "work-sum is load, not wall time";
+}
+
+// The single shared counter QueueingServer replaced: every charge a locked
+// fetch_add on one word.
+class FetchAddQueue {
+ public:
+  uint64_t Charge(uint64_t now_ns, uint64_t service_ns) {
+    const uint64_t backlog = work_ns_.fetch_add(service_ns, std::memory_order_relaxed);
+    return backlog > now_ns ? backlog - now_ns : 0;
+  }
+
+ private:
+  std::atomic<uint64_t> work_ns_{0};
+};
+
+TEST(QueueingServerTest, OneThreadMatchesASharedFetchAddCounter) {
+  // With one posting thread the shards must be invisible: a seeded run of
+  // arrivals that alternates queueing and idle stretches sees exactly the
+  // delays of the shared counter.
+  QueueingServer server;
+  FetchAddQueue reference;
+  Rng rng(42);
+  uint64_t now = 0;
+  uint64_t total = 0;
+  for (int i = 0; i < 100000; ++i) {
+    now += rng.NextBelow(i % 1000 < 500 ? 20 : 400);
+    const uint64_t service = 1 + rng.NextBelow(200);
+    total += service;
+    ASSERT_EQ(server.Charge(now, service), reference.Charge(now, service)) << "charge " << i;
+  }
+  EXPECT_EQ(server.next_free_ns(), total);
+}
+
+// Each of `threads` threads charges `rounds` seeded service times; returns
+// their sum. Every thread makes its first charge before any goes on, so all
+// of them hold a shard (or the overflow shard) at once.
+uint64_t ChargeFromThreads(QueueingServer* server, int threads, int rounds) {
+  std::vector<std::thread> workers;
+  std::vector<uint64_t> charged(static_cast<size_t>(threads), 0);
+  std::atomic<int> arrived{0};
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([server, threads, rounds, t, &charged, &arrived] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      uint64_t sum = 0;
+      for (int i = 0; i < rounds; ++i) {
+        const uint64_t service = 1 + rng.NextBelow(100);
+        server->Charge(static_cast<uint64_t>(i) * 10, service);
+        sum += service;
+        if (i == 0) {
+          arrived.fetch_add(1);
+          while (arrived.load() < threads) {
+            std::this_thread::yield();
+          }
+        }
+      }
+      charged[static_cast<size_t>(t)] = sum;
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  uint64_t total = 0;
+  for (uint64_t sum : charged) {
+    total += sum;
+  }
+  return total;
+}
+
+TEST(QueueingServerTest, ConcurrentThreadsConserveTotalWork) {
+  QueueingServer server;
+  const uint64_t total = ChargeFromThreads(&server, 4, 20000);
+  EXPECT_EQ(server.next_free_ns(), total);
+  EXPECT_EQ(server.charges(), 4u * 20000u);
+  // A second wave takes the slots the first freed and carries on from the
+  // work their shards hold.
+  const uint64_t second = ChargeFromThreads(&server, 4, 20000);
+  EXPECT_EQ(server.next_free_ns(), total + second);
+  EXPECT_EQ(server.charges(), 8u * 20000u);
+  server.Reset();
+  EXPECT_EQ(server.next_free_ns(), 0u);
+  EXPECT_EQ(server.charges(), 0u);
+  EXPECT_EQ(server.Charge(0, 7), 0u) << "this thread's shard was zeroed too";
+  EXPECT_EQ(server.next_free_ns(), 7u);
+  EXPECT_EQ(server.charges(), 1u);
+}
+
+TEST(QueueingServerTest, MoreThreadsThanShardsConserveTotalWork) {
+  // Threads past the last shard share the overflow shard.
+  QueueingServer server;
+  const uint64_t total = ChargeFromThreads(&server, 3 * QueueingServer::kShards, 2000);
+  EXPECT_EQ(server.next_free_ns(), total);
+  EXPECT_EQ(server.charges(), 3u * QueueingServer::kShards * 2000u);
+  // This thread sees all of it as backlog, whichever shard it holds.
+  EXPECT_EQ(server.Charge(0, 1), total);
+}
+
+TEST(QueueingServerTest, ServerRebuiltAtTheSameAddressStartsFresh) {
+  // Every perfbench repetition destroys its deployment and often builds the
+  // next one at the same address, on the same thread. The rebuilt model
+  // must start from zero work, whatever this thread charged to the last.
+  CostModel cost;
+  cost.nic_mops = 10.0;  // 100 ns per message
+  alignas(NicModel) unsigned char storage[sizeof(NicModel)];
+  auto run = [](NicModel* nic) {
+    NicTally* tally = nic->AcquireTally();
+    std::vector<uint64_t> delays;
+    for (int i = 0; i < 50; ++i) {
+      delays.push_back(nic->ChargeMessage(tally, static_cast<uint64_t>(i) * 40, 1.0));
+    }
+    delays.push_back(nic->busy_horizon_ns());
+    delays.push_back(nic->messages());
+    return delays;
+  };
+  NicModel fresh(cost);
+  const std::vector<uint64_t> expected = run(&fresh);
+  for (int rebuild = 0; rebuild < 3; ++rebuild) {
+    auto* nic = new (storage) NicModel(cost);
+    EXPECT_EQ(run(nic), expected) << "rebuild " << rebuild;
+    // A second thread charging beside this one loses none of either's
+    // work in the rebuilt model.
+    constexpr int kRounds = 200000;
+    std::atomic<bool> go{false};
+    std::thread helper([nic, &go] {
+      NicTally* tally = nic->AcquireTally();
+      while (!go.load()) {
+      }
+      for (int i = 0; i < kRounds; ++i) {
+        nic->ChargeMessage(tally, 0, 1.0);
+      }
+    });
+    NicTally* tally = nic->AcquireTally();
+    go.store(true);
+    for (int i = 0; i < kRounds; ++i) {
+      nic->ChargeMessage(tally, 0, 1.0);
+    }
+    helper.join();
+    EXPECT_EQ(nic->busy_horizon_ns(), expected[50] + 2 * 100 * uint64_t{kRounds})
+        << "rebuild " << rebuild;
+    nic->~NicModel();
+  }
 }
 
 TEST(NicModelTest, ThroughputCapsAtMessageRate) {
