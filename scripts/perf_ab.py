@@ -3,13 +3,12 @@
 working tree (or a second revision), on every workload of BENCHMARK.json.
 
     scripts/perf_ab.py PARENT_REV [--change-rev REV] [--pairs N] [--seconds S]
-                       [--workloads NAME,...] [--seeds N,...] [--work-dir DIR]
-                       [--dump FILE]
+                       [--workloads NAME,...] [--seeds N,...]
 
 Builds each side's harness (perfbench/CMakeLists.txt, Release) in its own
-directory under --work-dir: the parent from `git archive PARENT_REV`, the
-change from the working tree, or from `git archive` of --change-rev. Then,
-per pair of runs:
+directory under .bench_build/perf_ab: the parent from `git archive
+PARENT_REV`, the change from the working tree, or from `git archive` of
+--change-rev. Then, per pair of runs:
 
   * replay workloads: parent and change run at the same moment, each pinned
     with os.sched_setaffinity to its own CPU (the first two this process
@@ -26,9 +25,9 @@ either side's spread exceeds the metric's bound, otherwise "worse" or
 that both sides reproduce each other's fingerprint (every modelled value of a
 replay) per seed, and that no run failed an operation or a check.
 
-It writes only under --work-dir (default .bench_build/perf_ab), never to
-BENCHMARK.json or perfbench/. A parent-vs-parent run (--change-rev equal to
-PARENT_REV) shows how far the medians wander without a change.
+It writes only under .bench_build/perf_ab, never to BENCHMARK.json or
+perfbench/. A parent-vs-parent run (--change-rev equal to PARENT_REV) shows
+how far the medians wander without a change.
 """
 
 import argparse
@@ -49,13 +48,16 @@ def sh(cmd, **kwargs):
 
 
 def export(rev, dest):
-    """Unpacks `git archive rev` into dest (replacing what was there)."""
+    """Unpacks `git archive rev` into dest (replacing what was there). The
+    files get the current time, not the commit's (tar -m): with the commit's
+    older time, a build dir kept from another revision would look up to date
+    and keep that revision's objects."""
     if os.path.isdir(dest):
         shutil.rmtree(dest)
     os.makedirs(dest)
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
                              stdout=subprocess.PIPE).stdout
-    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    subprocess.run(["tar", "-x", "-m", "-C", dest], input=archive, check=True)
 
 
 def build(src_root, build_dir, jobs):
@@ -170,9 +172,6 @@ def main():
     parser.add_argument("--seconds", type=float, default=4.0, help="per harness run")
     parser.add_argument("--workloads", help="comma-separated (default: all of BENCHMARK.json)")
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated, cycled over the pairs")
-    parser.add_argument("--work-dir", default=os.path.join(ROOT, ".bench_build", "perf_ab"))
-    parser.add_argument("--dump", help="also write every run's RESULT, by workload and pair, "
-                        "to this JSON file")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -189,7 +188,7 @@ def main():
     cpus = tuple(allowed[:2])
 
     jobs = max(1, min(len(allowed), 4))
-    work = os.path.abspath(args.work_dir)
+    work = os.path.join(ROOT, ".bench_build", "perf_ab")
     export(args.parent_rev, os.path.join(work, "parent-src"))
     harnesses = [build(os.path.join(work, "parent-src"), os.path.join(work, "parent-build"),
                        jobs)]
@@ -205,16 +204,11 @@ def main():
              cpus[0], cpus[1]))
     began = time.monotonic()
     problems = []
-    runs = {}
     for workload in workloads:
         pairs = [run_pair(harnesses, workload, seeds[i % len(seeds)], args.seconds, cpus, i)
                  for i in range(args.pairs)]
-        runs[workload] = [{"parent": p, "change": c} for p, c in pairs]
         problems += report(workload, pairs, spec["end_to_end"])
         sys.stdout.flush()
-    if args.dump:
-        with open(args.dump, "w") as f:
-            json.dump(runs, f, indent=1)
     print("\nperf_ab: %.0f s of runs" % (time.monotonic() - began))
     for p in problems:
         print("PROBLEM: %s" % p)

@@ -247,7 +247,7 @@ std::string CliqueMapServer::FinishInsertLocked(uint64_t addr, std::string_view 
   // Find a slot in the key's bucket; if the bucket is full, evict one of its
   // occupants (the index stays consistent because the server is the only
   // writer of the table).
-  const uint64_t bucket = hash % pool_->num_buckets();
+  const uint64_t bucket = hash & (pool_->num_buckets() - 1);
   const int slots = pool_->slots_per_bucket();
   int target = -1;
   for (int sweep = 0; sweep < 2 && target < 0; ++sweep) {

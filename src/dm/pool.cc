@@ -1,6 +1,7 @@
 #include "dm/pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -18,11 +19,11 @@ uint64_t HeapAddrFor(const PoolConfig& config) {
 
 // Rejects layouts the pool cannot address. Checked in every build type: an
 // undersized memory_bytes would underflow heap_bytes_ and let the allocator
-// hand out addresses past the arena, and zero buckets would divide by zero
-// in every bucket lookup.
+// hand out addresses past the arena, and every bucket lookup masks the hash
+// with num_buckets - 1, so the table needs a power-of-two bucket count.
 const PoolConfig& Validated(const PoolConfig& config) {
-  if (config.num_buckets == 0) {
-    throw std::invalid_argument("PoolConfig: num_buckets must be positive");
+  if (!std::has_single_bit(config.num_buckets)) {
+    throw std::invalid_argument("PoolConfig: num_buckets must be a power of two");
   }
   if (config.slots_per_bucket <= 0) {
     throw std::invalid_argument("PoolConfig: slots_per_bucket must be positive");

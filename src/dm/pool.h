@@ -67,7 +67,7 @@ inline uint64_t CapacityShare(uint64_t total, size_t owner, size_t num_owners) {
 
 struct PoolConfig {
   size_t memory_bytes = 64 << 20;
-  size_t num_buckets = 16384;    // should be a power of two
+  size_t num_buckets = 16384;    // must be a power of two
   int slots_per_bucket = 8;
   size_t segment_bytes = 64 << 10;
   int controller_cores = 1;
@@ -77,8 +77,9 @@ struct PoolConfig {
 
 class MemoryPool {
  public:
-  // Throws std::invalid_argument if num_buckets is 0, slots_per_bucket is
-  // not positive, or memory_bytes cannot hold the superblock and table.
+  // Throws std::invalid_argument if num_buckets is not a power of two,
+  // slots_per_bucket is not positive, or memory_bytes cannot hold the
+  // superblock and table.
   explicit MemoryPool(const PoolConfig& config);
 
   rdma::RemoteNode& node() { return node_; }

@@ -5,7 +5,6 @@
 #ifndef DITTO_HASHTABLE_HASH_TABLE_H_
 #define DITTO_HASHTABLE_HASH_TABLE_H_
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -22,17 +21,14 @@ class HashTable {
         verbs_(verbs),
         table_addr_(pool->table_addr()),
         num_buckets_(pool->num_buckets()),
-        bucket_mask_(std::has_single_bit(num_buckets_) ? num_buckets_ - 1 : 0),
         slots_per_bucket_(pool->slots_per_bucket()) {}
 
   size_t num_buckets() const { return num_buckets_; }
   int slots_per_bucket() const { return slots_per_bucket_; }
   size_t num_slots() const { return num_buckets_ * static_cast<size_t>(slots_per_bucket_); }
 
-  // hash mod num_buckets; a mask when num_buckets is a power of two.
-  uint64_t BucketIndexFor(uint64_t hash) const {
-    return bucket_mask_ != 0 ? hash & bucket_mask_ : hash % num_buckets_;
-  }
+  // hash mod num_buckets (a power of two, checked by the pool).
+  uint64_t BucketIndexFor(uint64_t hash) const { return hash & (num_buckets_ - 1); }
   uint64_t SlotAddr(uint64_t global_slot_index) const {
     return table_addr_ + global_slot_index * kSlotBytes;
   }
@@ -84,7 +80,6 @@ class HashTable {
   rdma::Verbs* verbs_;
   uint64_t table_addr_;
   size_t num_buckets_;
-  uint64_t bucket_mask_;  // num_buckets_ - 1 for a power of two > 1, else 0
   int slots_per_bucket_;
 };
 

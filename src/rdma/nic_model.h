@@ -83,13 +83,6 @@ class QueueingServer {
   uint64_t next_free_ns() const { return Sum(&Shard::work); }
   // Number of Charge calls.
   uint64_t charges() const { return Sum(&Shard::charges); }
-  // Zeroes every shard. Call while no thread is charging.
-  void Reset() {
-    for (Shard& shard : shards_) {
-      shard.work.store(0, std::memory_order_relaxed);
-      shard.charges.store(0, std::memory_order_relaxed);
-    }
-  }
 
  private:
   struct alignas(64) Shard {
@@ -159,7 +152,7 @@ struct alignas(64) NicTally {
 class NicModel {
  public:
   explicit NicModel(const CostModel& cost)
-      : cost_(cost),
+      : enabled_(cost.enabled),
         msg_ns_(static_cast<uint64_t>(cost.NicServiceNs(1.0))),
         atomic_ns_(static_cast<uint64_t>(cost.NicServiceNs(cost.atomic_msg_cost))) {}
 
@@ -180,23 +173,14 @@ class NicModel {
     free_tallies_.push_back(tally);
   }
 
-  // Charges one message to `tally` with the given slot cost (1.0 for
-  // READ/WRITE, cost_.atomic_msg_cost for atomics). Returns queueing delay
-  // in ns.
-  uint64_t ChargeMessage(NicTally* tally, uint64_t now_ns, double msg_cost) {
+  // Charges one message to `tally`: a READ/WRITE takes one message slot, an
+  // atomic cost.atomic_msg_cost slots. Returns queueing delay in ns.
+  uint64_t ChargeMessage(NicTally* tally, uint64_t now_ns, bool atomic) {
     NicTally::Add(&tally->messages, 1);
-    if (!cost_.enabled) {
+    if (!enabled_) {
       return 0;
     }
-    uint64_t service_ns;
-    if (msg_cost == 1.0) {
-      service_ns = msg_ns_;
-    } else if (msg_cost == cost_.atomic_msg_cost) {
-      service_ns = atomic_ns_;
-    } else {
-      service_ns = static_cast<uint64_t>(cost_.NicServiceNs(msg_cost));
-    }
-    return server_.Charge(now_ns, service_ns);
+    return server_.Charge(now_ns, atomic ? atomic_ns_ : msg_ns_);
   }
 
   // Totals over every tally block. Doorbells are MMIO rings: unbatched posts
@@ -206,17 +190,6 @@ class NicModel {
   uint64_t bytes() const { return Sum(&NicTally::bytes); }
   // Serial completion horizon of the NIC, a lower bound on elapsed time.
   uint64_t busy_horizon_ns() const { return server_.next_free_ns(); }
-
-  // Zeroes the queue and every tally block. Call while no QP is posting.
-  void Reset() EXCLUDES(tally_mu_) {
-    server_.Reset();
-    ditto::MutexLock lock(&tally_mu_);
-    for (const auto& tally : tallies_) {
-      tally->messages.store(0, std::memory_order_relaxed);
-      tally->doorbells.store(0, std::memory_order_relaxed);
-      tally->bytes.store(0, std::memory_order_relaxed);
-    }
-  }
 
  private:
   uint64_t Sum(std::atomic<uint64_t> NicTally::*counter) const EXCLUDES(tally_mu_) {
@@ -228,7 +201,7 @@ class NicModel {
     return total;
   }
 
-  CostModel cost_;
+  const bool enabled_;
   const uint64_t msg_ns_;     // service time of a 1.0-cost message
   const uint64_t atomic_ns_;  // service time of an atomic
   QueueingServer server_;
@@ -256,8 +229,6 @@ class CpuModel {
   // RPCs charged, counted in the queue's per-thread shards.
   uint64_t ops() const { return server_.charges(); }
   uint64_t busy_horizon_ns() const { return server_.next_free_ns(); }
-
-  void Reset() { server_.Reset(); }
 
  private:
   CostModel cost_;

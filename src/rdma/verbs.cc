@@ -86,8 +86,8 @@ void Verbs::Rpc(uint32_t handler_id, std::string_view request, std::string* resp
   tally_->AddDoorbell();
   tally_->AddBytes(request.size());
   const uint64_t now = base_now_ns();
-  const uint64_t nic_queue_ns = node_->nic().ChargeMessage(tally_, now, 1.0);
-  node_->nic().ChargeMessage(tally_, now, 1.0);
+  const uint64_t nic_queue_ns = node_->nic().ChargeMessage(tally_, now, /*atomic=*/false);
+  node_->nic().ChargeMessage(tally_, now, /*atomic=*/false);
   const uint64_t cpu_queue_ns = node_->cpu().ChargeRpc(now, service_us);
   node_->DispatchRpc(handler_id, request, response);
   if (cost.enabled) {
@@ -100,7 +100,7 @@ void Verbs::Rpc(uint32_t handler_id, std::string_view request, std::string* resp
 
 void Verbs::ChargeLostAtomic() {
   ctx_->atomics++;
-  node_->nic().ChargeMessage(tally_, base_now_ns(), node_->cost().atomic_msg_cost);
+  node_->nic().ChargeMessage(tally_, base_now_ns(), /*atomic=*/true);
 }
 
 std::string Verbs::Rpc(uint32_t handler_id, std::string_view request, double service_us) {

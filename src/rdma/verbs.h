@@ -141,7 +141,7 @@ class Verbs {
 
   // Shared signalled-verb body: charges the NIC at base-now and advances the
   // time base to the verb's completion.
-  void ChargeSignalled(double rtt_us, double msg_cost, size_t bytes);
+  void ChargeSignalled(double rtt_us, bool atomic, size_t bytes);
 
   // Returns true (and records *status) if the fault layer fails this verb:
   // the node is crashed at the current time base, or a deterministic draw
@@ -157,7 +157,7 @@ class Verbs {
   // (plan.seed, ctx id, ++fault_draws_).
   double FaultDraw();
 
-  void ChargeAsync(double msg_cost, size_t bytes);
+  void ChargeAsync(bool atomic, size_t bytes);
   void EnqueueBatched(uint8_t kind, uint64_t addr, uint32_t bytes);
 
   RemoteNode* node_;
@@ -186,7 +186,7 @@ inline void Verbs::Read(uint64_t addr, void* dst, size_t len) {
   }
   node_->arena().Read(addr, dst, len);
   ctx_->reads++;
-  ChargeSignalled(node_->cost().read_rtt_us, 1.0, len);
+  ChargeSignalled(node_->cost().read_rtt_us, /*atomic=*/false, len);
 }
 
 inline void Verbs::Write(uint64_t addr, const void* src, size_t len) {
@@ -195,7 +195,7 @@ inline void Verbs::Write(uint64_t addr, const void* src, size_t len) {
   }
   node_->arena().Write(addr, src, len);
   ctx_->writes++;
-  ChargeSignalled(node_->cost().write_rtt_us, 1.0, len);
+  ChargeSignalled(node_->cost().write_rtt_us, /*atomic=*/false, len);
 }
 
 inline void Verbs::WriteAsync(uint64_t addr, const void* src, size_t len) {
@@ -208,7 +208,7 @@ inline void Verbs::WriteAsync(uint64_t addr, const void* src, size_t len) {
     EnqueueBatched(/*kind=*/0, addr, static_cast<uint32_t>(len));
     return;
   }
-  ChargeAsync(1.0, len);
+  ChargeAsync(/*atomic=*/false, len);
 }
 
 inline uint64_t Verbs::CompareSwap(uint64_t addr, uint64_t expected, uint64_t desired) {
@@ -217,7 +217,7 @@ inline uint64_t Verbs::CompareSwap(uint64_t addr, uint64_t expected, uint64_t de
   }
   const uint64_t observed = node_->arena().CompareSwap(addr, expected, desired);
   ctx_->atomics++;
-  ChargeSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
+  ChargeSignalled(node_->cost().atomic_rtt_us, /*atomic=*/true, 8);
   return observed;
 }
 
@@ -227,7 +227,7 @@ inline uint64_t Verbs::FetchAdd(uint64_t addr, uint64_t delta) {
   }
   const uint64_t prior = node_->arena().FetchAdd(addr, delta);
   ctx_->atomics++;
-  ChargeSignalled(node_->cost().atomic_rtt_us, node_->cost().atomic_msg_cost, 8);
+  ChargeSignalled(node_->cost().atomic_rtt_us, /*atomic=*/true, 8);
   return prior;
 }
 
@@ -241,30 +241,30 @@ inline void Verbs::FetchAddAsync(uint64_t addr, uint64_t delta) {
     EnqueueBatched(/*kind=*/1, addr, 8);
     return;
   }
-  ChargeAsync(node_->cost().atomic_msg_cost, 8);
+  ChargeAsync(/*atomic=*/true, 8);
 }
 
 // ditto-lint: hot-path-begin(verb-post)
 // Per-verb NIC accounting: counters go to this QP's tally, and the work goes
 // to this thread's shard of the NIC queue; neither is written by another
 // thread.
-inline void Verbs::ChargeSignalled(double rtt_us, double msg_cost, size_t bytes) {
+inline void Verbs::ChargeSignalled(double rtt_us, bool atomic, size_t bytes) {
   const CostModel& cost = node_->cost();
   tally_->AddBytes(bytes);
   tally_->AddDoorbell();
   const uint64_t now = base_now_ns();
-  const uint64_t queue_ns = node_->nic().ChargeMessage(tally_, now, msg_cost);
+  const uint64_t queue_ns = node_->nic().ChargeMessage(tally_, now, atomic);
   if (cost.enabled) {
     const double wire_us = static_cast<double>(bytes) / cost.bytes_per_us;
     AdvanceBaseToNs(now + queue_ns + static_cast<uint64_t>((rtt_us + wire_us) * 1000.0));
   }
 }
 
-inline void Verbs::ChargeAsync(double msg_cost, size_t bytes) {
+inline void Verbs::ChargeAsync(bool atomic, size_t bytes) {
   const CostModel& cost = node_->cost();
   tally_->AddBytes(bytes);
   tally_->AddDoorbell();
-  node_->nic().ChargeMessage(tally_, base_now_ns(), msg_cost);
+  node_->nic().ChargeMessage(tally_, base_now_ns(), atomic);
   if (!cost.enabled) {
     return;
   }
@@ -299,9 +299,8 @@ inline void Verbs::FlushBatch() {
   const CostModel& cost = node_->cost();
   tally_->AddDoorbell();
   for (const PendingOp& op : pending_) {
-    const double msg_cost = op.kind == 0 ? 1.0 : cost.atomic_msg_cost;
     tally_->AddBytes(op.bytes);
-    node_->nic().ChargeMessage(tally_, base_now_ns(), msg_cost);
+    node_->nic().ChargeMessage(tally_, base_now_ns(), /*atomic=*/op.kind != 0);
   }
   if (cost.enabled) {
     AdvanceBaseNs(static_cast<uint64_t>(

@@ -148,6 +148,13 @@ class OpDispatcher {
   // replay loop; steady-state execution must not allocate (PR 4's invariant).
   void Dispatch(uint32_t index) {
     AdvancePhase(index);
+    // Requests are dispatched in trace order, so the next lines of the
+    // trace are known: fetch them ahead rather than leave the read to the
+    // hardware prefetcher, which a code-layout shift alone can defeat (it
+    // once tripled Dispatch's self time on replay-ycsb-c).
+    if (index + kTracePrefetch < trace_.size()) {
+      __builtin_prefetch(&trace_[index + kTracePrefetch]);
+    }
     const workload::Request& req = trace_[index];
     const workload::Op op = workload::MixedOpAt(req.op, index, options_.op_mix);
     if (op == workload::Op::kMultiGet && options_.multiget_batch > 1) {
@@ -284,6 +291,8 @@ class OpDispatcher {
       lifecycle_applied_++;
     }
   }
+
+  static constexpr size_t kTracePrefetch = 64;  // requests ahead: eight cache lines
 
   CacheClient* client_;
   const workload::Trace& trace_;

@@ -57,6 +57,20 @@ TEST(PoolTest, RejectsZeroBuckets) {
   EXPECT_THROW(MemoryPool pool(config), std::invalid_argument);
 }
 
+TEST(PoolTest, RejectsNonPowerOfTwoBuckets) {
+  PoolConfig config = SmallPool();
+  const size_t rejected[] = {3, 96, 500, 513};
+  for (size_t buckets : rejected) {
+    config.num_buckets = buckets;
+    EXPECT_THROW(MemoryPool pool(config), std::invalid_argument) << buckets;
+  }
+  const size_t accepted[] = {1, 2, 64, 512};
+  for (size_t buckets : accepted) {
+    config.num_buckets = buckets;
+    EXPECT_NO_THROW(MemoryPool pool(config)) << buckets;
+  }
+}
+
 TEST(PoolTest, RejectsNonPositiveSlotsPerBucket) {
   PoolConfig config = SmallPool();
   config.slots_per_bucket = 0;
